@@ -14,12 +14,27 @@ equality is dictionary equality and integration of a top-degree class
 reads off a single coefficient.  All coefficients are Python ints, hence
 exact at any size.
 
-Values are immutable after construction and all operations are pure.
+The left side of every rewrite rule is a pure power of one generator
+(h^3, C0^2, z^r, ...), so the rules are indexed by generator: a monomial
+is in normal form exactly when each exponent is below its generator's
+cap.  Each ambient memoizes the normal form of every non-normal monomial
+it has met, filled from the rule's right side without recursion, so a
+product costs one pass over its raw terms.  The memo lives and dies with
+its ambient.
+
+Two ambients are equal when they present the same ring: the same base,
+rank and Chern classes c_1 .. c_dim(B).  Twists are kept for display
+only, so a split tower and a Chern-data tower with the same c(V) are
+one ring and their classes mix.
+
+Values are immutable after construction and all operations are pure
+(the memo only caches).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from operator import add, lt
+from typing import Sequence
 
 _BASE_GENS = {
     "P1": ("F",),
@@ -141,7 +156,7 @@ class ChowElement:
         return not self.terms
 
     def _check_same_ambient(self, other: "ChowElement"):
-        if self.ambient != other.ambient:
+        if self.ambient is not other.ambient and self.ambient != other.ambient:
             raise ValueError("classes live on different ambients")
 
     def __add__(self, other):
@@ -191,7 +206,7 @@ class ChowElement:
         raw: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
+                expo = tuple(map(add, e1, e2))
                 raw[expo] = raw.get(expo, 0) + c1 * c2
         terms = self.ambient._reduce(raw)
         degree = self.degree + other.degree if terms else None
@@ -200,20 +215,26 @@ class ChowElement:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
+        # repeated squaring
         result = self.ambient.one()
-        for _ in range(n):
-            result = result * self
+        square = self
+        while n:
+            if n & 1:
+                result = result * square
+            n >>= 1
+            if n:
+                square = square * square
         return result
 
     def __eq__(self, other):
         return (
             isinstance(other, ChowElement)
-            and self.ambient == other.ambient
+            and (self.ambient is other.ambient or self.ambient == other.ambient)
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.ambient, frozenset(self.terms.items())))
 
     def __str__(self):
         if not self.terms:
@@ -256,7 +277,7 @@ class Ambient:
     exposes every stored rewrite rule.
     """
 
-    __slots__ = ("base", "rank", "twists", "cherns", "_rules")
+    __slots__ = ("base", "rank", "twists", "cherns", "_rules", "_index", "_memo")
 
     def __init__(self, base: Base, rank: int, twists, cherns):
         self.base = base
@@ -264,6 +285,8 @@ class Ambient:
         self.twists = twists
         self.cherns = cherns
         self._rules = None  # built lazily, immutable once built
+        self._index = None  # (caps, rule per generator), built lazily from _rules
+        self._memo = {}  # non-normal monomial -> its normal form
 
     # -- structure ---------------------------------------------------
 
@@ -285,13 +308,20 @@ class Ambient:
     def nvars(self) -> int:
         return len(self.gen_names)
 
+    def _chern_terms(self) -> list[dict]:
+        """c_1 .. c_dim(B) of V; the higher classes vanish on the base."""
+        d = self.base.dim
+        terms = [c.terms for c in self.cherns[:d]]
+        return terms + [{}] * (d - len(terms))
+
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Ambient)
             and self.base == other.base
             and self.rank == other.rank
-            and [t.terms for t in self.twists] == [t.terms for t in other.twists]
-            and [c.terms for c in self.cherns] == [c.terms for c in other.cherns]
+            and self._chern_terms() == other._chern_terms()
         )
 
     def __hash__(self):
@@ -376,29 +406,75 @@ class Ambient:
             self._rules = rules
         return self._rules
 
-    def _reduce(self, raw: dict) -> dict:
-        rules = self.relations()
-        out: dict = {}
-        stack = list(raw.items())
+    def _generator_rules(self) -> tuple[tuple[int, ...], tuple]:
+        """Per generator, the exponent cap and the right side of its rule.
+
+        Every rule rewrites a pure power gen^cap, and every generator has
+        one, so a monomial is normal iff each exponent is below its cap.
+        """
+        if self._index is None:
+            caps = [0] * self.nvars
+            rhss: list = [()] * self.nvars
+            for lhs, rhs in self.relations():
+                (g,) = [i for i, k in enumerate(lhs) if k]
+                caps[g] = lhs[g]
+                rhss[g] = tuple(rhs)
+            self._index = (tuple(caps), tuple(rhss))
+        return self._index
+
+    def _normal_form(self, expo: tuple) -> tuple:
+        """Normal form of a non-normal monomial, as ((expo, coeff), ...).
+
+        Rewrites the first generator at or over its cap, then looks the
+        rewritten monomials up in the memo.  Monomials still unknown wait
+        on an explicit stack, so a deep rewriting chain (z^5000, say)
+        never recurses; every monomial met is memoized on the way.
+        """
+        caps, rhss = self._generator_rules()
+        memo = self._memo
+        stack = [expo]
         while stack:
-            expo, coeff = stack.pop()
-            if coeff == 0:
+            m = stack[-1]
+            if m in memo:
+                stack.pop()
                 continue
-            applied = False
-            for lhs, rhs in rules:
-                if all(a >= b for a, b in zip(expo, lhs)):
-                    rest = tuple(a - b for a, b in zip(expo, lhs))
-                    for rexpo, rcoeff in rhs:
-                        stack.append(
-                            (tuple(a + b for a, b in zip(rest, rexpo)), coeff * rcoeff)
-                        )
-                    applied = True
-                    break
-            if not applied:
+            g = next(i for i, (k, cap) in enumerate(zip(m, caps)) if k >= cap)
+            rest = list(m)
+            rest[g] -= caps[g]
+            images = [(tuple(map(add, rest, rexpo)), c) for rexpo, c in rhss[g]]
+            waiting = [
+                e for e, _ in images if e not in memo and not all(map(lt, e, caps))
+            ]
+            if waiting:
+                stack.extend(waiting)
+                continue
+            acc: dict = {}
+            for e, c in images:
+                nf = memo.get(e)
+                if nf is None:
+                    acc[e] = acc.get(e, 0) + c
+                    continue
+                for e2, c2 in nf:
+                    acc[e2] = acc.get(e2, 0) + c * c2
+            memo[m] = tuple((e, c) for e, c in acc.items() if c)
+            stack.pop()
+        return memo[expo]
+
+    def _reduce(self, raw: dict) -> dict:
+        """Normal form of exponent -> coefficient data, like terms merged."""
+        caps = self._generator_rules()[0]
+        memo = self._memo
+        out: dict = {}
+        for expo, coeff in raw.items():
+            if all(map(lt, expo, caps)):
                 out[expo] = out.get(expo, 0) + coeff
-                if out[expo] == 0:
-                    del out[expo]
-        return out
+                continue
+            nf = memo.get(expo)
+            if nf is None:
+                nf = self._normal_form(expo)
+            for e, c in nf:
+                out[e] = out.get(e, 0) + coeff * c
+        return {e: c for e, c in out.items() if c}
 
 
 def base_space(base: Base) -> Ambient:
@@ -493,10 +569,7 @@ def canonical_class(A: Ambient) -> ChowElement:
     """K_A = -rank * z + pullback(K_base + c1(V))."""
     if not A.is_tower:
         raise ValueError("canonical_class expects a genuine tower (rank >= 2)")
-    B = base_space(A.base)
-    k = B.zero()
-    for name, c in A.base.canonical_coeffs().items():
-        k = k + c * B.gen(name)
+    k = canonical_base_class(A.base)
     return (-A.rank) * A.zeta + A.pullback(k + A.cherns[0])
 
 

@@ -278,7 +278,10 @@ def _cmd_enumerate(args):
         )
         _emit(text)
         return 0
-    result = enumerate_highdim(args.dim)
+    try:
+        result = enumerate_highdim(args.dim)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     text = _result_json(result) if args.format == "json" else "\n".join(
         _highdim_lines(result, args.dim)
     )
@@ -330,8 +333,7 @@ def _model_label(m):
 def _cmd_show(args):
     r = lookup(args.id)
     if r is None:
-        sys.stderr.write(f"no family with id {args.id!r}\n")
-        return 2
+        return _usage_error(f"no family with id {args.id!r}")
     models = construction_models(r.id)
     fields = [
         ("id", r.id),
@@ -358,8 +360,11 @@ def _cmd_export(args):
         sys.stdout.write(data.decode("utf-8"))
         sys.stdout.flush()
         return 0
-    with open(args.out, "wb") as fh:
-        fh.write(data)
+    try:
+        with open(args.out, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        return _usage_error(f"cannot write {args.out}: {exc.strerror}")
     _emit(f"wrote {args.out} ({len(data)} bytes)")
     return 0
 
@@ -367,6 +372,12 @@ def _cmd_export(args):
 def _emit(text):
     sys.stdout.write(text + "\n")
     sys.stdout.flush()
+
+
+def _usage_error(message):
+    """Report bad input on one stderr line; exit code 2, as argparse uses."""
+    sys.stderr.write(f"delpezzo: error: {message}\n")
+    return 2
 
 
 def _build_parser():

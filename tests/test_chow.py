@@ -234,6 +234,39 @@ def test_ambient_mismatch_rejected():
         T1.zeta * T2.zeta
 
 
+def test_split_and_chern_data_towers_are_one_ring():
+    B2 = base_space(P2())
+    h = B2.gen("h")
+    A = make_tower(P2(), [h, 0])
+    C = chern_tower(P2(), 2, [h])
+    assert A == C and hash(A) == hash(C)
+    assert (A.zeta * C.zeta).terms == (A.zeta**2).terms
+    assert A.zeta == C.zeta and hash(A.zeta) == hash(C.zeta)
+    other = make_tower(P2(), [2 * h, 0])
+    assert other.zeta.terms == A.zeta.terms
+    assert len({A.zeta, C.zeta, other.zeta}) == 2
+    # make_tower keeps rank Chern classes, chern_tower min(rank, dim B)
+    Bm = base_space(P1xP2())
+    assert make_tower(P1xP2(), [Bm.gen("p"), 0]) == chern_tower(P1xP2(), 2, [Bm.gen("p")])
+    F = base_space(P1()).gen("F")
+    assert p1_tower(1, 0, 0) == chern_tower(P1(), 3, [F])
+    assert p1_tower(1, 0, 0) != chern_tower(P1(), 3, [2 * F])
+    assert p1_tower(1, 0) != p1_tower(1, 0, 0)
+    assert A != chern_tower(P2(), 2, [h, B2.point()])
+
+
+def test_deep_exponents_reduce_without_recursion():
+    # a normal form filled by recursion would run 5000 frames deep here
+    T = make_tower(P1(), [1, 0])
+    assert T.from_terms({(0, 5000): 1}).is_zero()
+    assert (T.zeta**5000).is_zero()
+    # C0^k -> -e C0^(k-1) f rewrites C0 one step at a time
+    assert base_space(Fe(3)).from_terms({(5000, 0): 7}).is_zero()
+    B = base_space(Fe(3))
+    W = make_tower(Fe(3), [B.gen("C0"), B.gen("f"), 0])
+    assert W.from_terms({(4000, 0, 3000): 1}).is_zero()
+
+
 def test_integrate_rejects_wrong_degree():
     T = p1_tower(0, 0, 0, 1)
     with pytest.raises(ValueError, match="degree"):

@@ -8,8 +8,11 @@ the relation tables.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delpezzo import (
+    Base,
     P1,
     P2,
     P1xP1,
@@ -127,3 +130,70 @@ def test_oracle_disagrees_with_a_wrong_relation():
     mono = (0, 5)  # z^5 over the generators (h, z)
     assert oracle_integrate(good, [(mono, 1)]) == 7
     assert oracle_integrate(bad, [(mono, 1)]) == 9
+
+
+# -- random towers under hypothesis ------------------------------------------
+
+
+def _monomial(draw, nvars, degree):
+    """An exponent tuple of the given degree over nvars generators."""
+    expo = [0] * nvars
+    for g in draw(st.lists(st.integers(0, nvars - 1), min_size=degree, max_size=degree)):
+        expo[g] += 1
+    return tuple(expo)
+
+
+@st.composite
+def random_towers(draw):
+    kind = draw(st.sampled_from(["P1", "P2", "P1xP1", "Fe", "P1xP2"]))
+    base = Fe(draw(st.integers(0, 20))) if kind == "Fe" else Base(kind)
+    rank = draw(st.integers(2, 8))
+    B = base_space(base)
+    small = st.integers(-5, 5)
+    if draw(st.booleans()):
+        units = [tuple(int(i == g) for i in range(B.nvars)) for g in range(B.nvars)]
+        twists = [
+            B.from_terms({u: draw(small) for u in units}) for _ in range(rank)
+        ]
+        return make_tower(base, twists)
+    cherns = []
+    for i in range(1, min(rank, base.dim) + 1):
+        raw = {}
+        for _ in range(draw(st.integers(0, 3))):
+            mono = _monomial(draw, B.nvars, i)
+            raw[mono] = raw.get(mono, 0) + draw(small)
+        cherns.append(B.from_terms(raw))
+    return chern_tower(base, rank, cherns)
+
+
+@st.composite
+def raw_classes(draw, A):
+    """Raw homogeneous terms on A, of degree up to dim A or up to 3 * rank.
+
+    Every term carries base degree at most 4, so the z-exponent is close
+    to the degree: up to the top of the ring, or well beyond 2 * rank.
+    """
+    nb = A.nvars - 1
+    degree = draw(st.one_of(st.integers(0, A.dim), st.integers(A.dim + 1, 3 * A.rank)))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        base_degree = draw(st.integers(0, min(degree, 4)))
+        mono = _monomial(draw, nb, base_degree) + (degree - base_degree,)
+        terms[mono] = terms.get(mono, 0) + draw(st.integers(-9, 9))
+    return terms
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_random_towers_match_oracle(data):
+    A = data.draw(random_towers())
+    raw_x = data.draw(raw_classes(A))
+    raw_y = data.draw(raw_classes(A))
+    seed = data.draw(st.integers(0, 999))
+    x = A.from_terms(raw_x)
+    y = A.from_terms(raw_y)
+    assert x.terms == oracle_reduce(A, list(raw_x.items()), seed=seed)
+    assert y.terms == oracle_reduce(A, list(raw_y.items()), seed=seed + 1)
+    assert (x * y).terms == oracle_mul(
+        A, list(x.terms.items()), list(y.terms.items()), seed=seed + 2
+    )

@@ -71,6 +71,24 @@ def test_bad_arguments_exit_two():
     assert run_cli().returncode == 2
 
 
+def test_highdim_below_four_exits_two():
+    proc = run_cli("enumerate", "--case", "highdim", "--dim", "3")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.count(b"\n") == 1
+    assert b"n = 4" in proc.stderr
+
+
+def test_unwritable_export_target_exits_two(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    proc = run_cli("export", "--format", "json", "--out", str(target))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.count(b"\n") == 1
+    assert b"cannot write" in proc.stderr
+    assert not target.exists()
+
+
 def test_verify_exit_code_reports_failures(monkeypatch, capsys):
     bad = Report(
         title="families",
