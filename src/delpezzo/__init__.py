@@ -14,7 +14,6 @@ from .chow import (
     base_space,
     make_tower,
     chern_tower,
-    mul,
     integrate,
     canonical_class,
     canonical_base_class,
@@ -34,7 +33,6 @@ __all__ = [
     "base_space",
     "make_tower",
     "chern_tower",
-    "mul",
     "integrate",
     "canonical_class",
     "canonical_base_class",

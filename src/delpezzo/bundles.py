@@ -4,7 +4,7 @@ blow-up degree bookkeeping."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .chow import Base, ChowElement, base_space, canonical_base_class, integrate

@@ -72,9 +72,46 @@ class FamilyRecord:
 class DegreeModel:
     """A recomputable construction attached to a catalog id."""
 
-    kind: str  # quadric | rank2 | rank3 | blowup | tower56 | tower55 | tower57 |
-    #            towerP13 | weighted | ci | grass | veronese
+    kind: str  # quadric | rank2 | rank3 | blowup | tower56 | towerP13 |
+    #            weighted | ci | grass | veronese
     data: tuple
+
+
+# Theorem 3.4: quadric fibrations over P1 with small anticanonical map, as
+# (id suffix, split type of the rank-4 tower, alpha of X in |O(2) + alpha F|,
+# degree, flop partner, smoothing)
+_QUADRIC_TABLE = (
+    (1, (0, 0, 0, 0), 2, 2, "thm3.4-1", "thm2.1-2"),
+    (2, (0, 0, 0, 1), 1, 3, "thm3.6-3", "thm2.1-3"),
+    (3, (0, 0, 1, 1), 0, 4, "thm3.4-3", "thm2.1-4"),
+    (4, (0, 1, 1, 1), -1, 5, "thm3.5-1", "thm2.1-5"),
+    (5, (-1, 0, 0, 1), 2, 2, "thm3.4-5", "thm2.1-2"),
+    (6, (-1, 0, 0, 0), 3, 1, "thm3.4-6", "thm2.1-1"),
+)
+
+# split type -> family id of the Theorem 3.4 table
+QUADRIC_FAMILIES = {a: f"thm3.4-{k}" for k, a, *_ in _QUADRIC_TABLE}
+
+# Theorem 3.5: (id suffix, c2 of the normalized c1 = -1 bundle on P2, degree,
+# flop partner, smoothing)
+_P2_TABLE = (
+    (1, 2, 5, "thm3.4-4", "thm2.1-5"),
+    (2, 3, 4, "thm3.6-4", "thm2.1-4"),
+    (3, 4, 3, "thm3.5-3", "thm2.1-3"),
+    (4, 5, 2, "thm3.5-4", "thm2.1-2"),
+)
+
+# Theorem 3.6: (id suffix, degree, flop partner, smoothing); the family
+# blows up V(2;degree + 1) in a general point
+_BLOWUP_TABLE = (
+    (1, 1, "thm3.6-1", "thm2.1-1"),
+    (2, 2, "thm3.6-2", "thm2.1-2"),
+    (3, 3, "thm3.4-2", "thm2.1-3"),
+    (4, 4, "thm3.5-2", "thm2.1-4"),
+)
+
+# Theorem 4.1(2): c2 of the rank-2 bundles with c1 = -K over P1 x P1 and F2
+_RHO3_C2 = (0, 2, 3, 4, 5, 6, 7)
 
 
 def _rec(
@@ -188,16 +225,7 @@ def _build_records():
     ]
 
     # ---- quadric fibrations over P1 with small anticanonical map ----
-    quadric_data = [
-        # id suffix, tuple, alpha, degree, partner, smoothing
-        (1, (0, 0, 0, 0), 2, 2, "thm3.4-1", "thm2.1-2"),
-        (2, (0, 0, 0, 1), 1, 3, "thm3.6-3", "thm2.1-3"),
-        (3, (0, 0, 1, 1), 0, 4, "thm3.4-3", "thm2.1-4"),
-        (4, (0, 1, 1, 1), -1, 5, "thm3.5-1", "thm2.1-5"),
-        (5, (-1, 0, 0, 1), 2, 2, "thm3.4-5", "thm2.1-2"),
-        (6, (-1, 0, 0, 0), 3, 1, "thm3.4-6", "thm2.1-1"),
-    ]
-    for k, a, alpha, d, partner, smoothing in quadric_data:
+    for k, a, alpha, d, partner, smoothing in _QUADRIC_TABLE:
         sign = "+" if alpha >= 0 else "-"
         notes = (
             f"X in |O(2) {sign} {abs(alpha)}F| on the tower over P1 with split type "
@@ -216,13 +244,7 @@ def _build_records():
         )
 
     # ---- P1-bundles over P2 with small anticanonical map ----
-    p2_data = [
-        (1, 2, 5, "thm3.4-4", "thm2.1-5"),
-        (2, 3, 4, "thm3.6-4", "thm2.1-4"),
-        (3, 4, 3, "thm3.5-3", "thm2.1-3"),
-        (4, 5, 2, "thm3.5-4", "thm2.1-2"),
-    ]
-    for k, c2, d, partner, smoothing in p2_data:
+    for k, c2, d, partner, smoothing in _P2_TABLE:
         notes = (
             f"P(F) for a stable rank-2 bundle F on P2 with c1 = -1 and c2 = {c2}; "
             "small curves are the jumping lines"
@@ -238,13 +260,7 @@ def _build_records():
         )
 
     # ---- blow-ups of del Pezzo threefolds in a general point ----
-    blowup_data = [
-        (1, 1, "thm3.6-1", "thm2.1-1"),
-        (2, 2, "thm3.6-2", "thm2.1-2"),
-        (3, 3, "thm3.4-2", "thm2.1-3"),
-        (4, 4, "thm3.5-2", "thm2.1-4"),
-    ]
-    for k, d, partner, smoothing in blowup_data:
+    for k, d, partner, smoothing in _BLOWUP_TABLE:
         notes = f"blow-up of V(2;{d + 1}) in a general point"
         if partner == f"thm3.6-{k}":
             notes += "; flop partner is the family itself"
@@ -258,7 +274,7 @@ def _build_records():
 
     # ---- Picard number 3: P1-bundles over P1 x P1 and F2 ----
     for surface_tag, surface_note in [("p1p1", "P1 x P1"), ("f2", "F2")]:
-        for c2 in [0, 2, 3, 4, 5, 6, 7]:
+        for c2 in _RHO3_C2:
             notes = f"P(F) for rank-2 F on {surface_note} with c1 = -K and c2 = {c2}"
             if c2 == 0:
                 map_type = "Divisorial"
@@ -384,10 +400,6 @@ def _build_models():
         "thm3.1-2c": (DegreeModel("rank2", ("P2", 0)),),
         "thm3.1-3a": (DegreeModel("blowup", ("thm2.1-2",)),),
         "thm3.1-3b": (DegreeModel("blowup", ("thm2.1-3",)),),
-        "thm3.6-1": (DegreeModel("blowup", ("thm2.1-2",)),),
-        "thm3.6-2": (DegreeModel("blowup", ("thm2.1-3",)),),
-        "thm3.6-3": (DegreeModel("blowup", ("thm2.1-4",)),),
-        "thm3.6-4": (DegreeModel("blowup", ("thm2.1-5",)),),
         "prop5.1-1": (DegreeModel("weighted", (6, (3, 2, 1, 1, 1, 1))),),
         "prop5.1-2": (DegreeModel("weighted", (4, (2, 1, 1, 1, 1, 1))),),
         "prop5.1-3": (DegreeModel("ci", ((3,),)),),
@@ -396,22 +408,16 @@ def _build_models():
         "thm5.8-1": (DegreeModel("rank3", ("P2", 4)),),
         "thm5.8-2": (DegreeModel("tower56", ()),),
     }
-    quadric_data = {
-        "thm3.4-1": ((0, 0, 0, 0), 2),
-        "thm3.4-2": ((0, 0, 0, 1), 1),
-        "thm3.4-3": ((0, 0, 1, 1), 0),
-        "thm3.4-4": ((0, 1, 1, 1), -1),
-        "thm3.4-5": ((-1, 0, 0, 1), 2),
-        "thm3.4-6": ((-1, 0, 0, 0), 3),
-    }
-    for id, (a, alpha) in quadric_data.items():
-        models[id] = (DegreeModel("quadric", (a, alpha)),)
-    for k, c2 in [(1, 2), (2, 3), (3, 4), (4, 5)]:
+    for k, a, alpha, *_ in _QUADRIC_TABLE:
+        models[f"thm3.4-{k}"] = (DegreeModel("quadric", (a, alpha)),)
+    for k, c2, *_ in _P2_TABLE:
         # the record states the normalized c1 = -1 bundle; the polarized
         # model is its twist by O(2) with c1 = 3h and c2 shifted by 2
         models[f"thm3.5-{k}"] = (DegreeModel("rank2", ("P2", c2 + 2)),)
+    for k, d, *_ in _BLOWUP_TABLE:
+        models[f"thm3.6-{k}"] = (DegreeModel("blowup", (f"thm2.1-{d + 1}",)),)
     for surface_tag, kind in [("p1p1", "P1xP1"), ("f2", "F2")]:
-        for c2 in [0, 2, 3, 4, 5, 6, 7]:
+        for c2 in _RHO3_C2:
             models[f"thm4.1-{surface_tag}-c{c2}"] = (
                 DegreeModel("rank2", (kind, c2)),
             )

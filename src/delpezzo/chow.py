@@ -546,10 +546,6 @@ def chern_tower(base: Base, rank: int, cherns: Sequence[ChowElement]) -> Ambient
     return Ambient(base, rank, (), tuple(coerced))
 
 
-def mul(a: ChowElement, b: ChowElement) -> ChowElement:
-    return a * b
-
-
 def integrate(x: ChowElement) -> int:
     """Degree of a zero-cycle: x must be homogeneous of top degree."""
     A = x.ambient

@@ -11,7 +11,7 @@ import json
 import re
 import sys
 
-from .catalog import builtin_catalog, construction_models, export, lookup
+from .catalog import construction_models, export, lookup
 from .chow import Fe, P1xP1
 from .enumeration import (
     enumerate_highdim,
@@ -104,8 +104,7 @@ def _result_json(result):
     )
 
 
-def _quadric_lines():
-    table = enumerate_quadric_fibrations()
+def _quadric_lines(table, args):
     lines = [
         "quadric fibrations over P1: X in |O(2) + alpha F| on the split "
         "tower P(O(a1) + O(a2) + O(a3) + O(a4))",
@@ -148,8 +147,7 @@ def _quadric_lines():
     return lines
 
 
-def _quadric_json():
-    table = enumerate_quadric_fibrations()
+def _quadric_json(table):
     return json.dumps(
         [
             {
@@ -167,7 +165,7 @@ def _quadric_json():
     )
 
 
-def _p2bundle_lines(result):
+def _p2bundle_lines(result, args):
     lines = [
         "rank-2 bundles F on P2 with c1 = -1: candidates P(F) with small "
         "anticanonical map",
@@ -184,7 +182,7 @@ def _p2bundle_lines(result):
     return lines
 
 
-def _blowup_lines(result):
+def _blowup_lines(result, args):
     lines = ["point blow-ups of rank-1 del Pezzo threefolds:", ""]
     rows = [
         [c.degree, c.data[0], c.family, _partner_label(c.family)]
@@ -197,7 +195,8 @@ def _blowup_lines(result):
     return lines
 
 
-def _rho3_lines(result, surface_name):
+def _rho3_lines(result, args):
+    surface_name = _RHO3_SURFACES[args.surface][1]
     lines = [
         f"rank-2 bundles F on {surface_name} with c1 = -K: candidates P(F) "
         "at Picard number 3",
@@ -208,7 +207,7 @@ def _rho3_lines(result, surface_name):
             c.data[1],
             c.degree,
             c.family,
-            "Divisorial" if c.data[1] == 0 else "Small",
+            lookup(c.family).anticanonical_map,
             "; ".join(c.notes),
         ]
         for c in result.candidates
@@ -220,7 +219,8 @@ def _rho3_lines(result, surface_name):
     return lines
 
 
-def _highdim_lines(result, n):
+def _highdim_lines(result, args):
+    n = args.dim
     lines = [f"candidates in dimension {n}:", ""]
     pn = [c for c in result.candidates if c.kind == "pn-bundle"]
     lines.append(f"P^{n - 2}-bundles over a surface (rank-2 model extended "
@@ -248,44 +248,36 @@ def _highdim_lines(result, n):
     return lines
 
 
+_RHO3_SURFACES = {"p1p1": (P1xP1(), "P1 x P1"), "f2": (Fe(2), "F2")}
+
+# --case -> (search, JSON renderer, table renderer)
+_ENUMERATIONS = {
+    "quadric": (
+        lambda a: enumerate_quadric_fibrations(),
+        _quadric_json,
+        _quadric_lines,
+    ),
+    "p2bundle": (lambda a: enumerate_p2_bundles(), _result_json, _p2bundle_lines),
+    "blowup": (lambda a: enumerate_point_blowups(), _result_json, _blowup_lines),
+    "rho3": (
+        lambda a: enumerate_rho3(_RHO3_SURFACES[a.surface][0]),
+        _result_json,
+        _rho3_lines,
+    ),
+    "highdim": (lambda a: enumerate_highdim(a.dim), _result_json, _highdim_lines),
+}
+
+
 def _cmd_enumerate(args):
-    if args.case == "quadric":
-        if args.format == "json":
-            _emit(_quadric_json())
-        else:
-            _emit("\n".join(_quadric_lines()))
-        return 0
-    if args.case == "p2bundle":
-        result = enumerate_p2_bundles()
-        text = _result_json(result) if args.format == "json" else "\n".join(
-            _p2bundle_lines(result)
-        )
-        _emit(text)
-        return 0
-    if args.case == "blowup":
-        result = enumerate_point_blowups()
-        text = _result_json(result) if args.format == "json" else "\n".join(
-            _blowup_lines(result)
-        )
-        _emit(text)
-        return 0
-    if args.case == "rho3":
-        surface = P1xP1() if args.surface == "p1p1" else Fe(2)
-        name = "P1 x P1" if args.surface == "p1p1" else "F2"
-        result = enumerate_rho3(surface)
-        text = _result_json(result) if args.format == "json" else "\n".join(
-            _rho3_lines(result, name)
-        )
-        _emit(text)
-        return 0
+    search, to_json, to_lines = _ENUMERATIONS[args.case]
     try:
-        result = enumerate_highdim(args.dim)
+        result = search(args)
     except ValueError as exc:
         return _usage_error(str(exc))
-    text = _result_json(result) if args.format == "json" else "\n".join(
-        _highdim_lines(result, args.dim)
-    )
-    _emit(text)
+    if args.format == "json":
+        _emit(to_json(result))
+    else:
+        _emit("\n".join(to_lines(result, args)))
     return 0
 
 
@@ -394,11 +386,11 @@ def _build_parser():
     p.add_argument(
         "--case",
         required=True,
-        choices=["quadric", "p2bundle", "blowup", "rho3", "highdim"],
+        choices=list(_ENUMERATIONS),
     )
     p.add_argument("--dim", type=int, default=4, help="dimension for highdim")
     p.add_argument(
-        "--surface", choices=["p1p1", "f2"], default="p1p1", help="base for rho3"
+        "--surface", choices=list(_RHO3_SURFACES), default="p1p1", help="base for rho3"
     )
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(func=_cmd_enumerate)

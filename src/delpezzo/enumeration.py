@@ -8,7 +8,7 @@ positive ones.  All output orders are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .bundles import (
@@ -20,12 +20,15 @@ from .bundles import (
     h1_split,
     twist_rank2,
 )
-from .catalog import builtin_catalog, rank2_sources
+from .catalog import QUADRIC_FAMILIES, builtin_catalog, rank2_sources
 from .chow import (
+    Ambient,
     Base,
+    ChowElement,
     Fe,
     P1,
     P1xP1,
+    P1xP2,
     P2,
     base_space,
     canonical_base_class,
@@ -90,16 +93,6 @@ class EnumerationResult:
 # quadric fibrations over P1
 # ---------------------------------------------------------------------------
 
-_QUADRIC_SMALL = {
-    (0, 0, 0, 0): "thm3.4-1",
-    (0, 0, 0, 1): "thm3.4-2",
-    (0, 0, 1, 1): "thm3.4-3",
-    (0, 1, 1, 1): "thm3.4-4",
-    (-1, 0, 0, 1): "thm3.4-5",
-    (-1, 0, 0, 0): "thm3.4-6",
-}
-
-
 def classify_tuple(E: SplitBundle) -> TupleVerdict:
     """Verdict for X in |O(2) + alpha F| on the split rank-4 tower over P1."""
     if E.rank != 4:
@@ -123,16 +116,16 @@ def classify_tuple(E: SplitBundle) -> TupleVerdict:
         )
     if a[0] == 0:
         if a[3] == 0:
-            return verdict("Small", family=_QUADRIC_SMALL[a])
+            return verdict("Small", family=QUADRIC_FAMILIES[a])
         if a[2] == 0 and a[3] == 1:
             assert 2 - a[3] > 0  # the contracted-divisor intersection stays positive
-            return verdict("Small", family=_QUADRIC_SMALL[a])
+            return verdict("Small", family=QUADRIC_FAMILIES[a])
         if a[2] > 0:
             if a == (0, 0, 1, 2):
                 return verdict(
                     "Divisorial", reason="psi is divisorial: X in |O(2) - F|"
                 )
-            return verdict("Small", family=_QUADRIC_SMALL[a])
+            return verdict("Small", family=QUADRIC_FAMILIES[a])
         assert a[3] >= 2
         return verdict(
             "Divisorial",
@@ -146,8 +139,8 @@ def classify_tuple(E: SplitBundle) -> TupleVerdict:
             reason="a1 = -1 requires a2 >= 0: two negative summands give X a fixed component",
         )
     if 0 <= alpha - 2 <= 1:
-        assert a in _QUADRIC_SMALL
-        return verdict("Small", family=_QUADRIC_SMALL[a])
+        assert a in QUADRIC_FAMILIES
+        return verdict("Small", family=QUADRIC_FAMILIES[a])
     return verdict(
         "RejectedGeometric",
         reason=f"alpha = {alpha} outside the window 2 <= alpha <= 3 for a1 = -1",
@@ -169,22 +162,17 @@ def enumerate_quadric_fibrations() -> list[TupleVerdict]:
     return table
 
 
-def quadric_model_degree(a: tuple[int, ...], alpha: int) -> int:
-    """Degree of X in |O(2) + alpha F| recomputed on the actual tower."""
+def quadric_model_degree(a: tuple[int, ...], alpha: int) -> tuple[ChowElement, int]:
+    """Adjunction class and degree of X in |O(2) + alpha F| on the split tower."""
     T = make_tower(P1(), list(a))
-    z = T.zeta
     F = T.pullback(base_space(P1()).gen("F"))
-    X = 2 * z + alpha * F
-    assert str(adjunction(T, X)) == "-2*z"
-    return polarized_degree(T, X, z)
+    X = 2 * T.zeta + alpha * F
+    return adjunction(T, X), polarized_degree(T, X, T.zeta)
 
 
 # ---------------------------------------------------------------------------
 # P1-bundles over P2
 # ---------------------------------------------------------------------------
-
-_P2_PARTNERS = {2: "thm3.4-4", 3: "thm3.6-4", 4: "thm3.5-3", 5: "thm3.5-4"}
-
 
 def enumerate_p2_bundles() -> EnumerationResult:
     """Rank-2 bundles on P2: normalize c1, bound c2 by section counts."""
@@ -217,14 +205,6 @@ def enumerate_p2_bundles() -> EnumerationResult:
                 )
             )
             continue
-        partner = _P2_PARTNERS[c2]
-        k = c2 - 1
-        notes = [f"chi of F(2) = {chi} = d + 2"]
-        notes.append(
-            "flop partner is the family itself"
-            if partner == f"thm3.5-{k}"
-            else f"flop partner {partner}"
-        )
         candidates.append(
             FamilyCandidate(
                 kind="p1-bundle-p2",
@@ -232,8 +212,8 @@ def enumerate_p2_bundles() -> EnumerationResult:
                 degree=d,
                 picard=2,
                 data=(c2,),
-                family=f"thm3.5-{k}",
-                notes=tuple(notes),
+                family=f"thm3.5-{c2 - 1}",
+                notes=(f"chi of F(2) = {chi} = d + 2",),
                 spanned=d > 1,
             )
         )
@@ -243,9 +223,6 @@ def enumerate_p2_bundles() -> EnumerationResult:
 # ---------------------------------------------------------------------------
 # point blow-ups of del Pezzo threefolds
 # ---------------------------------------------------------------------------
-
-_BLOWUP_PARTNERS = {1: "thm3.6-1", 2: "thm3.6-2", 3: "thm3.4-2", 4: "thm3.5-2"}
-
 
 def enumerate_point_blowups() -> EnumerationResult:
     """Blow-ups of rank-1 smooth del Pezzo threefolds in a general point."""
@@ -273,13 +250,6 @@ def enumerate_point_blowups() -> EnumerationResult:
         (target,) = targets
         step = blowup_degree(3, target.degree)
         assert step.degree_after == d and step.admissible
-        partner = _BLOWUP_PARTNERS[d]
-        notes = [f"blow-up of {target.id} = V(2;{d + 1}) in a general point"]
-        notes.append(
-            "flop partner is the family itself"
-            if partner == f"thm3.6-{d}"
-            else f"flop partner {partner}"
-        )
         candidates.append(
             FamilyCandidate(
                 kind="blowup-v2d",
@@ -288,7 +258,7 @@ def enumerate_point_blowups() -> EnumerationResult:
                 picard=2,
                 data=(target.id,),
                 family=f"thm3.6-{d}",
-                notes=tuple(notes),
+                notes=(f"blow-up of {target.id} = V(2;{d + 1}) in a general point",),
                 spanned=d > 1,
             )
         )
@@ -368,29 +338,42 @@ def enumerate_rho3(surface: Base) -> EnumerationResult:
 # ---------------------------------------------------------------------------
 
 
-def _scroll_degree_p2() -> tuple[str, int]:
-    """Adjunction and degree of X in |z + h| inside P(O(2) + O^3) over P2."""
-    B = base_space(P2())
-    h = B.gen("h")
-    W = make_tower(P2(), [2 * h, 0, 0, 0])
-    X = W.zeta + W.pullback(h)
+# surface tags of the rank-2 and rank-3 construction models
+SURFACES = {"P2": P2(), "P1xP1": P1xP1(), "F2": Fe(2)}
+
+
+def surface_scroll(tag: str, rank: int, c2: int) -> Ambient:
+    """P(F) over a surface for F of the given rank with c1 = -K and c2 points."""
+    surface = SURFACES[tag]
+    c1 = -1 * canonical_base_class(surface)
+    return chern_tower(surface, rank, [c1, c2 * base_space(surface).point()])
+
+
+def _scroll(base: Base, twist: ChowElement, divisor: ChowElement) -> tuple[str, int]:
+    """Adjunction and degree of X in |z + divisor| inside P(O(twist) + O^3)."""
+    W = make_tower(base, [twist, 0, 0, 0])
+    X = W.zeta + W.pullback(divisor)
     return str(adjunction(W, X)), polarized_degree(W, X, W.zeta)
 
 
-def _scroll_degree_f1() -> tuple[str, int]:
-    """Adjunction and degree of X in |z + tau - f| inside P(O(tau) + O^3) over F1."""
+def scroll_degree_p2() -> tuple[str, int]:
+    """The (4;6) scroll: X in |z + h| inside P(O(2) + O^3) over P2."""
+    h = base_space(P2()).gen("h")
+    return _scroll(P2(), 2 * h, h)
+
+
+def scroll_degree_f1() -> tuple[str, int]:
+    """The (4;5) scroll: X in |z + tau - f| inside P(O(tau) + O^3) over F1."""
     B = base_space(Fe(1))
     tau = B.gen("C0") + 2 * B.gen("f")
-    W = make_tower(Fe(1), [tau, 0, 0, 0])
-    X = W.zeta + W.pullback(tau - B.gen("f"))
-    return str(adjunction(W, X)), polarized_degree(W, X, W.zeta)
+    return _scroll(Fe(1), tau, tau - B.gen("f"))
 
 
-def _cone_resolution_degree() -> int:
-    """Degree of the rank-3 scroll P(F) over P2 resolving the cone case."""
-    B = base_space(P2())
-    A = chern_tower(P2(), 3, [3 * B.gen("h"), 4 * B.point()])
-    return integrate(A.zeta**4)
+def scroll_degree_p1xp2() -> tuple[str, int]:
+    """The (5;5) scroll: X in |z + h| inside P(O(p + h) + O^3) over P1 x P2."""
+    B = base_space(P1xP2())
+    p, h = B.gen("p"), B.gen("h")
+    return _scroll(P1xP2(), p + h, h)
 
 
 def enumerate_highdim(n: int) -> EnumerationResult:
@@ -459,7 +442,7 @@ def enumerate_highdim(n: int) -> EnumerationResult:
                 ),
             )
         )
-        adj6, deg6 = _scroll_degree_p2()
+        adj6, deg6 = scroll_degree_p2()
         exclusions.append(
             ExclusionRecord(
                 kind="quadric-bundle-highdim",
@@ -472,7 +455,7 @@ def enumerate_highdim(n: int) -> EnumerationResult:
                 computed=(("tower_degree", deg6), ("adjunction", adj6)),
             )
         )
-        adj5, deg5 = _scroll_degree_f1()
+        adj5, deg5 = scroll_degree_f1()
         exclusions.append(
             ExclusionRecord(
                 kind="quadric-bundle-highdim",
@@ -486,7 +469,8 @@ def enumerate_highdim(n: int) -> EnumerationResult:
         )
     cone_computed = ()
     if n == 4:
-        cone_computed = (("resolution_degree", _cone_resolution_degree()),)
+        resolution = surface_scroll("P2", 3, 4)
+        cone_computed = (("resolution_degree", integrate(resolution.zeta**4)),)
     exclusions.append(
         ExclusionRecord(
             kind="cone-exception",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .bundles import Rank2Data, SplitBundle, blowup_degree, chi_rank2, h0_split
 from .catalog import (
@@ -22,26 +22,24 @@ from .catalog import (
 )
 from .chow import (
     Fe,
-    P1,
     P1xP1,
-    P1xP2,
-    P2,
-    adjunction,
     base_space,
-    canonical_base_class,
     canonical_class,
-    chern_tower,
     integrate,
     make_tower,
-    polarized_degree,
 )
-from . import enumeration as enum_mod
 from .enumeration import (
+    SURFACES,
     enumerate_p2_bundles,
     enumerate_point_blowups,
     enumerate_quadric_fibrations,
     enumerate_rho3,
     enumerate_highdim,
+    quadric_model_degree,
+    scroll_degree_f1,
+    scroll_degree_p1xp2,
+    scroll_degree_p2,
+    surface_scroll,
 )
 
 
@@ -85,18 +83,7 @@ class Report:
                 "fail": self.failed,
                 "skipped": self.skipped,
             },
-            "checks": [
-                {
-                    "name": c.name,
-                    "subject": c.subject,
-                    "expected": c.expected,
-                    "computed": c.computed,
-                    "status": c.status,
-                    "reason": c.reason,
-                    "citation": c.citation,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
     def to_json(self) -> str:
@@ -128,7 +115,8 @@ def _skip(name, subject, reason, citation=""):
     )
 
 
-_SURFACES = {"P2": P2(), "P1xP1": P1xP1(), "F2": Fe(2)}
+# rank of F for the surface-scroll model kinds
+_SCROLL_RANKS = {"rank2": 2, "rank3": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -141,31 +129,18 @@ def _eval_model(model: DegreeModel, by_id) -> dict:
     out = {"degree": None, "index_residual": None, "h0": None, "h0_assumed": False}
     if model.kind == "quadric":
         a, alpha = model.data
-        T = make_tower(P1(), list(a))
-        z = T.zeta
-        F = T.pullback(base_space(P1()).gen("F"))
-        X = 2 * z + alpha * F
-        out["degree"] = polarized_degree(T, X, z)
-        out["index_residual"] = str(adjunction(T, X) + 2 * z)
+        adj, out["degree"] = quadric_model_degree(a, alpha)
+        out["index_residual"] = str(adj + 2 * adj.ambient.zeta)
         out["h0"] = h0_split(SplitBundle(a))
-    elif model.kind == "rank2":
+    elif model.kind in _SCROLL_RANKS:
         tag, c2 = model.data
-        surface = _SURFACES[tag]
-        B = base_space(surface)
-        c1 = -1 * canonical_base_class(surface)
-        A = chern_tower(surface, 2, [c1, c2 * B.point()])
-        out["degree"] = integrate(A.zeta**3)
-        out["index_residual"] = str(canonical_class(A) + 2 * A.zeta)
-        out["h0"] = chi_rank2(Rank2Data(surface, c1, c2))
-        out["h0_assumed"] = True
-    elif model.kind == "rank3":
-        tag, c2 = model.data
-        surface = _SURFACES[tag]
-        B = base_space(surface)
-        c1 = -1 * canonical_base_class(surface)
-        A = chern_tower(surface, 3, [c1, c2 * B.point()])
-        out["degree"] = integrate(A.zeta**4)
-        out["index_residual"] = str(canonical_class(A) + 3 * A.zeta)
+        rank = _SCROLL_RANKS[model.kind]
+        A = surface_scroll(tag, rank, c2)
+        out["degree"] = integrate(A.zeta ** (rank + 1))
+        out["index_residual"] = str(canonical_class(A) + rank * A.zeta)
+        if rank == 2:
+            out["h0"] = chi_rank2(Rank2Data(SURFACES[tag], A.cherns[0], c2))
+            out["h0_assumed"] = True
     elif model.kind == "blowup":
         (target_id,) = model.data
         target = by_id[target_id]
@@ -177,8 +152,7 @@ def _eval_model(model: DegreeModel, by_id) -> dict:
         out["degree"] = integrate(H**3)
         out["index_residual"] = str(canonical_class(T) + 2 * H)
     elif model.kind == "tower56":
-        adj, deg = _tower56()
-        out["degree"] = deg
+        out["degree"] = scroll_degree_p1xp2()[1]
     elif model.kind == "weighted":
         deg, weights = model.data
         denom = math.prod(weights)
@@ -203,30 +177,6 @@ def _eval_model(model: DegreeModel, by_id) -> dict:
     else:
         raise ValueError(f"unknown model kind {model.kind!r}")
     return out
-
-
-def _tower56():
-    B = base_space(P1xP2())
-    p, h = B.gen("p"), B.gen("h")
-    W = make_tower(P1xP2(), [p + h, 0, 0, 0])
-    X = W.zeta + W.pullback(h)
-    return str(adjunction(W, X)), polarized_degree(W, X, W.zeta)
-
-
-def _tower55():
-    B = base_space(P2())
-    h = B.gen("h")
-    W = make_tower(P2(), [2 * h, 0, 0, 0])
-    X = W.zeta + W.pullback(h)
-    return str(adjunction(W, X)), polarized_degree(W, X, W.zeta)
-
-
-def _tower57():
-    B = base_space(Fe(1))
-    tau = B.gen("C0") + 2 * B.gen("f")
-    W = make_tower(Fe(1), [tau, 0, 0, 0])
-    X = W.zeta + W.pullback(tau - B.gen("f"))
-    return str(adjunction(W, X)), polarized_degree(W, X, W.zeta)
 
 
 _NO_MODEL_REASONS = {
@@ -448,17 +398,24 @@ def verify_smoothings(catalog=None) -> Report:
 
 # printed adjunction classes and degrees being replayed, with their sources
 _CONSTRUCTIONS = (
-    ("(5;5) scroll over P1xP2", _tower56, "-p - h - 3*z", 5, "Theorem 5.6", ""),
+    (
+        "(5;5) scroll over P1xP2",
+        scroll_degree_p1xp2,
+        "-p - h - 3*z",
+        5,
+        "Theorem 5.6",
+        "",
+    ),
     (
         "(4;6) scroll over P2",
-        _tower55,
+        scroll_degree_p2,
         "-3*z",
         6,
         "Proposition 5.5",
         "computed with V = O(2) + O^3; the printed V = O + O^3 is "
         "inconsistent with D in |z - 2h| and with this degree",
     ),
-    ("(4;5) scroll over F1", _tower57, "-3*z", 5, "Theorem 5.7", ""),
+    ("(4;5) scroll over F1", scroll_degree_f1, "-3*z", 5, "Theorem 5.7", ""),
 )
 
 
@@ -565,7 +522,7 @@ def verify_enumeration_matches_catalog(catalog=None) -> Report:
                 "quadric-model-degree",
                 fid,
                 r.degree,
-                enum_mod.quadric_model_degree(v.bundle.a, v.alpha),
+                quadric_model_degree(v.bundle.a, v.alpha)[1],
                 "Theorem 3.4",
                 reason="degree recomputed on the split tower",
             )
@@ -604,29 +561,6 @@ def verify_enumeration_matches_catalog(catalog=None) -> Report:
             rres.candidates,
             "Theorem 4.1(2)",
         )
-
-    # partner tags carried by the enumerations vs catalog links
-    partner_maps = [
-        ("p2bundle-partner", enum_mod._P2_PARTNERS, {2: "thm3.5-1", 3: "thm3.5-2", 4: "thm3.5-3", 5: "thm3.5-4"}),
-        ("blowup-partner", enum_mod._BLOWUP_PARTNERS, {1: "thm3.6-1", 2: "thm3.6-2", 3: "thm3.6-3", 4: "thm3.6-4"}),
-    ]
-    for name, pmap, own_ids in partner_maps:
-        for key, partner in sorted(pmap.items()):
-            rid = own_ids[key]
-            r = by_id.get(rid)
-            if r is None:
-                checks.append(
-                    CheckResult(
-                        name=name,
-                        subject=rid,
-                        expected="record present",
-                        computed="missing",
-                        status="fail",
-                        citation="Lemma 3.1",
-                    )
-                )
-                continue
-            checks.append(_check(name, rid, partner, r.flop_partner, r.citation))
 
     # higher-dimensional quadric bundles vs their records
     for n, fid in ((4, "thm5.8-3"), (5, "thm5.8-2")):

@@ -33,6 +33,12 @@ def run_cli(*args):
         (("enumerate", "--case", "quadric"), "quadric_table.txt"),
         (("show", "thm3.5-1"), "show_thm3.5-1.txt"),
         (("export", "--format", "json"), "export.json"),
+        (("enumerate", "--case", "p2bundle"), "p2bundle_table.txt"),
+        (("enumerate", "--case", "blowup"), "blowup_table.txt"),
+        (("enumerate", "--case", "rho3", "--surface", "p1p1"), "rho3_p1p1_table.txt"),
+        (("enumerate", "--case", "rho3", "--surface", "f2"), "rho3_f2_table.txt"),
+        (("enumerate", "--case", "highdim", "--dim", "4"), "highdim_4_table.txt"),
+        (("enumerate", "--case", "highdim", "--dim", "5"), "highdim_5_table.txt"),
     ],
 )
 def test_golden_bytes(args, golden):

@@ -95,7 +95,9 @@ def test_quadric_degree_three_ways():
     for a, alpha, degree, _ in SMALL_TABLE:
         assert degree == sum(a) + 2
         assert degree == 2 * sum(a) + alpha
-        assert quadric_model_degree(a, alpha) == degree
+        adjunction, model_degree = quadric_model_degree(a, alpha)
+        assert str(adjunction) == "-2*z"
+        assert model_degree == degree
 
 
 @given(

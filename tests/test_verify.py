@@ -58,6 +58,17 @@ def test_all_reports_pass_on_builtin_catalog():
         assert rep.passed > 0
 
 
+def test_report_counts_are_pinned():
+    counts = {rep.title: (rep.passed, rep.failed, rep.skipped) for rep in verify_all()}
+    assert counts == {
+        "families": (127, 0, 6),
+        "flops": (48, 0, 0),
+        "smoothings": (70, 0, 0),
+        "constructions": (6, 0, 0),
+        "enumeration": (66, 0, 0),
+    }
+
+
 def test_only_documented_skips():
     rep = verify_families()
     skipped = [c.subject for c in rep.checks if c.status == "skipped"]
