@@ -20,7 +20,9 @@ is in normal form exactly when each exponent is below its generator's
 cap.  Each ambient memoizes the normal form of every non-normal monomial
 it has met, filled from the rule's right side without recursion, so a
 product costs one pass over its raw terms.  The memo lives and dies with
-its ambient.
+its ambient.  Every tower is built anew, but each base has one plain
+ambient per process (`base_space` is memoized by the base), so base
+classes built anywhere find their common ring by identity.
 
 Two ambients are equal when they present the same ring: the same base,
 rank and Chern classes c_1 .. c_dim(B).  Twists are kept for display
@@ -33,6 +35,7 @@ Values are immutable after construction and all operations are pure
 
 from __future__ import annotations
 
+from functools import cache
 from operator import add, lt
 from typing import Sequence
 
@@ -477,8 +480,13 @@ class Ambient:
         return {e: c for e, c in out.items() if c}
 
 
+@cache
 def base_space(base: Base) -> Ambient:
-    """The base itself, as a rank-1 ambient without tautological class."""
+    """The base itself, as a rank-1 ambient without tautological class.
+
+    One ambient per base and process, so that sums and products of base
+    classes from different callers find the same ring by identity.
+    """
     return Ambient(base, 1, (), ())
 
 

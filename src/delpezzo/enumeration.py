@@ -4,11 +4,21 @@ Each enumeration walks the full finite search space cut out by the
 stated numerical bounds and emits candidates plus first-class exclusion
 records (never silent skips), so negative results are as testable as
 positive ones.  All output orders are deterministic.
+
+The searches and the degree builders (`quadric_model_degree`,
+`scroll_degree_*`) are pure: their results depend on their arguments
+alone, never on a catalog under test (the point blow-up search reads
+only the frozen built-in table).  Each is therefore memoized per
+process, keyed by its arguments, and filled on first use.  Every cached
+value is immutable (a tuple, a frozen dataclass of tuples, a string, an
+int or a ring class), so no caller can change what the next one
+receives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from .bundles import (
@@ -147,7 +157,8 @@ def classify_tuple(E: SplitBundle) -> TupleVerdict:
     )
 
 
-def enumerate_quadric_fibrations() -> list[TupleVerdict]:
+@cache
+def enumerate_quadric_fibrations() -> tuple[TupleVerdict, ...]:
     """Classify every non-decreasing 4-tuple with a1 >= -1 and sum <= 3."""
     table = []
     for a1 in range(-1, 4):
@@ -159,9 +170,10 @@ def enumerate_quadric_fibrations() -> list[TupleVerdict]:
                     assert all(-1 <= x <= 3 for x in (a1, a2, a3, a4))
                     table.append(classify_tuple(SplitBundle((a1, a2, a3, a4))))
     assert sum(1 for v in table if v.verdict == "Small") == 6
-    return table
+    return tuple(table)
 
 
+@cache
 def quadric_model_degree(a: tuple[int, ...], alpha: int) -> tuple[ChowElement, int]:
     """Adjunction class and degree of X in |O(2) + alpha F| on the split tower."""
     T = make_tower(P1(), list(a))
@@ -174,6 +186,7 @@ def quadric_model_degree(a: tuple[int, ...], alpha: int) -> tuple[ChowElement, i
 # P1-bundles over P2
 # ---------------------------------------------------------------------------
 
+@cache
 def enumerate_p2_bundles() -> EnumerationResult:
     """Rank-2 bundles on P2: normalize c1, bound c2 by section counts."""
     B = base_space(P2())
@@ -224,6 +237,7 @@ def enumerate_p2_bundles() -> EnumerationResult:
 # point blow-ups of del Pezzo threefolds
 # ---------------------------------------------------------------------------
 
+@cache
 def enumerate_point_blowups() -> EnumerationResult:
     """Blow-ups of rank-1 smooth del Pezzo threefolds in a general point."""
     rank1 = [
@@ -270,6 +284,7 @@ def enumerate_point_blowups() -> EnumerationResult:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def enumerate_rho3(surface: Base) -> EnumerationResult:
     """Rank-2 bundles with c1 = -K over P1 x P1 or F2, bounded by bigness."""
     if not (surface.kind == "P1xP1" or (surface.kind == "Fe" and surface.e == 2)):
@@ -356,12 +371,14 @@ def _scroll(base: Base, twist: ChowElement, divisor: ChowElement) -> tuple[str, 
     return str(adjunction(W, X)), polarized_degree(W, X, W.zeta)
 
 
+@cache
 def scroll_degree_p2() -> tuple[str, int]:
     """The (4;6) scroll: X in |z + h| inside P(O(2) + O^3) over P2."""
     h = base_space(P2()).gen("h")
     return _scroll(P2(), 2 * h, h)
 
 
+@cache
 def scroll_degree_f1() -> tuple[str, int]:
     """The (4;5) scroll: X in |z + tau - f| inside P(O(tau) + O^3) over F1."""
     B = base_space(Fe(1))
@@ -369,6 +386,7 @@ def scroll_degree_f1() -> tuple[str, int]:
     return _scroll(Fe(1), tau, tau - B.gen("f"))
 
 
+@cache
 def scroll_degree_p1xp2() -> tuple[str, int]:
     """The (5;5) scroll: X in |z + h| inside P(O(p + h) + O^3) over P1 x P2."""
     B = base_space(P1xP2())
@@ -376,6 +394,7 @@ def scroll_degree_p1xp2() -> tuple[str, int]:
     return _scroll(P1xP2(), p + h, h)
 
 
+@cache
 def enumerate_highdim(n: int) -> EnumerationResult:
     """Candidates in dimension n >= 4 by contraction type."""
     if n < 4:

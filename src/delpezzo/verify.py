@@ -5,6 +5,12 @@ constructions behind the higher-dimensional exceptional cases.
 Every check lands in a Report as pass, fail, or skipped(reason); checks
 that would need geometry this package cannot model are skipped with the
 reason spelled out, never silently passed.
+
+What a construction model computes from its own data is memoized per
+process, keyed by the model, and held as an immutable tuple.  Nothing
+that reads the catalog under test is memoized: the blow-up model takes
+its target's degree from that catalog, so it is recomputed on every
+call, and a planted error in the target always shows.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cache
+from typing import NamedTuple, Optional
 
 from .bundles import Rank2Data, SplitBundle, blowup_degree, chi_rank2, h0_split
 from .catalog import (
@@ -124,59 +132,75 @@ _SCROLL_RANKS = {"rank2": 2, "rank3": 3}
 # ---------------------------------------------------------------------------
 
 
-def _eval_model(model: DegreeModel, by_id) -> dict:
-    """Recompute what the model supports: degree, index residual, h0."""
-    out = {"degree": None, "index_residual": None, "h0": None, "h0_assumed": False}
+class _ModelValues(NamedTuple):
+    """What a model supports: degree, index residual (K + i H), h0."""
+
+    degree: int
+    index_residual: Optional[str] = None
+    h0: Optional[int] = None
+    h0_assumed: bool = False
+
+
+@cache
+def _model_values(model: DegreeModel) -> _ModelValues:
+    """Values of a model that reads nothing but its own data."""
     if model.kind == "quadric":
         a, alpha = model.data
-        adj, out["degree"] = quadric_model_degree(a, alpha)
-        out["index_residual"] = str(adj + 2 * adj.ambient.zeta)
-        out["h0"] = h0_split(SplitBundle(a))
-    elif model.kind in _SCROLL_RANKS:
+        adj, degree = quadric_model_degree(a, alpha)
+        return _ModelValues(
+            degree, str(adj + 2 * adj.ambient.zeta), h0_split(SplitBundle(a))
+        )
+    if model.kind in _SCROLL_RANKS:
         tag, c2 = model.data
         rank = _SCROLL_RANKS[model.kind]
         A = surface_scroll(tag, rank, c2)
-        out["degree"] = integrate(A.zeta ** (rank + 1))
-        out["index_residual"] = str(canonical_class(A) + rank * A.zeta)
+        h0 = None
         if rank == 2:
-            out["h0"] = chi_rank2(Rank2Data(SURFACES[tag], A.cherns[0], c2))
-            out["h0_assumed"] = True
-    elif model.kind == "blowup":
-        (target_id,) = model.data
-        target = by_id[target_id]
-        out["degree"] = blowup_degree(3, target.degree).degree_after
-    elif model.kind == "towerP13":
+            h0 = chi_rank2(Rank2Data(SURFACES[tag], A.cherns[0], c2))
+        return _ModelValues(
+            integrate(A.zeta ** (rank + 1)),
+            str(canonical_class(A) + rank * A.zeta),
+            h0,
+            h0_assumed=rank == 2,
+        )
+    if model.kind == "towerP13":
         T = make_tower(P1xP1(), [0, 0])
         B = base_space(P1xP1())
         H = T.zeta + T.pullback(B.gen("f1") + B.gen("f2"))
-        out["degree"] = integrate(H**3)
-        out["index_residual"] = str(canonical_class(T) + 2 * H)
-    elif model.kind == "tower56":
-        out["degree"] = scroll_degree_p1xp2()[1]
-    elif model.kind == "weighted":
+        return _ModelValues(integrate(H**3), str(canonical_class(T) + 2 * H))
+    if model.kind == "tower56":
+        return _ModelValues(scroll_degree_p1xp2()[1])
+    if model.kind == "weighted":
         deg, weights = model.data
         denom = math.prod(weights)
         if deg % denom != 0:
             raise ArithmeticError(
                 f"weighted degree {deg} not divisible by {denom}"
             )
-        out["degree"] = deg // denom
-    elif model.kind == "ci":
+        return _ModelValues(deg // denom)
+    if model.kind == "ci":
         (degrees,) = model.data
-        out["degree"] = math.prod(degrees)
-    elif model.kind == "grass":
+        return _ModelValues(math.prod(degrees))
+    if model.kind == "grass":
         k, n = model.data
         m = n - k
         deg = math.factorial(k * m)
         for i in range(k):
             deg = deg * math.factorial(i) // math.factorial(m + i)
-        out["degree"] = deg
-    elif model.kind == "veronese":
+        return _ModelValues(deg)
+    if model.kind == "veronese":
         n, t = model.data
-        out["degree"] = t**n
-    else:
-        raise ValueError(f"unknown model kind {model.kind!r}")
-    return out
+        return _ModelValues(t**n)
+    raise ValueError(f"unknown model kind {model.kind!r}")
+
+
+def _eval_model(model: DegreeModel, by_id) -> _ModelValues:
+    """Recompute what the model supports against the catalog `by_id`."""
+    if model.kind == "blowup":
+        # reads the target record of the catalog under test: never cached
+        (target_id,) = model.data
+        return _ModelValues(blowup_degree(3, by_id[target_id].degree).degree_after)
+    return _model_values(model)
 
 
 _NO_MODEL_REASONS = {
@@ -195,8 +219,12 @@ _NO_MODEL_REASONS = {
 
 def verify_family(r: FamilyRecord, catalog=None) -> Report:
     """Recompute a single record's invariants through its stored models."""
-    records = builtin_catalog() if catalog is None else list(catalog)
+    records = builtin_catalog() if catalog is None else catalog
     by_id = {rec.id: rec for rec in records}
+    return Report(title=f"family {r.id}", checks=tuple(_family_checks(r, by_id)))
+
+
+def _family_checks(r: FamilyRecord, by_id) -> list[CheckResult]:
     checks = []
     models = construction_models(r.id)
     if not models:
@@ -209,24 +237,24 @@ def verify_family(r: FamilyRecord, catalog=None) -> Report:
                 f"degree-model:{model.kind}",
                 r.id,
                 r.degree,
-                result["degree"],
+                result.degree,
                 r.citation,
             )
         )
-        if result["index_residual"] is not None:
+        if result.index_residual is not None:
             checks.append(
                 _check(
                     f"index-divisibility:{model.kind}",
                     r.id,
                     "0",
-                    result["index_residual"],
+                    result.index_residual,
                     r.citation,
                     reason=f"K + {r.index} H must vanish on the model",
                 )
             )
-        if result["h0"] is not None:
+        if result.h0 is not None:
             reason = ""
-            if result["h0_assumed"]:
+            if result.h0_assumed:
                 reason = (
                     "h0 equated with chi; vanishing of higher cohomology "
                     "of the twisted bundle is assumed as stated"
@@ -236,7 +264,7 @@ def verify_family(r: FamilyRecord, catalog=None) -> Report:
                     f"h0-sections:{model.kind}",
                     r.id,
                     r.degree + r.dim - 1,
-                    result["h0"],
+                    result.h0,
                     r.citation,
                     reason=reason,
                 )
@@ -253,14 +281,15 @@ def verify_family(r: FamilyRecord, catalog=None) -> Report:
                 citation="Corollary 3.3",
             )
         )
-    return Report(title=f"family {r.id}", checks=tuple(checks))
+    return checks
 
 
 def verify_families(catalog=None) -> Report:
     records = builtin_catalog() if catalog is None else list(catalog)
+    by_id = {r.id: r for r in records}
     checks = []
     for r in records:
-        checks.extend(verify_family(r, records).checks)
+        checks.extend(_family_checks(r, by_id))
     return Report(title="families", checks=tuple(checks))
 
 

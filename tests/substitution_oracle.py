@@ -5,8 +5,12 @@ ambient's stored relations: keep a flat list of (exponent, coefficient)
 pairs, pick any pair that any relation applies to (rule order and pair
 order reshuffled from a seed on every step), substitute, and repeat
 until nothing applies.  Only then are coefficients summed per monomial.
-No normal-ordering strategy, no dict-based accumulation during the run,
-and an integration table of its own; agreement with the engine is then
+A pair that a relation with zero right side applies to is dropped at
+once: that is one legal substitution order, and it keeps the
+Grothendieck relation from expanding terms that are already zero, which
+branches without bound on z-powers far above the rank.  No
+normal-ordering strategy, no dict-based accumulation during the run, and
+an integration table of its own; agreement with the engine is then
 evidence for the engine's reduction order and bookkeeping, not just for
 the shared relation data.
 """
@@ -29,6 +33,7 @@ def oracle_reduce(ambient, raw_terms, seed=0):
     pairs = [(tuple(e), int(c)) for e, c in raw_terms]
     while True:
         rng.shuffle(rules)
+        rules.sort(key=lambda rule: bool(rule[1]))  # stable: zero rules first
         order = list(range(len(pairs)))
         rng.shuffle(order)
         hit = None

@@ -255,6 +255,15 @@ def test_split_and_chern_data_towers_are_one_ring():
     assert A != chern_tower(P2(), 2, [h, B2.point()])
 
 
+def test_one_base_ring_per_base():
+    B = base_space(Fe(3))
+    assert base_space(Fe(3)) is B and base_space(Fe(4)) is not B
+    assert canonical_base_class(Fe(3)).ambient is B
+    W = make_tower(Fe(3), [B.gen("f"), 0])
+    assert all(c.ambient is B for c in W.twists + W.cherns)
+    assert all(c.ambient is B for c in chern_tower(Fe(3), 3, []).cherns)
+
+
 def test_deep_exponents_reduce_without_recursion():
     # a normal form filled by recursion would run 5000 frames deep here
     T = make_tower(P1(), [1, 0])

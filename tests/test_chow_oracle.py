@@ -168,13 +168,13 @@ def random_towers(draw):
 
 @st.composite
 def raw_classes(draw, A):
-    """Raw homogeneous terms on A, of degree up to dim A or up to 3 * rank.
+    """Raw homogeneous terms on A, of degree up to dim A or up to 6 * rank.
 
     Every term carries base degree at most 4, so the z-exponent is close
-    to the degree: up to the top of the ring, or well beyond 2 * rank.
+    to the degree: up to the top of the ring, or up to six times the rank.
     """
     nb = A.nvars - 1
-    degree = draw(st.one_of(st.integers(0, A.dim), st.integers(A.dim + 1, 3 * A.rank)))
+    degree = draw(st.one_of(st.integers(0, A.dim), st.integers(A.dim + 1, 6 * A.rank)))
     terms = {}
     for _ in range(draw(st.integers(1, 3))):
         base_degree = draw(st.integers(0, min(degree, 4)))

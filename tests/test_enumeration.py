@@ -18,6 +18,9 @@ from delpezzo.enumeration import (
     enumerate_quadric_fibrations,
     enumerate_rho3,
     quadric_model_degree,
+    scroll_degree_f1,
+    scroll_degree_p1xp2,
+    scroll_degree_p2,
 )
 
 # ---------------------------------------------------------------------------
@@ -292,3 +295,33 @@ def test_highdim_cone_exception_every_dimension():
 def test_highdim_rejects_low_dimension():
     with pytest.raises(ValueError, match="n = 4"):
         enumerate_highdim(3)
+
+
+# ---------------------------------------------------------------------------
+# memoized searches
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        enumerate_quadric_fibrations,
+        enumerate_p2_bundles,
+        enumerate_point_blowups,
+        lambda: enumerate_rho3(P1xP1()),
+        lambda: enumerate_rho3(Fe(2)),
+        lambda: enumerate_highdim(4),
+        lambda: enumerate_highdim(5),
+        lambda: quadric_model_degree((0, 0, 0, 1), 1),
+        scroll_degree_p2,
+        scroll_degree_f1,
+        scroll_degree_p1xp2,
+    ],
+)
+def test_searches_return_one_cached_value(search):
+    # equal fresh arguments (a new Base each call) find the same entry
+    assert search() is search()
+
+
+def test_cached_quadric_table_is_a_tuple():
+    assert isinstance(enumerate_quadric_fibrations(), tuple)

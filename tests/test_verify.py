@@ -9,9 +9,12 @@ checks have a blind spot.
 
 import dataclasses
 import json
+import subprocess
+import sys
 
 import pytest
 
+from delpezzo import cli
 from delpezzo.catalog import builtin_catalog, construction_models, lookup
 from delpezzo.verify import (
     REPORT_NAMES,
@@ -58,15 +61,22 @@ def test_all_reports_pass_on_builtin_catalog():
         assert rep.passed > 0
 
 
+# (pass, fail, skipped) of every report on the shipped catalog
+PINNED_COUNTS = {
+    "families": (127, 0, 6),
+    "flops": (48, 0, 0),
+    "smoothings": (70, 0, 0),
+    "constructions": (6, 0, 0),
+    "enumeration": (66, 0, 0),
+}
+
+
+def _counts(reports):
+    return {rep.title: (rep.passed, rep.failed, rep.skipped) for rep in reports}
+
+
 def test_report_counts_are_pinned():
-    counts = {rep.title: (rep.passed, rep.failed, rep.skipped) for rep in verify_all()}
-    assert counts == {
-        "families": (127, 0, 6),
-        "flops": (48, 0, 0),
-        "smoothings": (70, 0, 0),
-        "constructions": (6, 0, 0),
-        "enumeration": (66, 0, 0),
-    }
+    assert _counts(verify_all()) == PINNED_COUNTS
 
 
 def test_only_documented_skips():
@@ -186,6 +196,31 @@ def test_rewired_smoothings_detected(rid):
     wrong = "thm2.1-8" if target.smoothing != "thm2.1-8" else "thm2.1-1"
     mutated = _mutate(RECORDS, rid, smoothing=wrong)
     assert any(not rep.ok for rep in _relation_reports(mutated))
+
+
+def test_memoized_models_do_not_leak_a_planted_error():
+    # the blow-up model of thm2.1-7 reads thm2.1-8 from the catalog under
+    # test; memoized model values must neither hide nor keep the error
+    assert _counts(verify_all()) == PINNED_COUNTS
+    target = next(r for r in RECORDS if r.id == "thm2.1-8")
+    mutated = _mutate(RECORDS, "thm2.1-8", degree=target.degree + 1)
+    blowup = [
+        c for c in verify_families(mutated).checks
+        if c.subject == "thm2.1-7" and c.name == "degree-model:blowup"
+    ]
+    assert [c.status for c in blowup] == ["fail"]
+    assert _counts(verify_all()) == PINNED_COUNTS
+
+
+def test_verify_prints_the_same_bytes_twice_in_one_process(capsys):
+    outputs = []
+    for _ in range(2):
+        assert cli.run(["verify"]) == 0
+        outputs.append(capsys.readouterr().out)
+    cold = subprocess.run(
+        [sys.executable, "-m", "delpezzo", "verify"], capture_output=True, timeout=120
+    )
+    assert outputs[0] == outputs[1] == cold.stdout.decode()
 
 
 def test_sweep_is_large_enough():
