@@ -16,28 +16,13 @@ no quoting.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Optional
 
 CONTRACTIONS = frozenset(
     ["QuadricFibration", "P1Bundle", "PnBundle", "QuadricBundle", "PointBlowup", "Fano"]
 )
 MAP_TYPES = frozenset(["Ample", "Small", "Divisorial"])
-
-_FIELDS = (
-    "id",
-    "dim",
-    "degree",
-    "picard",
-    "index",
-    "contraction",
-    "anticanonical_map",
-    "flop_partner",
-    "smoothing",
-    "citation",
-    "notes",
-)
-
 
 @dataclass(frozen=True)
 class FamilyRecord:
@@ -66,6 +51,9 @@ class FamilyRecord:
             value = getattr(self, fname)
             if isinstance(value, str) and ("," in value or "\n" in value):
                 raise ValueError(f"{self.id}: field {fname} may not contain commas")
+
+
+_FIELDS = tuple(f.name for f in fields(FamilyRecord))
 
 
 @dataclass(frozen=True)
@@ -454,13 +442,7 @@ def rank2_sources() -> list[tuple[str, str, int]]:
 
 
 def _record_dict(r: FamilyRecord) -> dict:
-    out = {}
-    for fname in _FIELDS:
-        value = getattr(r, fname)
-        if value is None:
-            continue
-        out[fname] = value
-    return out
+    return {k: v for k, v in asdict(r).items() if v is not None}
 
 
 def export(format: str) -> bytes:
@@ -472,10 +454,7 @@ def export(format: str) -> bytes:
     if format == "csv":
         lines = [",".join(_FIELDS)]
         for r in records:
-            cells = []
-            for fname in _FIELDS:
-                value = getattr(r, fname)
-                cells.append("" if value is None else str(value))
+            cells = ("" if v is None else str(v) for v in astuple(r))
             lines.append(",".join(cells))
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unsupported export format {format!r}")

@@ -7,6 +7,7 @@ byte-for-byte against golden files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -54,7 +55,8 @@ def _render_table(headers, rows, indent="  "):
 
 
 def _exclusion_lines(exclusions, indent="  "):
-    lines = []
+    """The "excluded:" section of a search result; empty without exclusions."""
+    lines = ["", "excluded:"] if exclusions else []
     for e in exclusions:
         data = " ".join(str(x) for x in e.data)
         line = f"{indent}{e.kind} {data}: {e.reason}"
@@ -72,36 +74,8 @@ def _partner_label(family_id):
     return "self" if r.flop_partner == family_id else r.flop_partner
 
 
-def _candidate_dict(c):
-    return {
-        "kind": c.kind,
-        "dim": c.dim,
-        "degree": c.degree,
-        "picard": c.picard,
-        "data": list(c.data),
-        "family": c.family,
-        "notes": list(c.notes),
-        "spanned": c.spanned,
-    }
-
-
-def _exclusion_dict(e):
-    return {
-        "kind": e.kind,
-        "data": list(e.data),
-        "reason": e.reason,
-        "computed": [[k, v] for k, v in e.computed],
-    }
-
-
 def _result_json(result):
-    return json.dumps(
-        {
-            "candidates": [_candidate_dict(c) for c in result.candidates],
-            "exclusions": [_exclusion_dict(e) for e in result.exclusions],
-        },
-        indent=2,
-    )
+    return json.dumps(dataclasses.asdict(result), indent=2)
 
 
 def _quadric_lines(table, args):
@@ -176,9 +150,7 @@ def _p2bundle_lines(result, args):
         for c in result.candidates
     ]
     lines.extend(_render_table(["c2", "chi(F(2))", "d", "family", "partner"], rows))
-    if result.exclusions:
-        lines.extend(["", "excluded:"])
-        lines.extend(_exclusion_lines(result.exclusions))
+    lines.extend(_exclusion_lines(result.exclusions))
     return lines
 
 
@@ -189,9 +161,7 @@ def _blowup_lines(result, args):
         for c in result.candidates
     ]
     lines.extend(_render_table(["d", "target", "family", "partner"], rows))
-    if result.exclusions:
-        lines.extend(["", "excluded:"])
-        lines.extend(_exclusion_lines(result.exclusions))
+    lines.extend(_exclusion_lines(result.exclusions))
     return lines
 
 
@@ -213,9 +183,7 @@ def _rho3_lines(result, args):
         for c in result.candidates
     ]
     lines.extend(_render_table(["c2", "d", "family", "psi", "notes"], rows))
-    if result.exclusions:
-        lines.extend(["", "excluded:"])
-        lines.extend(_exclusion_lines(result.exclusions))
+    lines.extend(_exclusion_lines(result.exclusions))
     return lines
 
 
@@ -242,9 +210,7 @@ def _highdim_lines(result, args):
         f"point blow-up chains: {len(chains)} further candidates (up to "
         f"{longest} successive general-point blow-ups)"
     )
-    if result.exclusions:
-        lines.extend(["", "excluded:"])
-        lines.extend(_exclusion_lines(result.exclusions))
+    lines.extend(_exclusion_lines(result.exclusions))
     return lines
 
 

@@ -203,11 +203,17 @@ def _eval_model(model: DegreeModel, by_id) -> _ModelValues:
     return _model_values(model)
 
 
+def _indexed(catalog):
+    """The catalog under test (the built-in one by default) and its id map."""
+    records = builtin_catalog() if catalog is None else list(catalog)
+    return records, {r.id: r for r in records}
+
+
 _NO_MODEL_REASONS = {
-    "thm3.1-1a": "no fibration data stored for this divisorial case",
-    "thm3.1-1b": "no fibration data stored for this divisorial case",
-    "thm3.1-1c": "no fibration data stored for this divisorial case",
-    "thm3.1-1d": "no fibration data stored for this divisorial case",
+    **dict.fromkeys(
+        ("thm3.1-1a", "thm3.1-1b", "thm3.1-1c", "thm3.1-1d"),
+        "no fibration data stored for this divisorial case",
+    ),
     "prop5.1-5": "parametric cone record; no finite model to recompute",
     "thm5.8-3": (
         "degree kept as printed (H^5 = 4 read as H^4 = 4); "
@@ -219,8 +225,7 @@ _NO_MODEL_REASONS = {
 
 def verify_family(r: FamilyRecord, catalog=None) -> Report:
     """Recompute a single record's invariants through its stored models."""
-    records = builtin_catalog() if catalog is None else catalog
-    by_id = {rec.id: rec for rec in records}
+    _, by_id = _indexed(catalog)
     return Report(title=f"family {r.id}", checks=tuple(_family_checks(r, by_id)))
 
 
@@ -231,6 +236,17 @@ def _family_checks(r: FamilyRecord, by_id) -> list[CheckResult]:
         reason = _NO_MODEL_REASONS.get(r.id, "no stored construction model")
         checks.append(_skip("degree-model", r.id, reason, r.citation))
     for model in models:
+        if model.kind == "blowup" and model.data[0] not in by_id:
+            checks.append(
+                _check(
+                    "blowup-referential-integrity",
+                    r.id,
+                    "resolvable target id",
+                    f"unknown id {model.data[0]}",
+                    r.citation,
+                )
+            )
+            continue
         result = _eval_model(model, by_id)
         checks.append(
             _check(
@@ -285,8 +301,7 @@ def _family_checks(r: FamilyRecord, by_id) -> list[CheckResult]:
 
 
 def verify_families(catalog=None) -> Report:
-    records = builtin_catalog() if catalog is None else list(catalog)
-    by_id = {r.id: r for r in records}
+    records, by_id = _indexed(catalog)
     checks = []
     for r in records:
         checks.extend(_family_checks(r, by_id))
@@ -299,8 +314,7 @@ def verify_families(catalog=None) -> Report:
 
 
 def verify_flops(catalog=None) -> Report:
-    records = builtin_catalog() if catalog is None else list(catalog)
-    by_id = {r.id: r for r in records}
+    records, by_id = _indexed(catalog)
     checks = []
     for r in records:
         small_rho2_dim3 = (
@@ -309,27 +323,25 @@ def verify_flops(catalog=None) -> Report:
         if r.flop_partner is None:
             if small_rho2_dim3:
                 checks.append(
-                    CheckResult(
-                        name="flop-partner-present",
-                        subject=r.id,
-                        expected="a flop partner",
-                        computed="none",
-                        status="fail",
+                    _check(
+                        "flop-partner-present",
+                        r.id,
+                        "a flop partner",
+                        "none",
+                        "Lemma 3.1",
                         reason="small contractions at Picard rank 2 always flop",
-                        citation="Lemma 3.1",
                     )
                 )
             continue
         partner = by_id.get(r.flop_partner)
         if partner is None:
             checks.append(
-                CheckResult(
-                    name="flop-referential-integrity",
-                    subject=r.id,
-                    expected="resolvable partner id",
-                    computed=f"unknown id {r.flop_partner}",
-                    status="fail",
-                    citation=r.citation,
+                _check(
+                    "flop-referential-integrity",
+                    r.id,
+                    "resolvable partner id",
+                    f"unknown id {r.flop_partner}",
+                    r.citation,
                 )
             )
             continue
@@ -357,8 +369,7 @@ def verify_flops(catalog=None) -> Report:
 
 
 def verify_smoothings(catalog=None) -> Report:
-    records = builtin_catalog() if catalog is None else list(catalog)
-    by_id = {r.id: r for r in records}
+    records, by_id = _indexed(catalog)
     checks = []
     for r in records:
         if r.smoothing is None:
@@ -366,13 +377,12 @@ def verify_smoothings(catalog=None) -> Report:
         target = by_id.get(r.smoothing)
         if target is None:
             checks.append(
-                CheckResult(
-                    name="smoothing-referential-integrity",
-                    subject=r.id,
-                    expected="resolvable smoothing id",
-                    computed=f"unknown id {r.smoothing}",
-                    status="fail",
-                    citation="Theorem 3.2",
+                _check(
+                    "smoothing-referential-integrity",
+                    r.id,
+                    "resolvable smoothing id",
+                    f"unknown id {r.smoothing}",
+                    "Theorem 3.2",
                 )
             )
             continue
@@ -466,128 +476,89 @@ def verify_constructions() -> Report:
 # ---------------------------------------------------------------------------
 
 
+# per-pair checks of `match`: record r against the candidate emitted for it
+def _degree_and_picard(name, r, c, citation):
+    return [
+        _check(f"{name}-degree", r.id, r.degree, c.degree, citation),
+        _check(f"{name}-picard", r.id, r.picard, c.picard, citation),
+    ]
+
+
+def _quadric_pair(name, r, v, citation):
+    return [
+        _check(f"{name}-degree", r.id, r.degree, v.degree, citation),
+        _check(
+            f"{name}-adjunction-identity",
+            r.id,
+            0,
+            sum(v.bundle.a) - 2 + v.alpha,
+            citation,
+            reason="sum(a) - 2 + alpha = 0 ties alpha to the split type",
+        ),
+        _check(
+            f"{name}-model-degree",
+            r.id,
+            r.degree,
+            quadric_model_degree(v.bundle.a, v.alpha)[1],
+            citation,
+            reason="degree recomputed on the split tower",
+        ),
+    ]
+
+
 def verify_enumeration_matches_catalog(catalog=None) -> Report:
-    records = builtin_catalog() if catalog is None else list(catalog)
-    by_id = {r.id: r for r in records}
+    _, by_id = _indexed(catalog)
     checks = []
 
-    def match(name, expected_ids, emitted, citation):
+    def match(name, prefix, emitted, citation, pair_checks=_degree_and_picard):
+        """Each record whose id starts with `prefix` against its candidate."""
         emitted_by_family = {}
         for c in emitted:
-            ok = c.family not in emitted_by_family
-            emitted_by_family[c.family] = c
-            if not ok:
+            if c.family in emitted_by_family:
                 checks.append(
-                    CheckResult(
-                        name=f"{name}-unique",
-                        subject=c.family or "?",
-                        expected="one candidate per family",
-                        computed="duplicate",
-                        status="fail",
-                        citation=citation,
+                    _check(
+                        f"{name}-unique",
+                        c.family or "?",
+                        "one candidate per family",
+                        "duplicate",
+                        citation,
                     )
                 )
-        for fid in expected_ids:
-            r = by_id[fid]
+            emitted_by_family[c.family] = c
+        for fid in sorted(i for i in by_id if i.startswith(prefix)):
             c = emitted_by_family.pop(fid, None)
             if c is None:
                 checks.append(
-                    CheckResult(
-                        name=f"{name}-coverage",
-                        subject=fid,
-                        expected="an enumeration candidate",
-                        computed="missing",
-                        status="fail",
-                        citation=citation,
+                    _check(
+                        f"{name}-coverage",
+                        fid,
+                        "an enumeration candidate",
+                        "missing",
+                        citation,
                     )
                 )
-                continue
-            checks.append(_check(f"{name}-degree", fid, r.degree, c.degree, citation))
-            checks.append(_check(f"{name}-picard", fid, r.picard, c.picard, citation))
-        for fid, c in sorted(emitted_by_family.items(), key=lambda kv: str(kv[0])):
+            else:
+                checks.extend(pair_checks(name, by_id[fid], c, citation))
+        for fid in sorted(emitted_by_family, key=str):
             checks.append(
-                CheckResult(
-                    name=f"{name}-surplus",
-                    subject=str(fid),
-                    expected="a catalog record",
-                    computed="candidate without record",
-                    status="fail",
-                    citation=citation,
+                _check(
+                    f"{name}-surplus",
+                    str(fid),
+                    "a catalog record",
+                    "candidate without record",
+                    citation,
                 )
             )
 
-    # quadric fibrations: verdict table vs the six records
     smalls = [v for v in enumerate_quadric_fibrations() if v.verdict == "Small"]
-    quadric_ids = sorted(i for i in by_id if i.startswith("thm3.4-"))
-    small_by_family = {v.family: v for v in smalls}
-    for fid in quadric_ids:
-        r = by_id[fid]
-        v = small_by_family.pop(fid, None)
-        if v is None:
-            checks.append(
-                CheckResult(
-                    name="quadric-coverage",
-                    subject=fid,
-                    expected="a Small verdict",
-                    computed="missing",
-                    status="fail",
-                    citation="Theorem 3.4",
-                )
-            )
-            continue
-        checks.append(_check("quadric-degree", fid, r.degree, v.degree, "Theorem 3.4"))
-        checks.append(
-            _check(
-                "quadric-adjunction-identity",
-                fid,
-                0,
-                sum(v.bundle.a) - 2 + v.alpha,
-                "Theorem 3.4",
-                reason="sum(a) - 2 + alpha = 0 ties alpha to the split type",
-            )
-        )
-        checks.append(
-            _check(
-                "quadric-model-degree",
-                fid,
-                r.degree,
-                quadric_model_degree(v.bundle.a, v.alpha)[1],
-                "Theorem 3.4",
-                reason="degree recomputed on the split tower",
-            )
-        )
-    for fid in sorted(small_by_family):
-        checks.append(
-            CheckResult(
-                name="quadric-surplus",
-                subject=str(fid),
-                expected="a catalog record",
-                computed="Small verdict without record",
-                status="fail",
-                citation="Theorem 3.4",
-            )
-        )
-
-    p2res = enumerate_p2_bundles()
-    match(
-        "p2bundle",
-        sorted(i for i in by_id if i.startswith("thm3.5-")),
-        p2res.candidates,
-        "Theorem 3.5",
-    )
-    blres = enumerate_point_blowups()
-    match(
-        "blowup",
-        sorted(i for i in by_id if i.startswith("thm3.6-")),
-        blres.candidates,
-        "Theorem 3.6",
-    )
+    match("quadric", "thm3.4-", smalls, "Theorem 3.4", _quadric_pair)
+    match("p2bundle", "thm3.5-", enumerate_p2_bundles().candidates, "Theorem 3.5")
+    match("blowup", "thm3.6-", enumerate_point_blowups().candidates, "Theorem 3.6")
     for surface, tag in ((P1xP1(), "p1p1"), (Fe(2), "f2")):
-        rres = enumerate_rho3(surface)
         match(
             f"rho3-{tag}",
-            sorted(i for i in by_id if i.startswith(f"thm4.1-{tag}-")),
-            rres.candidates,
+            f"thm4.1-{tag}-",
+            enumerate_rho3(surface).candidates,
             "Theorem 4.1(2)",
         )
 

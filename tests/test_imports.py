@@ -1,8 +1,9 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and none
+defines a private module-level name it never reads.
 
 There is no linter in the toolchain, so this walks each module's syntax
-tree with `ast`.  Only `__init__.py` is exempt: its imports are the
-package's public re-exports.
+tree with `ast`.  Only `__init__.py` is exempt from the import guard:
+its imports are the package's public re-exports.
 """
 
 import ast
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "delpezzo"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +43,43 @@ def test_unused_imports_are_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Module-level `_name` functions, classes and constants never read."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    read = {
+        n.id
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    return sorted(name for name in defined if _is_private(name) and name not in read)
+
+
+def test_unread_private_names_are_detected():
+    source = (
+        "_USED = 1\n"
+        "_LEFT: int = 2\n"
+        "def _helper(): return _USED\n"
+        "def _orphan(): pass\n"
+        "class _Gone: pass\n"
+        "__all__ = []\n"
+        "def public(): return _helper()\n"
+    )
+    assert unread_private_names(source) == ["_Gone", "_LEFT", "_orphan"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []

@@ -14,10 +14,11 @@ import sys
 
 import pytest
 
-from delpezzo import cli
+from delpezzo import cli, verify
 from delpezzo.catalog import builtin_catalog, construction_models, lookup
 from delpezzo.verify import (
     REPORT_NAMES,
+    CheckResult,
     verify_all,
     verify_constructions,
     verify_enumeration_matches_catalog,
@@ -227,3 +228,95 @@ def test_sweep_is_large_enough():
     cases = 2 * len(MODELED_IDS) + len(PARTNERED_IDS) + len(SMOOTHED_IDS)
     assert len(MODELED_IDS) == 49
     assert cases >= 60
+
+
+def test_unresolvable_blowup_target_is_flagged():
+    # thm3.1-3b and thm3.6-2 both blow up V(2;3) = thm2.1-3
+    without = [r for r in RECORDS if r.id != "thm2.1-3"]
+    fails = [c for c in verify_families(without).checks if c.status == "fail"]
+    assert fails == [
+        CheckResult(
+            "blowup-referential-integrity",
+            rid,
+            "resolvable target id",
+            "unknown id thm2.1-3",
+            "fail",
+            "",
+            lookup(rid).citation,
+        )
+        for rid in ("thm3.1-3b", "thm3.6-2")
+    ]
+    assert verify_family(lookup("thm3.1-3b"), without).checks == (fails[0],)
+
+
+# (check-name prefix, a record of the group, an id no search emits, citation)
+ENUMERATION_GROUPS = [
+    ("quadric", "thm3.4-2", "thm3.4-9", "Theorem 3.4"),
+    ("p2bundle", "thm3.5-2", "thm3.5-9", "Theorem 3.5"),
+    ("blowup", "thm3.6-2", "thm3.6-9", "Theorem 3.6"),
+    ("rho3-p1p1", "thm4.1-p1p1-c3", "thm4.1-p1p1-c9", "Theorem 4.1(2)"),
+    ("rho3-f2", "thm4.1-f2-c3", "thm4.1-f2-c9", "Theorem 4.1(2)"),
+]
+
+
+def _enumeration_fails(records):
+    rep = verify_enumeration_matches_catalog(records)
+    return [c for c in rep.checks if c.status == "fail"]
+
+
+GROUP_IDS = [g[0] for g in ENUMERATION_GROUPS]
+
+
+@pytest.mark.parametrize(
+    "name, rid, new_id, citation", ENUMERATION_GROUPS, ids=GROUP_IDS
+)
+def test_dropped_record_is_a_surplus_candidate(name, rid, new_id, citation):
+    without = [r for r in RECORDS if r.id != rid]
+    assert _enumeration_fails(without) == [
+        CheckResult(
+            f"{name}-surplus",
+            rid,
+            "a catalog record",
+            "candidate without record",
+            "fail",
+            "",
+            citation,
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, rid, new_id, citation", ENUMERATION_GROUPS, ids=GROUP_IDS
+)
+def test_record_without_candidate_is_uncovered(name, rid, new_id, citation):
+    extra = RECORDS + [dataclasses.replace(lookup(rid), id=new_id)]
+    assert _enumeration_fails(extra) == [
+        CheckResult(
+            f"{name}-coverage",
+            new_id,
+            "an enumeration candidate",
+            "missing",
+            "fail",
+            "",
+            citation,
+        )
+    ]
+
+
+def test_duplicate_candidate_is_flagged(monkeypatch):
+    table = verify.enumerate_quadric_fibrations()
+    twice = next(v for v in table if v.family == "thm3.4-3")
+    monkeypatch.setattr(
+        verify, "enumerate_quadric_fibrations", lambda: table + (twice,)
+    )
+    assert _enumeration_fails(RECORDS) == [
+        CheckResult(
+            "quadric-unique",
+            "thm3.4-3",
+            "one candidate per family",
+            "duplicate",
+            "fail",
+            "",
+            "Theorem 3.4",
+        )
+    ]
