@@ -18,11 +18,16 @@ The left side of every rewrite rule is a pure power of one generator
 (h^3, C0^2, z^r, ...), so the rules are indexed by generator: a monomial
 is in normal form exactly when each exponent is below its generator's
 cap.  Each ambient memoizes the normal form of every non-normal monomial
-it has met, filled from the rule's right side without recursion, so a
-product costs one pass over its raw terms.  The memo lives and dies with
-its ambient.  Every tower is built anew, but each base has one plain
-ambient per process (`base_space` is memoized by the base), so base
-classes built anywhere find their common ring by identity.
+it has met, filled from the rule's right side without recursion.  A
+product of general classes costs one pass over its raw terms; a product
+of two monomials, the common case in pairing tables, costs one exponent
+sum and at most one memo lookup, with no intermediate dict.  The memo
+lives and dies with its ambient.  Every tower is built anew, but each
+base has one plain ambient per process (`base_space` is memoized by the
+base), so base classes built anywhere find their common ring by
+identity.  A split tower of rank r over B is built from e_1 .. e_dim(B)
+of its twists only, O(r * dim B) base products, since the higher
+elementary symmetric classes vanish on the base.
 
 Two ambients are equal when they present the same ring: the same base,
 rank and Chern classes c_1 .. c_dim(B).  Twists are kept for display
@@ -57,6 +62,15 @@ _BASE_TOP = {
     "P1xP1": (1, 1),
     "Fe": (1, 1),
     "P1xP2": (1, 2),
+}
+
+# exponent-vector sum per number of generators (a plain base has one or
+# two, a tower one more), unrolled: about a third of the cost of
+# tuple(map(add, a, b)) on the product hot path
+_EXPONENT_SUM = {
+    1: lambda a, b: (a[0] + b[0],),
+    2: lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    3: lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
 }
 
 
@@ -199,21 +213,31 @@ class ChowElement:
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return other * self
         if not isinstance(other, ChowElement):
-            return NotImplemented
+            return other * self if isinstance(other, int) else NotImplemented
         self._check_same_ambient(other)
-        if self.is_zero() or other.is_zero():
-            return ChowElement(self.ambient, {}, None)
-        raw: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(map(add, e1, e2))
-                raw[expo] = raw.get(expo, 0) + c1 * c2
-        terms = self.ambient._reduce(raw)
+        A = self.ambient
+        t1, t2 = self.terms, other.terms
+        if not t1 or not t2:
+            return ChowElement(A, {}, None)
+        if len(t1) == 1 and len(t2) == 1:
+            # monomial times monomial: no raw dict, at most one lookup
+            ((e1, c1),) = t1.items()
+            ((e2, c2),) = t2.items()
+            expo = A._expo_sum(e1, e2)
+            coeff = c1 * c2
+            nf = A._rewrite(expo)
+            terms = {expo: coeff} if nf is None else {e: coeff * c for e, c in nf}
+        else:
+            expo_sum = A._expo_sum
+            raw: dict = {}
+            for e1, c1 in t1.items():
+                for e2, c2 in t2.items():
+                    expo = expo_sum(e1, e2)
+                    raw[expo] = raw.get(expo, 0) + c1 * c2
+            terms = A._reduce(raw)
         degree = self.degree + other.degree if terms else None
-        return ChowElement(self.ambient, terms, degree)
+        return ChowElement(A, terms, degree)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -278,38 +302,56 @@ class Ambient:
     base is modelled with rank 1 and no z.  The Grothendieck relation is
     stored with the Chern classes of V truncated at dim(B): relations()
     exposes every stored rewrite rule.
+
+    The shape is fixed at construction: `is_tower`, `dim`, `gen_names`,
+    `nvars`, the top monomial that `integrate` reads, the rewrite rules
+    and the exponent cap of every generator are computed once in
+    `__init__`, so products, `from_terms`, `gen` and `integrate` read
+    plain attributes.
     """
 
-    __slots__ = ("base", "rank", "twists", "cherns", "_rules", "_index", "_memo")
+    __slots__ = (
+        "base", "rank", "twists", "cherns",
+        "is_tower", "dim", "gen_names", "nvars", "top_monomial",
+        "_expo_sum", "_rules", "_caps", "_rhss", "_memo",
+    )
 
     def __init__(self, base: Base, rank: int, twists, cherns):
         self.base = base
         self.rank = rank
         self.twists = twists
         self.cherns = cherns
-        self._rules = None  # built lazily, immutable once built
-        self._index = None  # (caps, rule per generator), built lazily from _rules
+        self.is_tower = rank >= 2
+        self.dim = base.dim + rank - 1
+        pad = (0,) if self.is_tower else ()
+        self.gen_names = base.gens + (("z",) if self.is_tower else ())
+        self.nvars = len(self.gen_names)
+        self.top_monomial = base.top_monomial + ((rank - 1,) if self.is_tower else ())
+        self._expo_sum = _EXPONENT_SUM[self.nvars]
+        rules = [
+            (lhs + pad, [(e + pad, c) for e, c in rhs]) for lhs, rhs in base.relations()
+        ]
+        if self.is_tower:
+            rhs = []
+            for i, ci in enumerate(cherns, start=1):
+                sign = 1 if i % 2 == 1 else -1
+                for bexpo, bcoeff in ci.terms.items():
+                    rhs.append((bexpo + (rank - i,), sign * bcoeff))
+            rules.append(((0,) * len(base.gens) + (rank,), rhs))
+        self._rules = rules
+        # every rule rewrites a pure power gen^cap, and every generator
+        # has one, so a monomial is normal iff each exponent is below its cap
+        caps = [0] * self.nvars
+        rhss: list = [()] * self.nvars
+        for lhs, rhs in rules:
+            (g,) = [i for i, k in enumerate(lhs) if k]
+            caps[g] = lhs[g]
+            rhss[g] = tuple(rhs)
+        self._caps = tuple(caps)
+        self._rhss = tuple(rhss)
         self._memo = {}  # non-normal monomial -> its normal form
 
     # -- structure ---------------------------------------------------
-
-    @property
-    def is_tower(self) -> bool:
-        return self.rank >= 2
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim + self.rank - 1
-
-    @property
-    def gen_names(self) -> tuple[str, ...]:
-        if self.is_tower:
-            return self.base.gens + ("z",)
-        return self.base.gens
-
-    @property
-    def nvars(self) -> int:
-        return len(self.gen_names)
 
     def _chern_terms(self) -> list[dict]:
         """c_1 .. c_dim(B) of V; the higher classes vanish on the base."""
@@ -369,13 +411,15 @@ class Ambient:
 
     def from_terms(self, terms: dict) -> ChowElement:
         """Build an element from raw exponent->coefficient data (normalized here)."""
+        nvars = self.nvars
         for expo in terms:
-            if len(expo) != self.nvars or any(k < 0 for k in expo):
+            if len(expo) != nvars or min(expo) < 0:
                 raise ValueError(f"bad exponent vector {expo} for {self!r}")
-        degrees = {sum(e) for e, c in terms.items() if c != 0}
+        live = {e: c for e, c in terms.items() if c != 0}
+        degrees = set(map(sum, live))
         if len(degrees) > 1:
             raise ValueError(f"mixed-degree input {sorted(degrees)} rejected")
-        reduced = self._reduce({e: c for e, c in terms.items() if c != 0})
+        reduced = self._reduce(live)
         return ChowElement(self, reduced, degrees.pop() if reduced else None)
 
     def pullback(self, x: ChowElement) -> ChowElement:
@@ -392,38 +436,7 @@ class Ambient:
 
     def relations(self) -> list[tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]]:
         """All stored rewrite rules over the full generator tuple."""
-        if self._rules is None:
-            rules = []
-            pad = (0,) if self.is_tower else ()
-            for lhs, rhs in self.base.relations():
-                rules.append((lhs + pad, [(e + pad, c) for e, c in rhs]))
-            if self.is_tower:
-                nb = len(self.base.gens)
-                lhs = (0,) * nb + (self.rank,)
-                rhs = []
-                for i, ci in enumerate(self.cherns, start=1):
-                    sign = 1 if i % 2 == 1 else -1
-                    for bexpo, bcoeff in ci.terms.items():
-                        rhs.append((bexpo + (self.rank - i,), sign * bcoeff))
-                rules.append((lhs, rhs))
-            self._rules = rules
         return self._rules
-
-    def _generator_rules(self) -> tuple[tuple[int, ...], tuple]:
-        """Per generator, the exponent cap and the right side of its rule.
-
-        Every rule rewrites a pure power gen^cap, and every generator has
-        one, so a monomial is normal iff each exponent is below its cap.
-        """
-        if self._index is None:
-            caps = [0] * self.nvars
-            rhss: list = [()] * self.nvars
-            for lhs, rhs in self.relations():
-                (g,) = [i for i, k in enumerate(lhs) if k]
-                caps[g] = lhs[g]
-                rhss[g] = tuple(rhs)
-            self._index = (tuple(caps), tuple(rhss))
-        return self._index
 
     def _normal_form(self, expo: tuple) -> tuple:
         """Normal form of a non-normal monomial, as ((expo, coeff), ...).
@@ -433,7 +446,7 @@ class Ambient:
         on an explicit stack, so a deep rewriting chain (z^5000, say)
         never recurses; every monomial met is memoized on the way.
         """
-        caps, rhss = self._generator_rules()
+        caps, rhss = self._caps, self._rhss
         memo = self._memo
         stack = [expo]
         while stack:
@@ -463,18 +476,22 @@ class Ambient:
             stack.pop()
         return memo[expo]
 
+    def _rewrite(self, expo: tuple):
+        """The memoized normal form of a monomial, or None if it is normal."""
+        nf = self._memo.get(expo)
+        if nf is None and not all(map(lt, expo, self._caps)):
+            nf = self._normal_form(expo)
+        return nf
+
     def _reduce(self, raw: dict) -> dict:
         """Normal form of exponent -> coefficient data, like terms merged."""
-        caps = self._generator_rules()[0]
-        memo = self._memo
+        rewrite = self._rewrite
         out: dict = {}
         for expo, coeff in raw.items():
-            if all(map(lt, expo, caps)):
+            nf = rewrite(expo)
+            if nf is None:
                 out[expo] = out.get(expo, 0) + coeff
                 continue
-            nf = memo.get(expo)
-            if nf is None:
-                nf = self._normal_form(expo)
             for e, c in nf:
                 out[e] = out.get(e, 0) + coeff * c
         return {e: c for e, c in out.items() if c}
@@ -521,14 +538,16 @@ def make_tower(base: Base, twists: Sequence) -> Ambient:
     if len(coerced) < 2:
         raise ValueError("a tower needs rank >= 2")
     B = base_space(base)
-    # elementary symmetric classes of the twists, truncated by the base ring
-    es = [B.one()]
-    for L in coerced:
-        es.append(B.zero())
-        for i in range(len(es) - 1, 0, -1):
+    rank = len(coerced)
+    # e_1 .. e_d of the twists; e_i has degree i, so it vanishes on the
+    # base for i > dim(B) and the classes beyond d are zero padding
+    d = min(rank, base.dim)
+    es = [B.one()] + [B.zero()] * d
+    for j, L in enumerate(coerced, start=1):
+        for i in range(min(j, d), 0, -1):
             es[i] = es[i] + es[i - 1] * L
-    cherns = tuple(es[1:])
-    return Ambient(base, len(coerced), coerced, cherns)
+    cherns = tuple(es[1:]) + (B.zero(),) * (rank - d)
+    return Ambient(base, rank, coerced, cherns)
 
 
 def chern_tower(base: Base, rank: int, cherns: Sequence[ChowElement]) -> Ambient:
@@ -563,10 +582,7 @@ def integrate(x: ChowElement) -> int:
         raise ValueError(
             f"integrate needs degree {A.dim} on {A!r}, got degree {x.degree}"
         )
-    top = A.base.top_monomial
-    if A.is_tower:
-        top = top + (A.rank - 1,)
-    return x.terms.get(top, 0)
+    return x.terms.get(A.top_monomial, 0)
 
 
 def canonical_class(A: Ambient) -> ChowElement:

@@ -34,7 +34,7 @@ from .verify import (
 _INT = re.compile(r"^-?\d+$")
 
 
-def _render_table(headers, rows, indent="  "):
+def _render_table(headers, rows):
     cells = [list(map(str, headers))] + [list(map(str, r)) for r in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
     numeric = [
@@ -47,19 +47,19 @@ def _render_table(headers, rows, indent="  "):
             s.rjust(w) if num else s.ljust(w)
             for s, w, num in zip(row, widths, numeric)
         ]
-        return (indent + "  ".join(parts)).rstrip()
+        return ("  " + "  ".join(parts)).rstrip()
 
-    lines = [fmt(cells[0]), indent + "  ".join("-" * w for w in widths)]
+    lines = [fmt(cells[0]), "  " + "  ".join("-" * w for w in widths)]
     lines.extend(fmt(row) for row in cells[1:])
     return lines
 
 
-def _exclusion_lines(exclusions, indent="  "):
+def _exclusion_lines(exclusions):
     """The "excluded:" section of a search result; empty without exclusions."""
     lines = ["", "excluded:"] if exclusions else []
     for e in exclusions:
         data = " ".join(str(x) for x in e.data)
-        line = f"{indent}{e.kind} {data}: {e.reason}"
+        line = f"  {e.kind} {data}: {e.reason}"
         if e.computed:
             nums = "; ".join(f"{k} = {v}" for k, v in e.computed)
             line += f" [{nums}]"

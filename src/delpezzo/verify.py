@@ -562,12 +562,23 @@ def verify_enumeration_matches_catalog(catalog=None) -> Report:
             "Theorem 4.1(2)",
         )
 
-    # higher-dimensional quadric bundles vs their records
+    # higher-dimensional quadric bundles vs their records; a candidate
+    # whose record is missing is a surplus, as in `match`
     for n, fid in ((4, "thm5.8-3"), (5, "thm5.8-2")):
-        if fid not in by_id:
-            continue
         res = enumerate_highdim(n)
         qb = [c for c in res.candidates if c.kind == "quadric-bundle-highdim"]
+        if fid not in by_id:
+            checks.extend(
+                _check(
+                    "highdim-quadric-surplus",
+                    str(c.family),
+                    "a catalog record",
+                    "candidate without record",
+                    "Theorem 5.8",
+                )
+                for c in qb
+            )
+            continue
         checks.append(
             _check(
                 "highdim-quadric-count", f"n={n}", 1, len(qb), by_id[fid].citation

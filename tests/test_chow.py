@@ -1,10 +1,13 @@
 """Unit and property tests for the exact Chow-ring engine."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delpezzo import (
+    ChowElement,
     P1,
     P2,
     P1xP1,
@@ -262,6 +265,64 @@ def test_one_base_ring_per_base():
     W = make_tower(Fe(3), [B.gen("f"), 0])
     assert all(c.ambient is B for c in W.twists + W.cherns)
     assert all(c.ambient is B for c in chern_tower(Fe(3), 3, []).cherns)
+
+
+# -- tower builds ------------------------------------------------------------
+
+BASES = [P1(), P2(), P1xP1(), Fe(3), P1xP2()]
+
+
+def _seeded_twists(base, rank, seed):
+    B = base_space(base)
+    rng = random.Random(f"twists:{base!r}:{rank}:{seed}")
+    twists = []
+    for _ in range(rank):
+        L = B.zero()
+        for g in B.gen_names:
+            L = L + rng.randint(-3, 3) * B.gen(g)
+        twists.append(L)
+    return twists
+
+
+def _full_elementary_symmetric(base, twists):
+    """e_1 .. e_r of the twists, every one accumulated: O(r^2) products."""
+    B = base_space(base)
+    es = [B.one()]
+    for L in twists:
+        es.append(B.zero())
+        for i in range(len(es) - 1, 0, -1):
+            es[i] = es[i] + es[i - 1] * L
+    return es[1:]
+
+
+@pytest.mark.parametrize("base", BASES, ids=repr)
+def test_truncated_tower_build_matches_full_expansion(base):
+    d = base.dim
+    for rank in range(2, 17):
+        twists = _seeded_twists(base, rank, seed=rank)
+        A = make_tower(base, twists)
+        full = _full_elementary_symmetric(base, twists)
+        assert len(A.cherns) == rank
+        assert list(A.cherns) == full
+        assert all(c.is_zero() for c in A.cherns[d:])
+        assert A == chern_tower(base, rank, list(A.cherns[: min(rank, d)]))
+
+
+def test_tower_build_products_are_linear_in_rank(monkeypatch):
+    base = P1xP2()
+    rank = 16
+    twists = _seeded_twists(base, rank, seed=0)
+    calls = 0
+    mul = ChowElement.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(ChowElement, "__mul__", counting)
+    make_tower(base, twists)
+    assert 0 < calls <= rank * base.dim
 
 
 def test_deep_exponents_reduce_without_recursion():

@@ -5,6 +5,7 @@ arithmetic, so these tests guard the engine's reduction strategy, not just
 the relation tables.
 """
 
+import itertools
 import random
 
 import pytest
@@ -118,6 +119,53 @@ def test_products_match_oracle(idx):
         prod = (x * y).terms
         for seed in ORACLE_SEEDS:
             assert prod == oracle_mul(A, raw_a, raw_b, seed=seed + j)
+
+
+def normal_monomials(A):
+    """Every exponent vector of A in normal form, i.e. below the caps."""
+    caps = [lhs[i] for lhs, _ in A.relations() for i, k in enumerate(lhs) if k]
+    return list(itertools.product(*(range(c) for c in caps)))
+
+
+@pytest.mark.parametrize("idx", range(len(ZOO)), ids=[repr(a) for a in ZOO])
+def test_monomial_products_match_oracle(idx):
+    # all pairs of normal monomials: every degree split, and products whose
+    # exponents reach or pass the caps (rewritten) as well as normal ones
+    A = ZOO[idx]
+    rng = random.Random(6_000 + idx)
+    mons = normal_monomials(A)
+    for m1, m2 in itertools.product(mons, repeat=2):
+        c1 = rng.choice([-3, -2, -1, 1, 2, 3])
+        c2 = rng.choice([-3, -2, -1, 1, 2, 3])
+        x = A.from_terms({m1: c1})
+        y = A.from_terms({m2: c2})
+        prod = x * y
+        want = oracle_mul(A, [(m1, c1)], [(m2, c2)], seed=rng.randrange(1000))
+        assert prod.terms == want
+        assert prod.degree == (sum(m1) + sum(m2) if want else None)
+
+
+@pytest.mark.parametrize("idx", range(len(ZOO)), ids=[repr(a) for a in ZOO])
+def test_monomial_product_edge_cases(idx):
+    A = ZOO[idx]
+    g = A.gen(A.gen_names[-1])
+    for zero in (A.zero(), 0 * g, g - g):
+        for prod in (g * zero, zero * g, zero * zero):
+            assert prod.is_zero() and prod.degree is None and prod.ambient is A
+    for prod in (g * 0, 0 * g):
+        assert prod.is_zero() and prod.degree is None
+    assert (g * 3).terms == (3 * g).terms == {e: 3 for e in g.terms}
+    assert (g * -1) == -g and (g * 1) == g
+    with pytest.raises(TypeError):
+        g * "z"
+    with pytest.raises(TypeError):
+        g * 1.5
+    other = next(B for B in ZOO[idx + 1 :] + ZOO if B != A)
+    h = other.gen(other.gen_names[-1])
+    with pytest.raises(ValueError, match="different ambients"):
+        g * h
+    with pytest.raises(ValueError, match="different ambients"):
+        g * other.zero()
 
 
 def test_oracle_disagrees_with_a_wrong_relation():

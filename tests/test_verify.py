@@ -303,6 +303,25 @@ def test_record_without_candidate_is_uncovered(name, rid, new_id, citation):
     ]
 
 
+@pytest.mark.parametrize("rid", ["thm5.8-2", "thm5.8-3"])
+def test_dropped_highdim_quadric_record_is_a_surplus_candidate(rid):
+    without = [r for r in RECORDS if r.id != rid]
+    assert _enumeration_fails(without) == [
+        CheckResult(
+            "highdim-quadric-surplus",
+            rid,
+            "a catalog record",
+            "candidate without record",
+            "fail",
+            "",
+            "Theorem 5.8",
+        )
+    ]
+    assert any(
+        c.status == "fail" for rep in verify_all(without) for c in rep.checks
+    )
+
+
 def test_duplicate_candidate_is_flagged(monkeypatch):
     table = verify.enumerate_quadric_fibrations()
     twice = next(v for v in table if v.family == "thm3.4-3")
