@@ -242,15 +242,19 @@ class ChowElement:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        # repeated squaring
-        result = self.ambient.one()
+        if n == 0:
+            return self.ambient.one()
+        # repeated squaring, started from the square at the lowest set bit
+        # so that the unit class is never a factor
         square = self
-        while n:
+        while not n & 1:
+            square = square * square
+            n >>= 1
+        result = square
+        while n := n >> 1:
+            square = square * square
             if n & 1:
                 result = result * square
-            n >>= 1
-            if n:
-                square = square * square
         return result
 
     def __eq__(self, other):

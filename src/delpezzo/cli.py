@@ -21,15 +21,7 @@ from .enumeration import (
     enumerate_quadric_fibrations,
     enumerate_rho3,
 )
-from .verify import (
-    REPORT_NAMES,
-    verify_all,
-    verify_constructions,
-    verify_enumeration_matches_catalog,
-    verify_families,
-    verify_flops,
-    verify_smoothings,
-)
+from .verify import REPORTS, verify_all
 
 _INT = re.compile(r"^-?\d+$")
 
@@ -122,21 +114,12 @@ def _quadric_lines(table, args):
 
 
 def _quadric_json(table):
-    return json.dumps(
-        [
-            {
-                "a": list(v.bundle.a),
-                "alpha": v.alpha,
-                "degree": v.degree,
-                "verdict": v.verdict,
-                "family": v.family,
-                "reason": v.reason,
-                "inferred": v.inferred,
-            }
-            for v in table
-        ],
-        indent=2,
-    )
+    """Each verdict's fields, with the split type flattened to `a`."""
+    rows = []
+    for v in table:
+        row = dataclasses.asdict(v)
+        rows.append({"a": row.pop("bundle")["a"], **row})
+    return json.dumps(rows, indent=2)
 
 
 def _p2bundle_lines(result, args):
@@ -247,20 +230,11 @@ def _cmd_enumerate(args):
     return 0
 
 
-_REPORT_FUNCS = {
-    "families": verify_families,
-    "flops": verify_flops,
-    "smoothings": verify_smoothings,
-    "constructions": verify_constructions,
-    "enumeration": verify_enumeration_matches_catalog,
-}
-
-
 def _cmd_verify(args):
     if args.only is None:
         reports = verify_all()
     else:
-        reports = [_REPORT_FUNCS[args.only]()]
+        reports = [REPORTS[args.only]()]
     lines = []
     failed = 0
     for rep in reports:
@@ -292,21 +266,12 @@ def _cmd_show(args):
     r = lookup(args.id)
     if r is None:
         return _usage_error(f"no family with id {args.id!r}")
-    models = construction_models(r.id)
     fields = [
-        ("id", r.id),
-        ("dim", r.dim),
-        ("degree", r.degree),
-        ("picard", r.picard),
-        ("index", r.index),
-        ("contraction", r.contraction),
-        ("anticanonical map", r.anticanonical_map),
-        ("flop partner", r.flop_partner or "-"),
-        ("smoothing", r.smoothing or "-"),
-        ("citation", r.citation),
-        ("notes", r.notes),
-        ("models", " + ".join(_model_label(m) for m in models) or "-"),
+        (k.replace("_", " "), "-" if v is None else v)
+        for k, v in dataclasses.asdict(r).items()
     ]
+    models = construction_models(r.id)
+    fields.append(("models", " + ".join(_model_label(m) for m in models) or "-"))
     width = max(len(k) for k, _ in fields) + 1
     _emit("\n".join(f"{(k + ':').ljust(width)}  {v}" for k, v in fields))
     return 0
@@ -362,7 +327,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="recompute invariants and cross-check")
-    p.add_argument("--only", choices=list(REPORT_NAMES), default=None)
+    p.add_argument("--only", choices=list(REPORTS), default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("show", help="print one catalog record")

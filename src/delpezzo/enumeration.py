@@ -17,7 +17,7 @@ receives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional
 
@@ -74,13 +74,15 @@ class FamilyCandidate:
     data: tuple
     family: Optional[str] = None
     notes: tuple[str, ...] = ()
-    spanned: bool = True  # False when |H| has the degree-1 base point
+    # False when |H| has the degree-1 base point
+    spanned: bool = field(init=False)
 
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError(f"candidate degree must be >= 1, got {self.degree}")
         if self.dim < 3:
             raise ValueError(f"candidate dimension must be >= 3, got {self.dim}")
+        object.__setattr__(self, "spanned", self.degree > 1)
 
 
 @dataclass(frozen=True)
@@ -227,7 +229,6 @@ def enumerate_p2_bundles() -> EnumerationResult:
                 data=(c2,),
                 family=f"thm3.5-{c2 - 1}",
                 notes=(f"chi of F(2) = {chi} = d + 2",),
-                spanned=d > 1,
             )
         )
     return EnumerationResult(tuple(candidates), tuple(exclusions))
@@ -273,7 +274,6 @@ def enumerate_point_blowups() -> EnumerationResult:
                 data=(target.id,),
                 family=f"thm3.6-{d}",
                 notes=(f"blow-up of {target.id} = V(2;{d + 1}) in a general point",),
-                spanned=d > 1,
             )
         )
     return EnumerationResult(tuple(candidates), tuple(exclusions))
@@ -342,7 +342,6 @@ def enumerate_rho3(surface: Base) -> EnumerationResult:
                 data=(tag, c2),
                 family=f"thm4.1-{tag}-c{c2}",
                 notes=tuple(notes),
-                spanned=d > 1,
             )
         )
     return EnumerationResult(tuple(candidates), tuple(exclusions))
@@ -428,7 +427,6 @@ def enumerate_highdim(n: int) -> EnumerationResult:
                 picard=picard,
                 data=(n, surface_kind, c2, source_id),
                 notes=tuple(notes),
-                spanned=d > 1,
             )
         )
 
@@ -519,7 +517,6 @@ def enumerate_highdim(n: int) -> EnumerationResult:
                         f"{r} successive general-point blow-ups of the "
                         f"degree-{c.degree} candidate",
                     ),
-                    spanned=step.degree_after > 1,
                 )
             )
     return EnumerationResult(tuple(candidates), tuple(exclusions))

@@ -123,6 +123,36 @@ def _skip(name, subject, reason, citation=""):
     )
 
 
+def _window(name, r, expected, degree):
+    """Corollary 3.3: a small anticanonical map at Picard rank 2 bounds the
+    degree, of `r` itself or of its smoothing, to 1 <= d <= 5."""
+    return CheckResult(
+        name=name,
+        subject=r.id,
+        expected=expected,
+        computed=f"degree {degree}",
+        status="pass" if 1 <= degree <= 5 else "fail",
+        citation="Corollary 3.3",
+    )
+
+
+def _resolve(checks, name, what, r, target_id, by_id, citation):
+    """The record `r` points at by `target_id`, or None after appending a
+    failing `{name}-referential-integrity` check to `checks`."""
+    target = by_id.get(target_id)
+    if target is None:
+        checks.append(
+            _check(
+                f"{name}-referential-integrity",
+                r.id,
+                f"resolvable {what} id",
+                f"unknown id {target_id}",
+                citation,
+            )
+        )
+    return target
+
+
 # rank of F for the surface-scroll model kinds
 _SCROLL_RANKS = {"rank2": 2, "rank3": 3}
 
@@ -236,16 +266,9 @@ def _family_checks(r: FamilyRecord, by_id) -> list[CheckResult]:
         reason = _NO_MODEL_REASONS.get(r.id, "no stored construction model")
         checks.append(_skip("degree-model", r.id, reason, r.citation))
     for model in models:
-        if model.kind == "blowup" and model.data[0] not in by_id:
-            checks.append(
-                _check(
-                    "blowup-referential-integrity",
-                    r.id,
-                    "resolvable target id",
-                    f"unknown id {model.data[0]}",
-                    r.citation,
-                )
-            )
+        if model.kind == "blowup" and _resolve(
+            checks, "blowup", "target", r, model.data[0], by_id, r.citation
+        ) is None:
             continue
         result = _eval_model(model, by_id)
         checks.append(
@@ -286,17 +309,7 @@ def _family_checks(r: FamilyRecord, by_id) -> list[CheckResult]:
                 )
             )
     if r.anticanonical_map == "Small" and r.picard == 2 and r.dim == 3:
-        ok = 1 <= r.degree <= 5
-        checks.append(
-            CheckResult(
-                name="degree-window",
-                subject=r.id,
-                expected="1 <= degree <= 5",
-                computed=f"degree {r.degree}",
-                status="pass" if ok else "fail",
-                citation="Corollary 3.3",
-            )
-        )
+        checks.append(_window("degree-window", r, "1 <= degree <= 5", r.degree))
     return checks
 
 
@@ -333,17 +346,10 @@ def verify_flops(catalog=None) -> Report:
                     )
                 )
             continue
-        partner = by_id.get(r.flop_partner)
+        partner = _resolve(
+            checks, "flop", "partner", r, r.flop_partner, by_id, r.citation
+        )
         if partner is None:
-            checks.append(
-                _check(
-                    "flop-referential-integrity",
-                    r.id,
-                    "resolvable partner id",
-                    f"unknown id {r.flop_partner}",
-                    r.citation,
-                )
-            )
             continue
         checks.append(
             _check("flop-symmetry", r.id, r.id, partner.flop_partner, r.citation)
@@ -374,17 +380,10 @@ def verify_smoothings(catalog=None) -> Report:
     for r in records:
         if r.smoothing is None:
             continue
-        target = by_id.get(r.smoothing)
+        target = _resolve(
+            checks, "smoothing", "smoothing", r, r.smoothing, by_id, "Theorem 3.2"
+        )
         if target is None:
-            checks.append(
-                _check(
-                    "smoothing-referential-integrity",
-                    r.id,
-                    "resolvable smoothing id",
-                    f"unknown id {r.smoothing}",
-                    "Theorem 3.2",
-                )
-            )
             continue
         checks.append(
             _check(
@@ -417,16 +416,8 @@ def verify_smoothings(catalog=None) -> Report:
             )
         )
         if r.anticanonical_map == "Small":
-            ok = 1 <= target.degree <= 5
             checks.append(
-                CheckResult(
-                    name="smoothing-window",
-                    subject=r.id,
-                    expected="target degree in [1; 5]",
-                    computed=f"degree {target.degree}",
-                    status="pass" if ok else "fail",
-                    citation="Corollary 3.3",
-                )
+                _window("smoothing-window", r, "target degree in [1; 5]", target.degree)
             )
     return Report(title="smoothings", checks=tuple(checks))
 
@@ -458,7 +449,9 @@ _CONSTRUCTIONS = (
 )
 
 
-def verify_constructions() -> Report:
+def verify_constructions(catalog=None) -> Report:
+    """Replay the scroll constructions; they read no catalog, so `catalog`
+    is accepted only to give every report the same call."""
     checks = []
     for subject, builder, want_adj, want_deg, citation, reason in _CONSTRUCTIONS:
         adj, deg = builder()
@@ -511,7 +504,8 @@ def verify_enumeration_matches_catalog(catalog=None) -> Report:
     checks = []
 
     def match(name, prefix, emitted, citation, pair_checks=_degree_and_picard):
-        """Each record whose id starts with `prefix` against its candidate."""
+        """Each record whose id starts with `prefix` (one string, or a tuple
+        of them as `str.startswith` takes) against its candidate."""
         emitted_by_family = {}
         for c in emitted:
             if c.family in emitted_by_family:
@@ -562,50 +556,27 @@ def verify_enumeration_matches_catalog(catalog=None) -> Report:
             "Theorem 4.1(2)",
         )
 
-    # higher-dimensional quadric bundles vs their records; a candidate
-    # whose record is missing is a surplus, as in `match`
-    for n, fid in ((4, "thm5.8-3"), (5, "thm5.8-2")):
-        res = enumerate_highdim(n)
-        qb = [c for c in res.candidates if c.kind == "quadric-bundle-highdim"]
-        if fid not in by_id:
-            checks.extend(
-                _check(
-                    "highdim-quadric-surplus",
-                    str(c.family),
-                    "a catalog record",
-                    "candidate without record",
-                    "Theorem 5.8",
-                )
-                for c in qb
-            )
-            continue
-        checks.append(
-            _check(
-                "highdim-quadric-count", f"n={n}", 1, len(qb), by_id[fid].citation
-            )
-        )
-        if len(qb) == 1:
-            checks.append(
-                _check(
-                    "highdim-quadric-degree",
-                    fid,
-                    by_id[fid].degree,
-                    qb[0].degree,
-                    by_id[fid].citation,
-                )
-            )
+    highdim = (c for n in (4, 5) for c in enumerate_highdim(n).candidates)
+    match(
+        "highdim-quadric",
+        ("thm5.8-2", "thm5.8-3"),
+        [c for c in highdim if c.kind == "quadric-bundle-highdim"],
+        "Theorem 5.8",
+    )
     return Report(title="enumeration", checks=tuple(checks))
 
 
-REPORT_NAMES = ("families", "flops", "smoothings", "constructions", "enumeration")
+# every report by name, in the fixed order of `verify_all`
+REPORTS = {
+    "families": verify_families,
+    "flops": verify_flops,
+    "smoothings": verify_smoothings,
+    "constructions": verify_constructions,
+    "enumeration": verify_enumeration_matches_catalog,
+}
+REPORT_NAMES = tuple(REPORTS)
 
 
 def verify_all(catalog=None) -> list[Report]:
     """All reports, in a fixed order."""
-    return [
-        verify_families(catalog),
-        verify_flops(catalog),
-        verify_smoothings(catalog),
-        verify_constructions(),
-        verify_enumeration_matches_catalog(catalog),
-    ]
+    return [report(catalog) for report in REPORTS.values()]

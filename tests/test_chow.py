@@ -325,6 +325,31 @@ def test_tower_build_products_are_linear_in_rank(monkeypatch):
     assert 0 < calls <= rank * base.dim
 
 
+def test_pow_spends_no_product_on_the_unit(monkeypatch):
+    A = make_tower(P1xP2(), [0, 0, 0, 0])
+    B = base_space(P1xP2())
+    x = A.zeta + A.pullback(B.gen("p") + 2 * B.gen("h"))
+    naive = [A.one()]
+    for _ in range(17):
+        naive.append(naive[-1] * x)
+    unit = A.one()
+    calls = 0
+    mul = ChowElement.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        assert self != unit and other != unit
+        return mul(self, other)
+
+    monkeypatch.setattr(ChowElement, "__mul__", counting)
+    assert x**0 == unit
+    for n in range(1, 18):
+        calls = 0
+        assert x**n == naive[n]
+        assert calls == n.bit_length() - 1 + bin(n).count("1") - 1, n
+
+
 def test_deep_exponents_reduce_without_recursion():
     # a normal form filled by recursion would run 5000 frames deep here
     T = make_tower(P1(), [1, 0])

@@ -1,5 +1,6 @@
 """Command line behaviour: golden bytes, exit codes, determinism."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -164,3 +165,32 @@ def test_export_to_file(tmp_path, capsys):
     assert cli.run(["export", "--format", "csv", "--out", str(out_path)]) == 0
     assert out_path.read_bytes() == export("csv")
     assert "wrote" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# scripts/reproduce_tables.py
+# ---------------------------------------------------------------------------
+
+REPRODUCED_GOLDEN = {
+    "quadric_table.txt": "quadric_table.txt",
+    "p2_bundles.txt": "p2bundle_table.txt",
+    "point_blowups.txt": "blowup_table.txt",
+    "rho3_p1p1.txt": "rho3_p1p1_table.txt",
+    "rho3_f2.txt": "rho3_f2_table.txt",
+    "highdim_4.txt": "highdim_4_table.txt",
+    "highdim_5.txt": "highdim_5_table.txt",
+    "catalog.json": "export.json",
+}
+
+
+def test_reproduce_tables_writes_the_golden_outputs(tmp_path):
+    script = Path(__file__).parents[1] / "scripts" / "reproduce_tables.py"
+    spec = importlib.util.spec_from_file_location("reproduce_tables", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--out", str(tmp_path)]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(name for name, _ in module.SECTIONS)
+    assert len(written) == 11
+    for name, golden in REPRODUCED_GOLDEN.items():
+        assert (tmp_path / name).read_bytes() == (GOLDEN / golden).read_bytes(), name

@@ -256,6 +256,7 @@ ENUMERATION_GROUPS = [
     ("blowup", "thm3.6-2", "thm3.6-9", "Theorem 3.6"),
     ("rho3-p1p1", "thm4.1-p1p1-c3", "thm4.1-p1p1-c9", "Theorem 4.1(2)"),
     ("rho3-f2", "thm4.1-f2-c3", "thm4.1-f2-c9", "Theorem 4.1(2)"),
+    ("highdim-quadric", "thm5.8-2", "thm5.8-2b", "Theorem 5.8"),
 ]
 
 
@@ -320,6 +321,41 @@ def test_dropped_highdim_quadric_record_is_a_surplus_candidate(rid):
     assert any(
         c.status == "fail" for rep in verify_all(without) for c in rep.checks
     )
+
+
+def test_degree_outside_the_window_fails():
+    record = dataclasses.replace(lookup("thm3.4-4"), degree=6)
+    window = [c for c in verify_family(record).checks if c.name == "degree-window"]
+    assert window == [
+        CheckResult(
+            "degree-window",
+            "thm3.4-4",
+            "1 <= degree <= 5",
+            "degree 6",
+            "fail",
+            "",
+            "Corollary 3.3",
+        )
+    ]
+
+
+def test_smoothing_outside_the_window_fails():
+    mutated = _mutate(RECORDS, "thm3.5-1", smoothing="thm2.1-6a")
+    window = [
+        c for c in verify_smoothings(mutated).checks
+        if c.name == "smoothing-window" and c.subject == "thm3.5-1"
+    ]
+    assert window == [
+        CheckResult(
+            "smoothing-window",
+            "thm3.5-1",
+            "target degree in [1; 5]",
+            "degree 6",
+            "fail",
+            "",
+            "Corollary 3.3",
+        )
+    ]
 
 
 def test_duplicate_candidate_is_flagged(monkeypatch):
