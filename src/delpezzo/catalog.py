@@ -15,7 +15,6 @@ no quoting.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import Optional
 
@@ -100,6 +99,24 @@ _BLOWUP_TABLE = (
 
 # Theorem 4.1(2): c2 of the rank-2 bundles with c1 = -K over P1 x P1 and F2
 _RHO3_C2 = (0, 2, 3, 4, 5, 6, 7)
+
+# Proposition 5.5 and Theorems 5.6-5.7: the printed adjunction class and
+# degree of each scroll construction, keyed by the name of the
+# `enumeration` builder that replays it, as (subject, adjunction class,
+# degree, citation, reason); the reason records the Proposition 5.5
+# erratum, which stays visible instead of being corrected silently
+CONSTRUCTION_CLAIMS = {
+    "scroll_degree_p1xp2": ("(5;5) scroll over P1xP2", "-p - h - 3*z", 5, "Theorem 5.6", ""),
+    "scroll_degree_p2": (
+        "(4;6) scroll over P2",
+        "-3*z",
+        6,
+        "Proposition 5.5",
+        "computed with V = O(2) + O^3; the printed V = O + O^3 is "
+        "inconsistent with D in |z - 2h| and with this degree",
+    ),
+    "scroll_degree_f1": ("(4;5) scroll over F1", "-3*z", 5, "Theorem 5.7", ""),
+}
 
 
 def _rec(
@@ -449,6 +466,8 @@ def export(format: str) -> bytes:
     """Catalog as deterministic JSON or CSV bytes, sorted by id."""
     records = sorted(_RECORDS, key=lambda r: r.id)
     if format == "json":
+        import json
+
         text = json.dumps([_record_dict(r) for r in records], indent=2)
         return (text + "\n").encode("utf-8")
     if format == "csv":

@@ -2,26 +2,22 @@
 
 All output is deterministic, so the rendered tables can be compared
 byte-for-byte against golden files.
+
+Each command imports only the layers it runs, so a cold process pays
+for nothing else.  `show` and `export` load `catalog` alone; `enumerate`
+adds `enumeration` (with `bundles`) when it runs its search; `verify`
+adds `verify` when it runs its reports.  `json` is loaded only to
+render JSON.  The package root still loads `chow` on every command.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import re
 import sys
 
 from .catalog import construction_models, export, lookup
-from .chow import Fe, P1xP1
-from .enumeration import (
-    enumerate_highdim,
-    enumerate_p2_bundles,
-    enumerate_point_blowups,
-    enumerate_quadric_fibrations,
-    enumerate_rho3,
-)
-from .verify import REPORTS, verify_all
 
 _INT = re.compile(r"^-?\d+$")
 
@@ -67,6 +63,8 @@ def _partner_label(family_id):
 
 
 def _result_json(result):
+    import json
+
     return json.dumps(dataclasses.asdict(result), indent=2)
 
 
@@ -115,6 +113,8 @@ def _quadric_lines(table, args):
 
 def _quadric_json(table):
     """Each verdict's fields, with the split type flattened to `a`."""
+    import json
+
     rows = []
     for v in table:
         row = dataclasses.asdict(v)
@@ -197,30 +197,33 @@ def _highdim_lines(result, args):
     return lines
 
 
-_RHO3_SURFACES = {"p1p1": (P1xP1(), "P1 x P1"), "f2": (Fe(2), "F2")}
+# --surface -> (key of `enumeration.SURFACES`, display name)
+_RHO3_SURFACES = {"p1p1": ("P1xP1", "P1 x P1"), "f2": ("F2", "F2")}
 
-# --case -> (search, JSON renderer, table renderer)
+# --case -> (search on the `enumeration` module, JSON renderer, table renderer)
 _ENUMERATIONS = {
     "quadric": (
-        lambda a: enumerate_quadric_fibrations(),
+        lambda e, a: e.enumerate_quadric_fibrations(),
         _quadric_json,
         _quadric_lines,
     ),
-    "p2bundle": (lambda a: enumerate_p2_bundles(), _result_json, _p2bundle_lines),
-    "blowup": (lambda a: enumerate_point_blowups(), _result_json, _blowup_lines),
+    "p2bundle": (lambda e, a: e.enumerate_p2_bundles(), _result_json, _p2bundle_lines),
+    "blowup": (lambda e, a: e.enumerate_point_blowups(), _result_json, _blowup_lines),
     "rho3": (
-        lambda a: enumerate_rho3(_RHO3_SURFACES[a.surface][0]),
+        lambda e, a: e.enumerate_rho3(e.SURFACES[_RHO3_SURFACES[a.surface][0]]),
         _result_json,
         _rho3_lines,
     ),
-    "highdim": (lambda a: enumerate_highdim(a.dim), _result_json, _highdim_lines),
+    "highdim": (lambda e, a: e.enumerate_highdim(a.dim), _result_json, _highdim_lines),
 }
 
 
 def _cmd_enumerate(args):
+    from . import enumeration
+
     search, to_json, to_lines = _ENUMERATIONS[args.case]
     try:
-        result = search(args)
+        result = search(enumeration, args)
     except ValueError as exc:
         return _usage_error(str(exc))
     if args.format == "json":
@@ -231,10 +234,15 @@ def _cmd_enumerate(args):
 
 
 def _cmd_verify(args):
+    from . import verify
+
     if args.only is None:
-        reports = verify_all()
+        reports = verify.verify_all()
+    elif args.only in verify.REPORTS:
+        reports = [verify.REPORTS[args.only]()]
     else:
-        reports = [REPORTS[args.only]()]
+        names = ", ".join(verify.REPORTS)
+        return _usage_error(f"no report named {args.only!r}; choose from {names}")
     lines = []
     failed = 0
     for rep in reports:
@@ -327,7 +335,12 @@ def _build_parser():
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="recompute invariants and cross-check")
-    p.add_argument("--only", choices=list(REPORTS), default=None)
+    p.add_argument(
+        "--only",
+        default=None,
+        metavar="REPORT",
+        help="run one report; an unknown name lists the valid ones",
+    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("show", help="print one catalog record")

@@ -23,6 +23,7 @@ from typing import NamedTuple, Optional
 
 from .bundles import Rank2Data, SplitBundle, blowup_degree, chi_rank2, h0_split
 from .catalog import (
+    CONSTRUCTION_CLAIMS,
     DegreeModel,
     FamilyRecord,
     builtin_catalog,
@@ -426,35 +427,21 @@ def verify_smoothings(catalog=None) -> Report:
 # scroll constructions behind the higher-dimensional cases
 # ---------------------------------------------------------------------------
 
-# printed adjunction classes and degrees being replayed, with their sources
-_CONSTRUCTIONS = (
-    (
-        "(5;5) scroll over P1xP2",
-        scroll_degree_p1xp2,
-        "-p - h - 3*z",
-        5,
-        "Theorem 5.6",
-        "",
-    ),
-    (
-        "(4;6) scroll over P2",
-        scroll_degree_p2,
-        "-3*z",
-        6,
-        "Proposition 5.5",
-        "computed with V = O(2) + O^3; the printed V = O + O^3 is "
-        "inconsistent with D in |z - 2h| and with this degree",
-    ),
-    ("(4;5) scroll over F1", scroll_degree_f1, "-3*z", 5, "Theorem 5.7", ""),
-)
+# `catalog.CONSTRUCTION_CLAIMS` key -> the builder that replays that claim
+_SCROLL_BUILDERS = {
+    "scroll_degree_p1xp2": scroll_degree_p1xp2,
+    "scroll_degree_p2": scroll_degree_p2,
+    "scroll_degree_f1": scroll_degree_f1,
+}
 
 
 def verify_constructions(catalog=None) -> Report:
     """Replay the scroll constructions; they read no catalog, so `catalog`
     is accepted only to give every report the same call."""
     checks = []
-    for subject, builder, want_adj, want_deg, citation, reason in _CONSTRUCTIONS:
-        adj, deg = builder()
+    for key, claim in CONSTRUCTION_CLAIMS.items():
+        subject, want_adj, want_deg, citation, reason = claim
+        adj, deg = _SCROLL_BUILDERS[key]()
         checks.append(
             _check("construction-adjunction", subject, want_adj, adj, citation, reason)
         )

@@ -1,9 +1,12 @@
 """Catalog integrity: record invariants, cross-references, and export."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+from delpezzo import catalog
 from delpezzo.catalog import (
     CONTRACTIONS,
     MAP_TYPES,
@@ -224,3 +227,10 @@ def test_export_rejects_unknown_format():
 def test_exports_are_deterministic():
     assert export("json") == export("json")
     assert export("csv") == export("csv")
+
+
+def test_catalog_imports_no_package_module():
+    """The catalog states claims; it reads no ring, bundle or search."""
+    tree = ast.parse(Path(catalog.__file__).read_text(encoding="utf-8"))
+    imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert [n.module for n in imports if n.level] == []

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,10 @@ import pytest
 
 from delpezzo import cli
 from delpezzo.catalog import export
-from delpezzo.verify import CheckResult, Report
+from delpezzo.verify import REPORTS, CheckResult, Report
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*args):
@@ -109,11 +111,58 @@ def test_verify_exit_code_reports_failures(monkeypatch, capsys):
             ),
         ),
     )
-    monkeypatch.setattr(cli, "verify_all", lambda: [bad])
+    monkeypatch.setattr("delpezzo.verify.verify_all", lambda: [bad])
     assert cli.run(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL degree-model:ci" in out
     assert "1 checks FAILED" in out
+
+
+# ---------------------------------------------------------------------------
+# cold start: each command imports only the layers it runs
+# ---------------------------------------------------------------------------
+
+EVERY_LAYER = {
+    "delpezzo",
+    "delpezzo.bundles",
+    "delpezzo.catalog",
+    "delpezzo.chow",
+    "delpezzo.cli",
+    "delpezzo.enumeration",
+    "delpezzo.verify",
+}
+
+
+def loaded_layers(argv):
+    """The `delpezzo*` modules a fresh interpreter holds after `cli.run(argv)`.
+
+    Only package modules are compared: `site` may preload stdlib ones.
+    """
+    code = (
+        "import contextlib, io, sys\n"
+        "from delpezzo import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = cli.run({list(argv)!r})\n"
+        "print(rc, *sorted(m for m in sys.modules if m.split('.')[0] == 'delpezzo'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, *modules = proc.stdout.decode().split()
+    assert rc == "0"
+    return set(modules)
+
+
+def test_cold_commands_import_only_their_layers():
+    catalog_only = {"delpezzo", "delpezzo.chow", "delpezzo.catalog", "delpezzo.cli"}
+    assert loaded_layers(["show", "thm3.5-1"]) == catalog_only
+    assert loaded_layers(["export", "--format", "csv"]) == catalog_only
+    assert "delpezzo.verify" not in loaded_layers(["enumerate", "--case", "quadric"])
+    assert loaded_layers(["verify", "--only", "flops"]) == EVERY_LAYER
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +200,23 @@ def test_rho3_surface_flag(capsys):
     assert cli.run(["enumerate", "--case", "rho3"]) == 0
     default_out = capsys.readouterr().out
     assert "mirrored" not in default_out  # default base is P1 x P1
+
+
+def test_verify_only_unknown_name_exits_two(capsys):
+    assert cli.run(["verify", "--only", "nosuch"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("delpezzo: error: ")
+    assert "'nosuch'" in captured.err
+    for name in REPORTS:
+        assert name in captured.err
+
+
+@pytest.mark.parametrize("name", list(REPORTS))
+def test_verify_only_accepts_every_report(name, capsys):
+    assert cli.run(["verify", "--only", name]) == 0
+    assert f"report {name}:" in capsys.readouterr().out
 
 
 def test_verify_only_selects_one_report(capsys):

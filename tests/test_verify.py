@@ -15,7 +15,12 @@ import sys
 import pytest
 
 from delpezzo import cli, verify
-from delpezzo.catalog import builtin_catalog, construction_models, lookup
+from delpezzo.catalog import (
+    CONSTRUCTION_CLAIMS,
+    builtin_catalog,
+    construction_models,
+    lookup,
+)
 from delpezzo.verify import (
     REPORT_NAMES,
     CheckResult,
@@ -126,6 +131,11 @@ def test_construction_replays():
     assert got[("(4;5) scroll over F1", "construction-degree")] == "5"
     disc = next(c for c in rep.checks if "(4;6)" in c.subject)
     assert "O(2) + O^3" in disc.reason  # the replaced summand is on record
+
+
+def test_every_construction_claim_is_keyed_by_its_builder():
+    builders = {key: f.__name__ for key, f in verify._SCROLL_BUILDERS.items()}
+    assert builders == {key: key for key in CONSTRUCTION_CLAIMS}
 
 
 def test_report_json_round_trip():
