@@ -2,7 +2,7 @@
 
 Families of almost del Pezzo threefolds and their higher-dimensional
 relatives, keyed by stable ids derived from the statement numbering
-(thm3.4-2, thm4.1-p1p1-c5, ...).  Each record stores dimension, degree,
+(thm3.4-2, thm4.1-f2-c5, ...).  Each record stores dimension, degree,
 Picard number, index, contraction type, anticanonical-map type, flop
 partner and smoothing target where stated, a citation, and free-text
 notes.  A separate registry attaches to each id the construction models
@@ -97,7 +97,12 @@ _BLOWUP_TABLE = (
     (4, 4, "thm3.5-2", "thm2.1-4"),
 )
 
-# Theorem 4.1(2): c2 of the rank-2 bundles with c1 = -K over P1 x P1 and F2
+# Theorem 4.1(2): the Picard-3 surfaces, as tag -> (key of
+# `enumeration.SURFACES`, display name); the paper states the first and
+# the others are mirrored from it
+RHO3_SURFACES = {"p1p1": ("P1xP1", "P1 x P1"), "f2": ("F2", "F2")}
+
+# Theorem 4.1(2): c2 of the rank-2 bundles with c1 = -K over those surfaces
 _RHO3_C2 = (0, 2, 3, 4, 5, 6, 7)
 
 # Proposition 5.5 and Theorems 5.6-5.7: the printed adjunction class and
@@ -278,7 +283,8 @@ def _build_records():
         )
 
     # ---- Picard number 3: P1-bundles over P1 x P1 and F2 ----
-    for surface_tag, surface_note in [("p1p1", "P1 x P1"), ("f2", "F2")]:
+    stated = next(iter(RHO3_SURFACES))
+    for surface_tag, (_, surface_note) in RHO3_SURFACES.items():
         for c2 in _RHO3_C2:
             notes = f"P(F) for rank-2 F on {surface_note} with c1 = -K and c2 = {c2}"
             if c2 == 0:
@@ -295,7 +301,7 @@ def _build_records():
                 )
             if c2 == 2:
                 notes += "; contains the uniform split subcase F = O(1 2) + O(1 0)"
-            if surface_tag == "f2":
+            if surface_tag != stated:
                 notes += (
                     "; mirrored from the P1 x P1 case which is stated "
                     "as representative"
@@ -421,7 +427,7 @@ def _build_models():
         models[f"thm3.5-{k}"] = (DegreeModel("rank2", ("P2", c2 + 2)),)
     for k, d, *_ in _BLOWUP_TABLE:
         models[f"thm3.6-{k}"] = (DegreeModel("blowup", (f"thm2.1-{d + 1}",)),)
-    for surface_tag, kind in [("p1p1", "P1xP1"), ("f2", "F2")]:
+    for surface_tag, (kind, _) in RHO3_SURFACES.items():
         for c2 in _RHO3_C2:
             models[f"thm4.1-{surface_tag}-c{c2}"] = (
                 DegreeModel("rank2", (kind, c2)),

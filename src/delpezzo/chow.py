@@ -14,6 +14,12 @@ equality is dictionary equality and integration of a top-degree class
 reads off a single coefficient.  All coefficients are Python ints, hence
 exact at any size.
 
+Each base is stated once, as its row of `_BASES`: generators, the
+exponent cap of each, and the coefficients of K_B (Hartshorne, App. A;
+Fulton, Intersection Theory, 3.2).  Only F_e adds the two entries that
+depend on e, C0^2 = -e C0 f and the f coefficient -(e + 2) of K_B.
+Dimension, top monomial, rewrite rules and K_B are derived from the row.
+
 The left side of every rewrite rule is a pure power of one generator
 (h^3, C0^2, z^r, ...), so the rules are indexed by generator: a monomial
 is in normal form exactly when each exponent is below its generator's
@@ -44,24 +50,15 @@ from functools import cache
 from operator import add, lt
 from typing import Sequence
 
-_BASE_GENS = {
-    "P1": ("F",),
-    "P2": ("h",),
-    "P1xP1": ("f1", "f2"),
-    "Fe": ("C0", "f"),
-    "P1xP2": ("p", "h"),
-}
-
-_BASE_DIM = {"P1": 1, "P2": 2, "P1xP1": 2, "Fe": 2, "P1xP2": 3}
-
-# the unique monomial of top degree surviving normal form, and its
-# normalization: integral of that monomial over the base is 1
-_BASE_TOP = {
-    "P1": (1,),
-    "P2": (2,),
-    "P1xP1": (1, 1),
-    "Fe": (1, 1),
-    "P1xP2": (1, 2),
+# one row per base kind: its generators, the exponent cap of each (its
+# rewrite rule is gen^cap = 0) and the coefficients of K_B on them; the
+# F_e row is F_0, and `Base` adds the two entries that depend on e
+_BASES = {
+    "P1": (("F",), (2,), (-2,)),
+    "P2": (("h",), (3,), (-3,)),
+    "P1xP1": (("f1", "f2"), (2, 2), (-2, -2)),
+    "Fe": (("C0", "f"), (2, 2), (-2, -2)),
+    "P1xP2": (("p", "h"), (2, 3), (-2, -3)),
 }
 
 # exponent-vector sum per number of generators (a plain base has one or
@@ -74,57 +71,51 @@ _EXPONENT_SUM = {
 }
 
 
-class Base:
-    """One of the supported base spaces, identified by kind (and e for F_e)."""
+def _rules(caps: tuple, rhss: tuple) -> list:
+    """The rewrite rules gen^cap -> right side, one per generator, in order."""
+    n = len(caps)
+    return [
+        (tuple(cap if j == i else 0 for j in range(n)), list(rhs))
+        for i, (cap, rhs) in enumerate(zip(caps, rhss))
+    ]
 
-    __slots__ = ("kind", "e")
+
+class Base:
+    """One of the supported base spaces, identified by kind (and e for F_e).
+
+    The top monomial (each cap less one) integrates to 1; `dim` is its degree.
+    """
+
+    __slots__ = ("kind", "e", "gens", "caps", "rhss", "dim", "top_monomial", "_canonical")
 
     def __init__(self, kind: str, e: int = 0):
-        if kind not in _BASE_GENS:
+        if kind not in _BASES:
             raise ValueError(f"unsupported base kind {kind!r}")
+        if type(e) is not int:
+            raise ValueError(f"parameter e must be an int, got {e!r}")
         if kind != "Fe" and e != 0:
             raise ValueError("parameter e only applies to Hirzebruch surfaces")
         if kind == "Fe" and e < 0:
             raise ValueError("Hirzebruch parameter e must be >= 0")
         self.kind = kind
         self.e = e
-
-    @property
-    def gens(self) -> tuple[str, ...]:
-        return _BASE_GENS[self.kind]
-
-    @property
-    def dim(self) -> int:
-        return _BASE_DIM[self.kind]
-
-    @property
-    def top_monomial(self) -> tuple[int, ...]:
-        return _BASE_TOP[self.kind]
+        self.gens, self.caps, canonical = _BASES[kind]
+        self.rhss = ((),) * len(self.caps)
+        if kind == "Fe":
+            # C0^2 = -e C0 f, and K_B = -2 C0 - (e + 2) f
+            self.rhss = ((((1, 1), -e),), ())
+            canonical = (canonical[0], canonical[1] - e)
+        self._canonical = canonical
+        self.top_monomial = tuple(cap - 1 for cap in self.caps)
+        self.dim = sum(self.top_monomial)
 
     def relations(self) -> list[tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]]:
         """Rewrite rules (lhs monomial -> polynomial) defining the base ring."""
-        if self.kind == "P1":
-            return [((2,), [])]
-        if self.kind == "P2":
-            return [((3,), [])]
-        if self.kind == "P1xP1":
-            return [((2, 0), []), ((0, 2), [])]
-        if self.kind == "Fe":
-            # C0^2 = -e * C0 f,  f^2 = 0
-            return [((2, 0), [((1, 1), -self.e)]), ((0, 2), [])]
-        return [((2, 0), []), ((0, 3), [])]
+        return _rules(self.caps, self.rhss)
 
     def canonical_coeffs(self) -> dict[str, int]:
         """Coefficients of K_B on the degree-1 generators."""
-        if self.kind == "P1":
-            return {"F": -2}
-        if self.kind == "P2":
-            return {"h": -3}
-        if self.kind == "P1xP1":
-            return {"f1": -2, "f2": -2}
-        if self.kind == "Fe":
-            return {"C0": -2, "f": -(self.e + 2)}
-        return {"p": -2, "h": -3}
+        return dict(zip(self.gens, self._canonical))
 
     def __eq__(self, other):
         return isinstance(other, Base) and self.kind == other.kind and self.e == other.e
@@ -308,16 +299,16 @@ class Ambient:
     exposes every stored rewrite rule.
 
     The shape is fixed at construction: `is_tower`, `dim`, `gen_names`,
-    `nvars`, the top monomial that `integrate` reads, the rewrite rules
-    and the exponent cap of every generator are computed once in
-    `__init__`, so products, `from_terms`, `gen` and `integrate` read
-    plain attributes.
+    `nvars`, the top monomial that `integrate` reads, and the exponent
+    cap and rule right side of every generator (the base's, then z^rank)
+    are computed once in `__init__`, so products, `from_terms`, `gen`
+    and `integrate` read plain attributes.
     """
 
     __slots__ = (
         "base", "rank", "twists", "cherns",
         "is_tower", "dim", "gen_names", "nvars", "top_monomial",
-        "_expo_sum", "_rules", "_caps", "_rhss", "_memo",
+        "_expo_sum", "_caps", "_rhss", "_memo",
     )
 
     def __init__(self, base: Base, rank: int, twists, cherns):
@@ -332,27 +323,20 @@ class Ambient:
         self.nvars = len(self.gen_names)
         self.top_monomial = base.top_monomial + ((rank - 1,) if self.is_tower else ())
         self._expo_sum = _EXPONENT_SUM[self.nvars]
-        rules = [
-            (lhs + pad, [(e + pad, c) for e, c in rhs]) for lhs, rhs in base.relations()
-        ]
+        # every generator has one rule, which rewrites its pure power
+        # gen^cap: the base's rules, then the Grothendieck relation for z
+        caps = base.caps
+        rhss = tuple(tuple((e + pad, c) for e, c in rhs) for rhs in base.rhss)
         if self.is_tower:
             rhs = []
             for i, ci in enumerate(cherns, start=1):
                 sign = 1 if i % 2 == 1 else -1
                 for bexpo, bcoeff in ci.terms.items():
                     rhs.append((bexpo + (rank - i,), sign * bcoeff))
-            rules.append(((0,) * len(base.gens) + (rank,), rhs))
-        self._rules = rules
-        # every rule rewrites a pure power gen^cap, and every generator
-        # has one, so a monomial is normal iff each exponent is below its cap
-        caps = [0] * self.nvars
-        rhss: list = [()] * self.nvars
-        for lhs, rhs in rules:
-            (g,) = [i for i, k in enumerate(lhs) if k]
-            caps[g] = lhs[g]
-            rhss[g] = tuple(rhs)
-        self._caps = tuple(caps)
-        self._rhss = tuple(rhss)
+            caps += (rank,)
+            rhss += (tuple(rhs),)
+        self._caps = caps
+        self._rhss = rhss
         self._memo = {}  # non-normal monomial -> its normal form
 
     # -- structure ---------------------------------------------------
@@ -440,7 +424,7 @@ class Ambient:
 
     def relations(self) -> list[tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]]:
         """All stored rewrite rules over the full generator tuple."""
-        return self._rules
+        return _rules(self._caps, self._rhss)
 
     def _normal_form(self, expo: tuple) -> tuple:
         """Normal form of a non-normal monomial, as ((expo, coeff), ...).

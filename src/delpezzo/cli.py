@@ -17,7 +17,7 @@ import dataclasses
 import re
 import sys
 
-from .catalog import construction_models, export, lookup
+from .catalog import RHO3_SURFACES, construction_models, export, lookup
 
 _INT = re.compile(r"^-?\d+$")
 
@@ -149,7 +149,7 @@ def _blowup_lines(result, args):
 
 
 def _rho3_lines(result, args):
-    surface_name = _RHO3_SURFACES[args.surface][1]
+    surface_name = RHO3_SURFACES[args.surface][1]
     lines = [
         f"rank-2 bundles F on {surface_name} with c1 = -K: candidates P(F) "
         "at Picard number 3",
@@ -197,9 +197,6 @@ def _highdim_lines(result, args):
     return lines
 
 
-# --surface -> (key of `enumeration.SURFACES`, display name)
-_RHO3_SURFACES = {"p1p1": ("P1xP1", "P1 x P1"), "f2": ("F2", "F2")}
-
 # --case -> (search on the `enumeration` module, JSON renderer, table renderer)
 _ENUMERATIONS = {
     "quadric": (
@@ -210,7 +207,7 @@ _ENUMERATIONS = {
     "p2bundle": (lambda e, a: e.enumerate_p2_bundles(), _result_json, _p2bundle_lines),
     "blowup": (lambda e, a: e.enumerate_point_blowups(), _result_json, _blowup_lines),
     "rho3": (
-        lambda e, a: e.enumerate_rho3(e.SURFACES[_RHO3_SURFACES[a.surface][0]]),
+        lambda e, a: e.enumerate_rho3(e.SURFACES[RHO3_SURFACES[a.surface][0]]),
         _result_json,
         _rho3_lines,
     ),
@@ -329,7 +326,8 @@ def _build_parser():
     )
     p.add_argument("--dim", type=int, default=4, help="dimension for highdim")
     p.add_argument(
-        "--surface", choices=list(_RHO3_SURFACES), default="p1p1", help="base for rho3"
+        "--surface", choices=list(RHO3_SURFACES), default=next(iter(RHO3_SURFACES)),
+        help="base for rho3",
     )
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(func=_cmd_enumerate)

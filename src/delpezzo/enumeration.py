@@ -6,9 +6,9 @@ records (never silent skips), so negative results are as testable as
 positive ones.  All output orders are deterministic.
 
 The searches and the degree builders (`quadric_model_degree`,
-`scroll_degree_*`) are pure: their results depend on their arguments
-alone, never on a catalog under test (the point blow-up search reads
-only the frozen built-in table).  Each is therefore memoized per
+`scroll_degree_*`, `tower_p13`) are pure: their results depend on their
+arguments alone, never on a catalog under test (the point blow-up
+search reads only the frozen built-in table).  Each is therefore memoized per
 process, keyed by its arguments, and filled on first use.  Every cached
 value is immutable (a tuple, a frozen dataclass of tuples, a string, an
 int or a ring class), so no caller can change what the next one
@@ -30,7 +30,7 @@ from .bundles import (
     h1_split,
     twist_rank2,
 )
-from .catalog import QUADRIC_FAMILIES, builtin_catalog, rank2_sources
+from .catalog import QUADRIC_FAMILIES, RHO3_SURFACES, builtin_catalog, rank2_sources
 from .chow import (
     Ambient,
     Base,
@@ -283,11 +283,18 @@ def enumerate_point_blowups() -> EnumerationResult:
 # Picard number >= 3: P1-bundles over P1 x P1 and F2
 # ---------------------------------------------------------------------------
 
+# surface tags of the rank-2 and rank-3 construction models
+SURFACES = {"P2": P2(), "P1xP1": P1xP1(), "F2": Fe(2)}
+
+# surface -> its tag in `catalog.RHO3_SURFACES`
+_RHO3_TAGS = {SURFACES[key]: tag for tag, (key, _) in RHO3_SURFACES.items()}
+
 
 @cache
 def enumerate_rho3(surface: Base) -> EnumerationResult:
     """Rank-2 bundles with c1 = -K over P1 x P1 or F2, bounded by bigness."""
-    if not (surface.kind == "P1xP1" or (surface.kind == "Fe" and surface.e == 2)):
+    tag = _RHO3_TAGS.get(surface)
+    if tag is None:
         raise ValueError(
             f"the Picard-3 classification covers P1 x P1 and F2 only, got {surface!r}"
         )
@@ -295,11 +302,10 @@ def enumerate_rho3(surface: Base) -> EnumerationResult:
     c1 = -1 * canonical_base_class(surface)
     c1sq = integrate(c1 * c1)
     assert c1sq == 8
-    tag = "p1p1" if surface.kind == "P1xP1" else "f2"
-    if surface.kind == "P1xP1":
-        ruling_twist = -1 * B.gen("f1") - 2 * B.gen("f2")  # O(-1;-2)
-    else:
-        ruling_twist = -1 * B.gen("C0") - 2 * B.gen("f")
+    # O(-1;-2) on P1 x P1, O(-C0 - 2f) on F2
+    g1, g2 = (B.gen(g) for g in surface.gens)
+    ruling_twist = -1 * g1 - 2 * g2
+    mirrored = tag != next(iter(RHO3_SURFACES))
     candidates, exclusions = [], []
     for c2 in range(0, c1sq):  # bigness: degree c1^2 - c2 stays positive
         D = Rank2Data(surface, c1, c2)
@@ -331,7 +337,7 @@ def enumerate_rho3(surface: Base) -> EnumerationResult:
             )
         if c2 == 2:
             notes.append("contains the uniform split subcase F = O(1 2) + O(1 0)")
-        if tag == "f2":
+        if mirrored:
             notes.append("mirrored from the P1 x P1 case")
         candidates.append(
             FamilyCandidate(
@@ -352,15 +358,19 @@ def enumerate_rho3(surface: Base) -> EnumerationResult:
 # ---------------------------------------------------------------------------
 
 
-# surface tags of the rank-2 and rank-3 construction models
-SURFACES = {"P2": P2(), "P1xP1": P1xP1(), "F2": Fe(2)}
-
-
 def surface_scroll(tag: str, rank: int, c2: int) -> Ambient:
     """P(F) over a surface for F of the given rank with c1 = -K and c2 points."""
     surface = SURFACES[tag]
     c1 = -1 * canonical_base_class(surface)
     return chern_tower(surface, rank, [c1, c2 * base_space(surface).point()])
+
+
+@cache
+def tower_p13() -> tuple[Ambient, ChowElement]:
+    """(P1)^3 as P(O + O) over P1 x P1, with its polarization H = z + f1 + f2."""
+    B = base_space(P1xP1())
+    T = make_tower(P1xP1(), [0, 0])
+    return T, T.zeta + T.pullback(B.gen("f1") + B.gen("f2"))
 
 
 def _scroll(base: Base, twist: ChowElement, divisor: ChowElement) -> tuple[str, int]:
@@ -404,10 +414,10 @@ def enumerate_highdim(n: int) -> EnumerationResult:
     # model F' by the trivial bundle O^(n-3), so the degree K^2 - c2 is
     # read off the rank-2 sources
     for source_id, surface_kind, c2 in rank2_sources():
-        ksq = 9 if surface_kind == "P2" else 8
-        d = ksq - c2
+        S = SURFACES[surface_kind]
+        d = Rank2Data(S, -1 * canonical_base_class(S), c2).degree
         assert 1 <= d <= 9
-        picard = 2 if surface_kind == "P2" else 3
+        picard = len(S.gens) + 1
         notes = [
             f"extension 0 -> O^{n - 3} -> F -> F' -> 0 with F' the rank-2 "
             f"model of {source_id}"

@@ -24,19 +24,13 @@ from typing import NamedTuple, Optional
 from .bundles import Rank2Data, SplitBundle, blowup_degree, chi_rank2, h0_split
 from .catalog import (
     CONSTRUCTION_CLAIMS,
+    RHO3_SURFACES,
     DegreeModel,
     FamilyRecord,
     builtin_catalog,
     construction_models,
 )
-from .chow import (
-    Fe,
-    P1xP1,
-    base_space,
-    canonical_class,
-    integrate,
-    make_tower,
-)
+from .chow import canonical_class, integrate
 from .enumeration import (
     SURFACES,
     enumerate_p2_bundles,
@@ -49,6 +43,7 @@ from .enumeration import (
     scroll_degree_p1xp2,
     scroll_degree_p2,
     surface_scroll,
+    tower_p13,
 )
 
 
@@ -195,9 +190,7 @@ def _model_values(model: DegreeModel) -> _ModelValues:
             h0_assumed=rank == 2,
         )
     if model.kind == "towerP13":
-        T = make_tower(P1xP1(), [0, 0])
-        B = base_space(P1xP1())
-        H = T.zeta + T.pullback(B.gen("f1") + B.gen("f2"))
+        T, H = tower_p13()
         return _ModelValues(integrate(H**3), str(canonical_class(T) + 2 * H))
     if model.kind == "tower56":
         return _ModelValues(scroll_degree_p1xp2()[1])
@@ -535,11 +528,11 @@ def verify_enumeration_matches_catalog(catalog=None) -> Report:
     match("quadric", "thm3.4-", smalls, "Theorem 3.4", _quadric_pair)
     match("p2bundle", "thm3.5-", enumerate_p2_bundles().candidates, "Theorem 3.5")
     match("blowup", "thm3.6-", enumerate_point_blowups().candidates, "Theorem 3.6")
-    for surface, tag in ((P1xP1(), "p1p1"), (Fe(2), "f2")):
+    for tag, (key, _) in RHO3_SURFACES.items():
         match(
             f"rho3-{tag}",
             f"thm4.1-{tag}-",
-            enumerate_rho3(surface).candidates,
+            enumerate_rho3(SURFACES[key]).candidates,
             "Theorem 4.1(2)",
         )
 

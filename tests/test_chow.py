@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delpezzo import (
+    Base,
     ChowElement,
     P1,
     P2,
@@ -61,6 +62,59 @@ def test_canonical_squared_is_8_on_hirzebruch(e):
 def test_canonical_squared_on_other_surfaces():
     assert integrate(canonical_base_class(P2()) ** 2) == 9
     assert integrate(canonical_base_class(P1xP1()) ** 2) == 8
+
+
+# -- the base table ------------------------------------------------------
+
+# every fact `Base` derives from its row, as literals, so an edit of the
+# table cannot change a ring unnoticed
+BASE_FACTS = [
+    (P1(), ("F",), 1, (1,), [((2,), [])], {"F": -2}),
+    (P2(), ("h",), 2, (2,), [((3,), [])], {"h": -3}),
+    (
+        P1xP1(), ("f1", "f2"), 2, (1, 1),
+        [((2, 0), []), ((0, 2), [])], {"f1": -2, "f2": -2},
+    ),
+    (
+        Fe(0), ("C0", "f"), 2, (1, 1),
+        [((2, 0), [((1, 1), 0)]), ((0, 2), [])], {"C0": -2, "f": -2},
+    ),
+    (
+        Fe(1), ("C0", "f"), 2, (1, 1),
+        [((2, 0), [((1, 1), -1)]), ((0, 2), [])], {"C0": -2, "f": -3},
+    ),
+    (
+        Fe(3), ("C0", "f"), 2, (1, 1),
+        [((2, 0), [((1, 1), -3)]), ((0, 2), [])], {"C0": -2, "f": -5},
+    ),
+    (
+        P1xP2(), ("p", "h"), 3, (1, 2),
+        [((2, 0), []), ((0, 3), [])], {"p": -2, "h": -3},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "base,gens,dim,top,relations,canonical", BASE_FACTS, ids=[repr(f[0]) for f in BASE_FACTS]
+)
+def test_base_facts_are_pinned(base, gens, dim, top, relations, canonical):
+    assert base.gens == gens
+    assert base.dim == dim
+    assert base.top_monomial == top
+    assert base.relations() == relations
+    assert base.canonical_coeffs() == canonical
+    # the plain ring presents exactly the base's rules
+    assert base_space(base).relations() == relations
+
+
+@pytest.mark.parametrize("kind,e", [("Fe", 2.0), ("Fe", True), ("Fe", "2"), ("P1", 0.0)])
+def test_base_parameter_must_be_an_int(kind, e):
+    # an e equal to an int would share that int's memoized ring and
+    # render it with its own value (-2.0*C0*f, FTrue)
+    with pytest.raises(ValueError, match="must be an int"):
+        base_space(Base(kind, e))
+    assert str(base_space(Fe(2)).gen("C0") ** 2) == "-2*C0*f"
+    assert repr(base_space(Fe(1))) == "F1"
 
 
 # -- degrees of the rank-4 quadric fibration models ----------------------

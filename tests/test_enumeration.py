@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from delpezzo.bundles import SplitBundle
-from delpezzo.chow import Fe, P1, P1xP1, P2
+from delpezzo.chow import Fe, P1, P1xP1, P2, canonical_class, integrate
 from delpezzo.enumeration import (
     classify_tuple,
     enumerate_highdim,
@@ -21,6 +21,7 @@ from delpezzo.enumeration import (
     scroll_degree_f1,
     scroll_degree_p1xp2,
     scroll_degree_p2,
+    tower_p13,
 )
 
 # ---------------------------------------------------------------------------
@@ -316,11 +317,18 @@ def test_highdim_rejects_low_dimension():
         scroll_degree_p2,
         scroll_degree_f1,
         scroll_degree_p1xp2,
+        tower_p13,
     ],
 )
 def test_searches_return_one_cached_value(search):
     # equal fresh arguments (a new Base each call) find the same entry
     assert search() is search()
+
+
+def test_tower_p13_is_p1_cubed_with_half_anticanonical_polarization():
+    T, H = tower_p13()
+    assert integrate(H**3) == 6
+    assert (canonical_class(T) + 2 * H).is_zero()
 
 
 def test_cached_quadric_table_is_a_tuple():

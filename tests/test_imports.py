@@ -7,6 +7,9 @@ its imports are the package's public re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +86,23 @@ def test_unread_private_names_are_detected():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_chow_loads_no_dataclasses_and_no_other_layer():
+    # the engine is imported by every command and benchmark: it stays a
+    # plain module, so its import pays for neither `dataclasses` nor the
+    # layers above it
+    code = (
+        "import sys\n"
+        "import delpezzo.chow\n"
+        "print(*sorted(m for m in sys.modules\n"
+        "              if m == 'dataclasses' or m.split('.')[0] == 'delpezzo'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().split() == ["delpezzo", "delpezzo.chow"]
