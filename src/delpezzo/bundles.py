@@ -17,10 +17,13 @@ class SplitBundle:
     a: tuple[int, ...]
 
     def __init__(self, a: Iterable[int]):
-        entries = tuple(sorted(int(x) for x in a))
+        entries = tuple(a)
         if not entries:
             raise ValueError("a split bundle needs rank >= 1")
-        object.__setattr__(self, "a", entries)
+        for x in entries:
+            if type(x) is not int:
+                raise ValueError(f"split-bundle entries must be ints, got {x!r}")
+        object.__setattr__(self, "a", tuple(sorted(entries)))
 
     @property
     def rank(self) -> int:

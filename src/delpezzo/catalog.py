@@ -5,9 +5,15 @@ relatives, keyed by stable ids derived from the statement numbering
 (thm3.4-2, thm4.1-f2-c5, ...).  Each record stores dimension, degree,
 Picard number, index, contraction type, anticanonical-map type, flop
 partner and smoothing target where stated, a citation, and free-text
-notes.  A separate registry attaches to each id the construction models
-(split-bundle tower, rank-2 Chern data, blow-up target, ...) from which
-the verify module recomputes degrees.
+notes.
+
+Each statement is one table with one row per family.  A row gives the
+id suffix, the fields that vary within the statement, the notes, and
+either the construction models (split-bundle tower, rank-2 Chern data,
+blow-up target, ...) from which the verify module recomputes degrees or
+the reason the family has none.  The fields a whole statement shares
+(dimension, contraction, map type, the citation pattern) are written
+once, at its table, and the index is always dim - 1.
 
 Notes and citations deliberately avoid commas so the CSV export needs
 no quoting.
@@ -64,6 +70,54 @@ class DegreeModel:
     data: tuple
 
 
+# A row that states a family ends in its notes and then either its
+# construction models, as (kind, data) pairs of a `DegreeModel`, or the
+# reason it has none; `_table` turns rows into records and models.
+
+# Theorem 2.1: the smooth del Pezzo threefolds (Fano, ample anticanonical
+# map), as (id suffix, degree, Picard number, notes, models)
+_SMOOTH_TABLE = (
+    ("1", 1, 1, "double cover of the Veronese cone; hypersurface of degree 6 in P(1 1 1 2 3)",
+     (("weighted", (6, (1, 1, 1, 2, 3))),)),
+    ("2", 2, 1, "double cover of P3 branched along a smooth quartic; hypersurface of degree 4 in P(1 1 1 1 2)",
+     (("weighted", (4, (1, 1, 1, 1, 2))),)),
+    ("3", 3, 1, "cubic hypersurface in P4", (("ci", ((3,),)),)),
+    ("4", 4, 1, "complete intersection of two quadrics in P5", (("ci", ((2, 2),)),)),
+    ("5", 5, 1, "linear section of the Grassmannian G(1 4) in P9; exists up to dimension 6",
+     (("grass", (2, 5)),)),
+    ("6a", 6, 2, "P(T_P2); item (6) case (a); flag variety of P2", (("rank2", ("P2", 3)),)),
+    ("6b", 6, 3, "P1 x P1 x P1; item (6) case (b); in dimension 4 the analogue is P2 x P2 of degree 6 and Picard number 2",
+     (("rank2", ("P1xP1", 2)), ("towerP13", ()))),
+    ("7", 7, 2, "blow-up of P3 in a point; equals P(O(1)+O(2)) over P2",
+     (("rank2", ("P2", 2)), ("blowup", ("thm2.1-8",)))),
+    ("8", 8, 1, "P3 with H = O(2)", (("veronese", (3, 2)),)),
+)
+
+_NO_FIBRATION = "no fibration data stored for this divisorial case"
+
+# Theorem 3.1: divisorial anticanonical maps at Picard number 2, as
+# (id suffix, degree, contraction, notes, models or the reason for none)
+_DIVISORIAL_TABLE = (
+    ("1a", 1, "QuadricFibration", "del Pezzo fibration; JPR case A.2.12; no fibration data stored",
+     _NO_FIBRATION),
+    ("1b", 2, "QuadricFibration", "conic-bundle-degeneration case; JPR case A.2.15; no fibration data stored",
+     _NO_FIBRATION),
+    ("1c", 2, "QuadricFibration", "contracts the ruled surface over an elliptic quartic curve; JPR case A.2.9; no fibration data stored",
+     _NO_FIBRATION),
+    ("1d", 4, "QuadricFibration", "hypersurface of bidegree (2 4)-type in P(1 1 2 2 2); JPR case A.2.14; no fibration data stored",
+     _NO_FIBRATION),
+    ("2a", 3, "P1Bundle", "P(F) for F in the Hulsbergen moduli M(-1;4); normalized c2 = 4; JPR cases A.3.3 and A.3.4",
+     (("rank2", ("P2", 6)),)),
+    ("2b", 6, "P1Bundle", "P(F) for F an extension of the ideal sheaf twist I_p(-1); normalized c2 = 1; JPR case A.3.2",
+     (("rank2", ("P2", 3)),)),
+    ("2c", 9, "P1Bundle", "P(O+O(3)) over P2; normalized c2 = -2; JPR case A.3.1",
+     (("rank2", ("P2", 0)),)),
+    ("3a", 1, "PointBlowup", "blow-up of V(2;2) in a special point; JPR cases A.5.5 and A.5.6",
+     (("blowup", ("thm2.1-2",)),)),
+    ("3b", 2, "PointBlowup", "blow-up of V(2;3) in a special point; JPR case A.5.7",
+     (("blowup", ("thm2.1-3",)),)),
+)
+
 # Theorem 3.4: quadric fibrations over P1 with small anticanonical map, as
 # (id suffix, split type of the rank-4 tower, alpha of X in |O(2) + alpha F|,
 # degree, flop partner, smoothing)
@@ -105,6 +159,46 @@ RHO3_SURFACES = {"p1p1": ("P1xP1", "P1 x P1"), "f2": ("F2", "F2")}
 # Theorem 4.1(2): c2 of the rank-2 bundles with c1 = -K over those surfaces
 _RHO3_C2 = (0, 2, 3, 4, 5, 6, 7)
 
+# Proposition 5.1: higher-dimensional del Pezzo manifolds (Fano, ample
+# anticanonical map, Picard number 1), as (id suffix, dimension, degree,
+# notes, models or the reason for none)
+_HIGHDIM_SMOOTH_TABLE = (
+    (1, 4, 1, "hypersurface of degree 6 in P(3 2 1 1 1 1); representative at n = 4; exists for every n >= 4",
+     (("weighted", (6, (3, 2, 1, 1, 1, 1))),)),
+    (2, 4, 2, "hypersurface of degree 4 in P(2 1 1 1 1 1); representative at n = 4; exists for every n >= 4",
+     (("weighted", (4, (2, 1, 1, 1, 1, 1))),)),
+    (3, 4, 3, "cubic hypersurface in P5; representative at n = 4; exists for every n >= 4",
+     (("ci", ((3,),)),)),
+    (4, 4, 4, "complete intersection of two quadrics in P6; representative at n = 4; exists for every n >= 4",
+     (("ci", ((2, 2),)),)),
+    (5, 4, 5, "parametric record for the cones of degree >= 5; stored at the minimal degree; no finite model",
+     "parametric cone record; no finite model to recompute"),
+    (6, 5, 5, "non-cones of degree >= 5: (n;d) = (4;6) is P2 x P2 and (4;5) and (5;5) are linear sections of G(1 4); stored representative is (5;5)",
+     (("tower56", ()),)),
+)
+
+# Theorem 5.8: higher-dimensional families with small anticanonical map at
+# Picard number 2, as (id suffix, dimension, degree, contraction, notes,
+# models or the reason for none)
+_HIGHDIM_SMALL_TABLE = (
+    (1, 4, 5, "PnBundle",
+     "X' a cone over a smooth del Pezzo manifold; resolved by P(F) over P2 "
+     "with rank-3 F of c1 = 3h and c2 = 4; the Theorem 3.5(1) bundle "
+     "extended by O; representative at n = 4",
+     (("rank3", ("P2", 4)),)),
+    (2, 5, 5, "QuadricBundle",
+     "quadric bundle over P1; X' is a singular hyperplane section of "
+     "G(1 4) in P9; resolved inside P(O(1 1) + O^3) over P1 x P2",
+     (("tower56", ()),)),
+    (3, 4, 4, "QuadricBundle",
+     "stated as H^5 = 4 which this catalog reads as H^4 = 4 for the "
+     "4-fold; the hyperplane-section arithmetic of the (5;5) family "
+     "gives degree 5 instead; degree kept as printed and not recomputable",
+     "degree kept as printed (H^5 = 4 read as H^4 = 4); "
+     "no stored model recomputes it and the hyperplane-section "
+     "arithmetic gives 5"),
+)
+
 # Proposition 5.5 and Theorems 5.6-5.7: the printed adjunction class and
 # degree of each scroll construction, keyed by the name of the
 # `enumeration` builder that replays it, as (subject, adjunction class,
@@ -124,117 +218,33 @@ CONSTRUCTION_CLAIMS = {
 }
 
 
-def _rec(
-    id,
-    dim,
-    degree,
-    picard,
-    contraction,
-    anticanonical_map,
-    citation,
-    notes,
-    flop_partner=None,
-    smoothing=None,
-):
-    return FamilyRecord(
-        id=id,
-        dim=dim,
-        degree=degree,
-        picard=picard,
-        index=dim - 1,
-        contraction=contraction,
-        anticanonical_map=anticanonical_map,
-        flop_partner=flop_partner,
-        smoothing=smoothing,
-        citation=citation,
-        notes=notes,
-    )
+def _table(prefix, citation, columns, rows, **shared):
+    """(record, models or the reason for none) of each row of one table.
+
+    A row is (id suffix, its values of `columns`, notes, models or reason);
+    `shared` holds the fields every row of the statement has in common.
+    `citation` is formatted with the item, the suffix without its case
+    letter, and each record's index is its dimension - 1.
+    """
+    for suffix, *values, notes, models in rows:
+        id = f"{prefix}-{suffix}"
+        stated = {"flop_partner": None, "smoothing": None, **shared}
+        stated.update(zip(columns, values))
+        if stated["flop_partner"] == id:
+            notes += "; flop partner is the family itself"
+        record = FamilyRecord(
+            id=id,
+            index=stated["dim"] - 1,
+            citation=citation.format(str(suffix).rstrip("abcd")),
+            notes=notes,
+            **stated,
+        )
+        if not isinstance(models, str):
+            models = tuple(DegreeModel(kind, data) for kind, data in models)
+        yield record, models
 
 
-def _build_records():
-    records = []
-
-    # ---- smooth del Pezzo threefolds (anticanonical map is ample) ----
-    records += [
-        _rec(
-            "thm2.1-1", 3, 1, 1, "Fano", "Ample", "Theorem 2.1(1)",
-            "double cover of the Veronese cone; hypersurface of degree 6 in P(1 1 1 2 3)",
-        ),
-        _rec(
-            "thm2.1-2", 3, 2, 1, "Fano", "Ample", "Theorem 2.1(2)",
-            "double cover of P3 branched along a smooth quartic; hypersurface of degree 4 in P(1 1 1 1 2)",
-        ),
-        _rec(
-            "thm2.1-3", 3, 3, 1, "Fano", "Ample", "Theorem 2.1(3)",
-            "cubic hypersurface in P4",
-        ),
-        _rec(
-            "thm2.1-4", 3, 4, 1, "Fano", "Ample", "Theorem 2.1(4)",
-            "complete intersection of two quadrics in P5",
-        ),
-        _rec(
-            "thm2.1-5", 3, 5, 1, "Fano", "Ample", "Theorem 2.1(5)",
-            "linear section of the Grassmannian G(1 4) in P9; exists up to dimension 6",
-        ),
-        _rec(
-            "thm2.1-6a", 3, 6, 2, "Fano", "Ample", "Theorem 2.1(6)",
-            "P(T_P2); item (6) case (a); flag variety of P2",
-        ),
-        _rec(
-            "thm2.1-6b", 3, 6, 3, "Fano", "Ample", "Theorem 2.1(6)",
-            "P1 x P1 x P1; item (6) case (b); in dimension 4 the analogue is P2 x P2 of degree 6 and Picard number 2",
-        ),
-        _rec(
-            "thm2.1-7", 3, 7, 2, "Fano", "Ample", "Theorem 2.1(7)",
-            "blow-up of P3 in a point; equals P(O(1)+O(2)) over P2",
-        ),
-        _rec(
-            "thm2.1-8", 3, 8, 1, "Fano", "Ample", "Theorem 2.1(8)",
-            "P3 with H = O(2)",
-        ),
-    ]
-
-    # ---- divisorial anticanonical maps at Picard number 2 (data only) ----
-    records += [
-        _rec(
-            "thm3.1-1a", 3, 1, 2, "QuadricFibration", "Divisorial", "Theorem 3.1(1)",
-            "del Pezzo fibration; JPR case A.2.12; no fibration data stored",
-        ),
-        _rec(
-            "thm3.1-1b", 3, 2, 2, "QuadricFibration", "Divisorial", "Theorem 3.1(1)",
-            "conic-bundle-degeneration case; JPR case A.2.15; no fibration data stored",
-        ),
-        _rec(
-            "thm3.1-1c", 3, 2, 2, "QuadricFibration", "Divisorial", "Theorem 3.1(1)",
-            "contracts the ruled surface over an elliptic quartic curve; JPR case A.2.9; no fibration data stored",
-        ),
-        _rec(
-            "thm3.1-1d", 3, 4, 2, "QuadricFibration", "Divisorial", "Theorem 3.1(1)",
-            "hypersurface of bidegree (2 4)-type in P(1 1 2 2 2); JPR case A.2.14; no fibration data stored",
-        ),
-        _rec(
-            "thm3.1-2a", 3, 3, 2, "P1Bundle", "Divisorial", "Theorem 3.1(2)",
-            "P(F) for F in the Hulsbergen moduli M(-1;4); normalized c2 = 4; JPR cases A.3.3 and A.3.4",
-        ),
-        _rec(
-            "thm3.1-2b", 3, 6, 2, "P1Bundle", "Divisorial", "Theorem 3.1(2)",
-            "P(F) for F an extension of the ideal sheaf twist I_p(-1); normalized c2 = 1; JPR case A.3.2",
-        ),
-        _rec(
-            "thm3.1-2c", 3, 9, 2, "P1Bundle", "Divisorial", "Theorem 3.1(2)",
-            "P(O+O(3)) over P2; normalized c2 = -2; JPR case A.3.1",
-        ),
-        _rec(
-            "thm3.1-3a", 3, 1, 2, "PointBlowup", "Divisorial", "Theorem 3.1(3)",
-            "blow-up of V(2;2) in a special point; JPR cases A.5.5 and A.5.6",
-        ),
-        _rec(
-            "thm3.1-3b", 3, 2, 2, "PointBlowup", "Divisorial", "Theorem 3.1(3)",
-            "blow-up of V(2;3) in a special point; JPR case A.5.7",
-        ),
-    ]
-
-    # ---- quadric fibrations over P1 with small anticanonical map ----
+def _quadric_rows():
     for k, a, alpha, d, partner, smoothing in _QUADRIC_TABLE:
         sign = "+" if alpha >= 0 else "-"
         notes = (
@@ -243,48 +253,29 @@ def _build_records():
         )
         if a == (0, 0, 0, 0):
             notes += "; equals a divisor of bidegree (2 2) in P3 x P1"
-        if partner == f"thm3.4-{k}":
-            notes += "; flop partner is the family itself"
-        records.append(
-            _rec(
-                f"thm3.4-{k}", 3, d, 2, "QuadricFibration", "Small",
-                f"Theorem 3.4({k})", notes,
-                flop_partner=partner, smoothing=smoothing,
-            )
-        )
+        yield k, d, partner, smoothing, notes, (("quadric", (a, alpha)),)
 
-    # ---- P1-bundles over P2 with small anticanonical map ----
+
+def _p2_rows():
     for k, c2, d, partner, smoothing in _P2_TABLE:
         notes = (
             f"P(F) for a stable rank-2 bundle F on P2 with c1 = -1 and c2 = {c2}; "
             "small curves are the jumping lines"
         )
-        if partner == f"thm3.5-{k}":
-            notes += "; flop partner is the family itself"
-        records.append(
-            _rec(
-                f"thm3.5-{k}", 3, d, 2, "P1Bundle", "Small",
-                f"Theorem 3.5({k})", notes,
-                flop_partner=partner, smoothing=smoothing,
-            )
-        )
+        # the record states the normalized c1 = -1 bundle; the polarized
+        # model is its twist by O(2) with c1 = 3h and c2 shifted by 2
+        yield k, d, partner, smoothing, notes, (("rank2", ("P2", c2 + 2)),)
 
-    # ---- blow-ups of del Pezzo threefolds in a general point ----
+
+def _blowup_rows():
     for k, d, partner, smoothing in _BLOWUP_TABLE:
         notes = f"blow-up of V(2;{d + 1}) in a general point"
-        if partner == f"thm3.6-{k}":
-            notes += "; flop partner is the family itself"
-        records.append(
-            _rec(
-                f"thm3.6-{k}", 3, d, 2, "PointBlowup", "Small",
-                f"Theorem 3.6({k})", notes,
-                flop_partner=partner, smoothing=smoothing,
-            )
-        )
+        yield k, d, partner, smoothing, notes, (("blowup", (f"thm2.1-{d + 1}",)),)
 
-    # ---- Picard number 3: P1-bundles over P1 x P1 and F2 ----
+
+def _rho3_rows():
     stated = next(iter(RHO3_SURFACES))
-    for surface_tag, (_, surface_note) in RHO3_SURFACES.items():
+    for surface_tag, (kind, surface_note) in RHO3_SURFACES.items():
         for c2 in _RHO3_C2:
             notes = f"P(F) for rank-2 F on {surface_note} with c1 = -K and c2 = {c2}"
             if c2 == 0:
@@ -306,68 +297,56 @@ def _build_records():
                     "; mirrored from the P1 x P1 case which is stated "
                     "as representative"
                 )
-            records.append(
-                _rec(
-                    f"thm4.1-{surface_tag}-c{c2}", 3, 8 - c2, 3, "P1Bundle", map_type,
-                    "Theorem 4.1(2)", notes,
-                )
-            )
-
-    # ---- higher-dimensional del Pezzo manifolds (ample case) ----
-    records += [
-        _rec(
-            "prop5.1-1", 4, 1, 1, "Fano", "Ample", "Proposition 5.1(1)",
-            "hypersurface of degree 6 in P(3 2 1 1 1 1); representative at n = 4; exists for every n >= 4",
-        ),
-        _rec(
-            "prop5.1-2", 4, 2, 1, "Fano", "Ample", "Proposition 5.1(2)",
-            "hypersurface of degree 4 in P(2 1 1 1 1 1); representative at n = 4; exists for every n >= 4",
-        ),
-        _rec(
-            "prop5.1-3", 4, 3, 1, "Fano", "Ample", "Proposition 5.1(3)",
-            "cubic hypersurface in P5; representative at n = 4; exists for every n >= 4",
-        ),
-        _rec(
-            "prop5.1-4", 4, 4, 1, "Fano", "Ample", "Proposition 5.1(4)",
-            "complete intersection of two quadrics in P6; representative at n = 4; exists for every n >= 4",
-        ),
-        _rec(
-            "prop5.1-5", 4, 5, 1, "Fano", "Ample", "Proposition 5.1(5)",
-            "parametric record for the cones of degree >= 5; stored at the minimal degree; no finite model",
-        ),
-        _rec(
-            "prop5.1-6", 5, 5, 1, "Fano", "Ample", "Proposition 5.1(6)",
-            "non-cones of degree >= 5: (n;d) = (4;6) is P2 x P2 and (4;5) and (5;5) are linear sections of G(1 4); stored representative is (5;5)",
-        ),
-    ]
-
-    # ---- higher-dimensional families with non-ample anticanonical map ----
-    records += [
-        _rec(
-            "thm5.8-1", 4, 5, 2, "PnBundle", "Small", "Theorem 5.8(1)",
-            "X' a cone over a smooth del Pezzo manifold; resolved by P(F) over P2 "
-            "with rank-3 F of c1 = 3h and c2 = 4; the Theorem 3.5(1) bundle "
-            "extended by O; representative at n = 4",
-        ),
-        _rec(
-            "thm5.8-2", 5, 5, 2, "QuadricBundle", "Small", "Theorem 5.8(2)",
-            "quadric bundle over P1; X' is a singular hyperplane section of "
-            "G(1 4) in P9; resolved inside P(O(1 1) + O^3) over P1 x P2",
-        ),
-        _rec(
-            "thm5.8-3", 4, 4, 2, "QuadricBundle", "Small", "Theorem 5.8(3)",
-            "stated as H^5 = 4 which this catalog reads as H^4 = 4 for the "
-            "4-fold; the hyperplane-section arithmetic of the (5;5) family "
-            "gives degree 5 instead; degree kept as printed and not recomputable",
-        ),
-    ]
-
-    return tuple(records)
+            yield f"{surface_tag}-c{c2}", 8 - c2, map_type, notes, (("rank2", (kind, c2)),)
 
 
-_RECORDS = _build_records()
+# Theorems 3.4-3.6: the small anticanonical maps of threefolds at Picard
+# number 2, each row with its degree, flop partner and smoothing
+_SMALL = {"dim": 3, "picard": 2, "anticanonical_map": "Small"}
+_SMALL_COLUMNS = ("degree", "flop_partner", "smoothing")
+
+# every family in statement order, with its models or the reason for none
+_FAMILIES = (
+    *_table(
+        "thm2.1", "Theorem 2.1({})", ("degree", "picard"), _SMOOTH_TABLE,
+        dim=3, contraction="Fano", anticanonical_map="Ample",
+    ),
+    *_table(
+        "thm3.1", "Theorem 3.1({})", ("degree", "contraction"), _DIVISORIAL_TABLE,
+        dim=3, picard=2, anticanonical_map="Divisorial",
+    ),
+    *_table(
+        "thm3.4", "Theorem 3.4({})", _SMALL_COLUMNS, _quadric_rows(),
+        contraction="QuadricFibration", **_SMALL,
+    ),
+    *_table(
+        "thm3.5", "Theorem 3.5({})", _SMALL_COLUMNS, _p2_rows(),
+        contraction="P1Bundle", **_SMALL,
+    ),
+    *_table(
+        "thm3.6", "Theorem 3.6({})", _SMALL_COLUMNS, _blowup_rows(),
+        contraction="PointBlowup", **_SMALL,
+    ),
+    *_table(
+        "thm4.1", "Theorem 4.1(2)", ("degree", "anticanonical_map"), _rho3_rows(),
+        dim=3, picard=3, contraction="P1Bundle",
+    ),
+    *_table(
+        "prop5.1", "Proposition 5.1({})", ("dim", "degree"), _HIGHDIM_SMOOTH_TABLE,
+        picard=1, contraction="Fano", anticanonical_map="Ample",
+    ),
+    *_table(
+        "thm5.8", "Theorem 5.8({})", ("dim", "degree", "contraction"), _HIGHDIM_SMALL_TABLE,
+        picard=2, anticanonical_map="Small",
+    ),
+)
+_RECORDS = tuple(r for r, _ in _FAMILIES)
 _BY_ID = {r.id: r for r in _RECORDS}
 assert len(_BY_ID) == len(_RECORDS), "duplicate catalog ids"
+_MODELS = {r.id: m for r, m in _FAMILIES if not isinstance(m, str)}
+
+# id -> why the record has no construction model
+NO_MODEL_REASONS = {r.id: m for r, m in _FAMILIES if isinstance(m, str)}
 
 # V(2;d) aliases for the Picard-rank-1 smooth del Pezzo threefolds
 _ALIASES = {f"V2.{d}": f"thm2.1-{d}" for d in range(1, 6)}
@@ -382,62 +361,6 @@ def lookup(id: str) -> Optional[FamilyRecord]:
     """Record for an id or V2.d alias; None when unknown."""
     key = _ALIASES.get(id, id)
     return _BY_ID.get(key)
-
-
-# ---------------------------------------------------------------------------
-# construction models
-# ---------------------------------------------------------------------------
-
-
-def _build_models():
-    models: dict[str, tuple[DegreeModel, ...]] = {
-        "thm2.1-1": (DegreeModel("weighted", (6, (1, 1, 1, 2, 3))),),
-        "thm2.1-2": (DegreeModel("weighted", (4, (1, 1, 1, 1, 2))),),
-        "thm2.1-3": (DegreeModel("ci", ((3,),)),),
-        "thm2.1-4": (DegreeModel("ci", ((2, 2),)),),
-        "thm2.1-5": (DegreeModel("grass", (2, 5)),),
-        "thm2.1-6a": (DegreeModel("rank2", ("P2", 3)),),
-        "thm2.1-6b": (
-            DegreeModel("rank2", ("P1xP1", 2)),
-            DegreeModel("towerP13", ()),
-        ),
-        "thm2.1-7": (
-            DegreeModel("rank2", ("P2", 2)),
-            DegreeModel("blowup", ("thm2.1-8",)),
-        ),
-        "thm2.1-8": (DegreeModel("veronese", (3, 2)),),
-        "thm3.1-2a": (DegreeModel("rank2", ("P2", 6)),),
-        "thm3.1-2b": (DegreeModel("rank2", ("P2", 3)),),
-        "thm3.1-2c": (DegreeModel("rank2", ("P2", 0)),),
-        "thm3.1-3a": (DegreeModel("blowup", ("thm2.1-2",)),),
-        "thm3.1-3b": (DegreeModel("blowup", ("thm2.1-3",)),),
-        "prop5.1-1": (DegreeModel("weighted", (6, (3, 2, 1, 1, 1, 1))),),
-        "prop5.1-2": (DegreeModel("weighted", (4, (2, 1, 1, 1, 1, 1))),),
-        "prop5.1-3": (DegreeModel("ci", ((3,),)),),
-        "prop5.1-4": (DegreeModel("ci", ((2, 2),)),),
-        "prop5.1-6": (DegreeModel("tower56", ()),),
-        "thm5.8-1": (DegreeModel("rank3", ("P2", 4)),),
-        "thm5.8-2": (DegreeModel("tower56", ()),),
-    }
-    for k, a, alpha, *_ in _QUADRIC_TABLE:
-        models[f"thm3.4-{k}"] = (DegreeModel("quadric", (a, alpha)),)
-    for k, c2, *_ in _P2_TABLE:
-        # the record states the normalized c1 = -1 bundle; the polarized
-        # model is its twist by O(2) with c1 = 3h and c2 shifted by 2
-        models[f"thm3.5-{k}"] = (DegreeModel("rank2", ("P2", c2 + 2)),)
-    for k, d, *_ in _BLOWUP_TABLE:
-        models[f"thm3.6-{k}"] = (DegreeModel("blowup", (f"thm2.1-{d + 1}",)),)
-    for surface_tag, (kind, _) in RHO3_SURFACES.items():
-        for c2 in _RHO3_C2:
-            models[f"thm4.1-{surface_tag}-c{c2}"] = (
-                DegreeModel("rank2", (kind, c2)),
-            )
-    return models
-
-
-_MODELS = _build_models()
-for _id in _MODELS:
-    assert _id in _BY_ID, f"model for unknown id {_id}"
 
 
 def construction_models(id: str) -> tuple[DegreeModel, ...]:

@@ -497,7 +497,7 @@ def base_space(base: Base) -> Ambient:
 
 def _coerce_twist(base: Base, t) -> ChowElement:
     B = base_space(base)
-    if isinstance(t, int):
+    if type(t) is int:
         if t == 0:
             return B.zero()
         if base.kind == "P1":

@@ -24,6 +24,7 @@ from typing import NamedTuple, Optional
 from .bundles import Rank2Data, SplitBundle, blowup_degree, chi_rank2, h0_split
 from .catalog import (
     CONSTRUCTION_CLAIMS,
+    NO_MODEL_REASONS,
     RHO3_SURFACES,
     DegreeModel,
     FamilyRecord,
@@ -233,20 +234,6 @@ def _indexed(catalog):
     return records, {r.id: r for r in records}
 
 
-_NO_MODEL_REASONS = {
-    **dict.fromkeys(
-        ("thm3.1-1a", "thm3.1-1b", "thm3.1-1c", "thm3.1-1d"),
-        "no fibration data stored for this divisorial case",
-    ),
-    "prop5.1-5": "parametric cone record; no finite model to recompute",
-    "thm5.8-3": (
-        "degree kept as printed (H^5 = 4 read as H^4 = 4); "
-        "no stored model recomputes it and the hyperplane-section "
-        "arithmetic gives 5"
-    ),
-}
-
-
 def verify_family(r: FamilyRecord, catalog=None) -> Report:
     """Recompute a single record's invariants through its stored models."""
     _, by_id = _indexed(catalog)
@@ -257,7 +244,7 @@ def _family_checks(r: FamilyRecord, by_id) -> list[CheckResult]:
     checks = []
     models = construction_models(r.id)
     if not models:
-        reason = _NO_MODEL_REASONS.get(r.id, "no stored construction model")
+        reason = NO_MODEL_REASONS.get(r.id, "no stored construction model")
         checks.append(_skip("degree-model", r.id, reason, r.citation))
     for model in models:
         if model.kind == "blowup" and _resolve(

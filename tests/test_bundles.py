@@ -52,6 +52,13 @@ def test_split_bundle_rejects_empty():
         SplitBundle([])
 
 
+@pytest.mark.parametrize("entries", [[1.7, 0], ["3", True], [0, False], [2.0, 1]])
+def test_split_bundle_rejects_non_int_entries(entries):
+    # int() would coerce these to other split types: (0, 1), (1, 3), (0, 0)
+    with pytest.raises(ValueError, match="must be ints"):
+        SplitBundle(entries)
+
+
 def test_h0_h1_frozen_values():
     assert h0_split(SplitBundle([0, 0, 0, 0])) == 4
     assert h1_split(SplitBundle([0, 0, 0, 0])) == 0

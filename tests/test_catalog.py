@@ -176,6 +176,76 @@ def test_construction_models_known_and_unknown():
     assert construction_models("nosuch") == ()
 
 
+# id -> its construction models as ((kind, data), ...); () where the
+# catalog stores the record as data only
+PINNED_MODELS = {
+    "thm2.1-1": (("weighted", (6, (1, 1, 1, 2, 3))),),
+    "thm2.1-2": (("weighted", (4, (1, 1, 1, 1, 2))),),
+    "thm2.1-3": (("ci", ((3,),)),),
+    "thm2.1-4": (("ci", ((2, 2),)),),
+    "thm2.1-5": (("grass", (2, 5)),),
+    "thm2.1-6a": (("rank2", ("P2", 3)),),
+    "thm2.1-6b": (("rank2", ("P1xP1", 2)), ("towerP13", ())),
+    "thm2.1-7": (("rank2", ("P2", 2)), ("blowup", ("thm2.1-8",))),
+    "thm2.1-8": (("veronese", (3, 2)),),
+    "thm3.1-1a": (),
+    "thm3.1-1b": (),
+    "thm3.1-1c": (),
+    "thm3.1-1d": (),
+    "thm3.1-2a": (("rank2", ("P2", 6)),),
+    "thm3.1-2b": (("rank2", ("P2", 3)),),
+    "thm3.1-2c": (("rank2", ("P2", 0)),),
+    "thm3.1-3a": (("blowup", ("thm2.1-2",)),),
+    "thm3.1-3b": (("blowup", ("thm2.1-3",)),),
+    "thm3.4-1": (("quadric", ((0, 0, 0, 0), 2)),),
+    "thm3.4-2": (("quadric", ((0, 0, 0, 1), 1)),),
+    "thm3.4-3": (("quadric", ((0, 0, 1, 1), 0)),),
+    "thm3.4-4": (("quadric", ((0, 1, 1, 1), -1)),),
+    "thm3.4-5": (("quadric", ((-1, 0, 0, 1), 2)),),
+    "thm3.4-6": (("quadric", ((-1, 0, 0, 0), 3)),),
+    "thm3.5-1": (("rank2", ("P2", 4)),),
+    "thm3.5-2": (("rank2", ("P2", 5)),),
+    "thm3.5-3": (("rank2", ("P2", 6)),),
+    "thm3.5-4": (("rank2", ("P2", 7)),),
+    "thm3.6-1": (("blowup", ("thm2.1-2",)),),
+    "thm3.6-2": (("blowup", ("thm2.1-3",)),),
+    "thm3.6-3": (("blowup", ("thm2.1-4",)),),
+    "thm3.6-4": (("blowup", ("thm2.1-5",)),),
+    "thm4.1-p1p1-c0": (("rank2", ("P1xP1", 0)),),
+    "thm4.1-p1p1-c2": (("rank2", ("P1xP1", 2)),),
+    "thm4.1-p1p1-c3": (("rank2", ("P1xP1", 3)),),
+    "thm4.1-p1p1-c4": (("rank2", ("P1xP1", 4)),),
+    "thm4.1-p1p1-c5": (("rank2", ("P1xP1", 5)),),
+    "thm4.1-p1p1-c6": (("rank2", ("P1xP1", 6)),),
+    "thm4.1-p1p1-c7": (("rank2", ("P1xP1", 7)),),
+    "thm4.1-f2-c0": (("rank2", ("F2", 0)),),
+    "thm4.1-f2-c2": (("rank2", ("F2", 2)),),
+    "thm4.1-f2-c3": (("rank2", ("F2", 3)),),
+    "thm4.1-f2-c4": (("rank2", ("F2", 4)),),
+    "thm4.1-f2-c5": (("rank2", ("F2", 5)),),
+    "thm4.1-f2-c6": (("rank2", ("F2", 6)),),
+    "thm4.1-f2-c7": (("rank2", ("F2", 7)),),
+    "prop5.1-1": (("weighted", (6, (3, 2, 1, 1, 1, 1))),),
+    "prop5.1-2": (("weighted", (4, (2, 1, 1, 1, 1, 1))),),
+    "prop5.1-3": (("ci", ((3,),)),),
+    "prop5.1-4": (("ci", ((2, 2),)),),
+    "prop5.1-5": (),
+    "prop5.1-6": (("tower56", ()),),
+    "thm5.8-1": (("rank3", ("P2", 4)),),
+    "thm5.8-2": (("tower56", ()),),
+    "thm5.8-3": (),
+}
+
+
+def test_construction_models_pinned_for_every_id():
+    """A model swapped for another of equal degree passes every verify
+    check, so each id's models are pinned literally."""
+    assert list(PINNED_MODELS) == [r.id for r in builtin_catalog()]
+    for rid, expected in PINNED_MODELS.items():
+        got = tuple((m.kind, m.data) for m in construction_models(rid))
+        assert got == expected, rid
+
+
 def test_rank2_sources_frozen():
     sources = rank2_sources()
     assert len(sources) == 24

@@ -442,6 +442,13 @@ def test_make_tower_input_validation():
         make_tower(P2(), [B.gen("h") ** 2, 0])
 
 
+@pytest.mark.parametrize("twist", [True, False, 1.0])
+def test_make_tower_rejects_non_int_integer_twist(twist):
+    # True would otherwise build P(O(1) + O) over P1
+    with pytest.raises(ValueError, match="twist must be a divisor class or 0"):
+        make_tower(P1(), [twist, 0])
+
+
 def test_chern_tower_input_validation():
     B = base_space(P2())
     h = B.gen("h")

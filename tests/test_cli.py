@@ -42,6 +42,7 @@ def run_cli(*args):
         (("enumerate", "--case", "rho3", "--surface", "f2"), "rho3_f2_table.txt"),
         (("enumerate", "--case", "highdim", "--dim", "4"), "highdim_4_table.txt"),
         (("enumerate", "--case", "highdim", "--dim", "5"), "highdim_5_table.txt"),
+        (("verify", "--only", "families"), "verify_families.txt"),
     ],
 )
 def test_golden_bytes(args, golden):
@@ -249,14 +250,30 @@ REPRODUCED_GOLDEN = {
 }
 
 
-def test_reproduce_tables_writes_the_golden_outputs(tmp_path):
+def _reproduce_tables():
     script = Path(__file__).parents[1] / "scripts" / "reproduce_tables.py"
     spec = importlib.util.spec_from_file_location("reproduce_tables", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_reproduce_tables_writes_the_golden_outputs(tmp_path):
+    module = _reproduce_tables()
     assert module.main(["--out", str(tmp_path)]) == 0
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == sorted(name for name, _ in module.SECTIONS)
     assert len(written) == 11
     for name, golden in REPRODUCED_GOLDEN.items():
         assert (tmp_path / name).read_bytes() == (GOLDEN / golden).read_bytes(), name
+
+
+def test_reproduce_tables_unwritable_out_exits_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "tables"
+    assert _reproduce_tables().main(["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"reproduce_tables: error: cannot write {out}: ")
