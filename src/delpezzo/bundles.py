@@ -63,6 +63,8 @@ class Rank2Data:
             raise ValueError("c1 must be a divisor class on the surface")
         if not self.c1.is_zero() and self.c1.degree != 1:
             raise ValueError(f"c1 has degree {self.c1.degree}, expected 1")
+        if type(self.c2) is not int:
+            raise ValueError(f"c2 must be an int, got {self.c2!r}")
 
     @property
     def degree(self) -> int:

@@ -23,12 +23,15 @@ Dimension, top monomial, rewrite rules and K_B are derived from the row.
 The left side of every rewrite rule is a pure power of one generator
 (h^3, C0^2, z^r, ...), so the rules are indexed by generator: a monomial
 is in normal form exactly when each exponent is below its generator's
-cap.  Each ambient memoizes the normal form of every non-normal monomial
-it has met, filled from the rule's right side without recursion.  A
-product of general classes costs one pass over its raw terms; a product
-of two monomials, the common case in pairing tables, costs one exponent
-sum and at most one memo lookup, with no intermediate dict.  The memo
-lives and dies with its ambient.  Every tower is built anew, but each
+cap.  Each ambient memoizes the normal form of every monomial it has
+met, a normal one as itself, so the cap scan runs once per distinct
+monomial and ambient; rewritten forms are filled from the rule's right
+side without recursion.  Products and `from_terms` then pay one memo
+lookup per term: a product of general classes costs one pass over its
+raw terms, a product of two monomials, the common case in pairing
+tables, one exponent sum and one lookup with no intermediate dict, and
+`from_terms` one pass over its input.  The memo lives and dies with its
+ambient.  Every tower is built anew, but each
 base has one plain ambient per process (`base_space` is memoized by the
 base), so base classes built anywhere find their common ring by
 identity.  A split tower of rank r over B is built from e_1 .. e_dim(B)
@@ -206,19 +209,23 @@ class ChowElement:
     def __mul__(self, other):
         if not isinstance(other, ChowElement):
             return other * self if isinstance(other, int) else NotImplemented
-        self._check_same_ambient(other)
         A = self.ambient
+        if other.ambient is not A:
+            self._check_same_ambient(other)
         t1, t2 = self.terms, other.terms
         if not t1 or not t2:
             return ChowElement(A, {}, None)
         if len(t1) == 1 and len(t2) == 1:
-            # monomial times monomial: no raw dict, at most one lookup
+            # monomial times monomial: no raw dict, one memo lookup
             ((e1, c1),) = t1.items()
             ((e2, c2),) = t2.items()
             expo = A._expo_sum(e1, e2)
             coeff = c1 * c2
-            nf = A._rewrite(expo)
-            terms = {expo: coeff} if nf is None else {e: coeff * c for e, c in nf}
+            nf = A._memo.get(expo)
+            if nf is None:
+                nf = A._normal_form(expo)
+            # a unit coefficient, the common case, copies the normal form
+            terms = dict(nf) if coeff == 1 else {e: coeff * c for e, c in nf}
         else:
             expo_sum = A._expo_sum
             raw: dict = {}
@@ -337,7 +344,7 @@ class Ambient:
             rhss += (tuple(rhs),)
         self._caps = caps
         self._rhss = rhss
-        self._memo = {}  # non-normal monomial -> its normal form
+        self._memo = {}  # every monomial met -> its normal form
 
     # -- structure ---------------------------------------------------
 
@@ -398,17 +405,43 @@ class Ambient:
         return ChowElement(self, {expo: 1}, self.base.dim)
 
     def from_terms(self, terms: dict) -> ChowElement:
-        """Build an element from raw exponent->coefficient data (normalized here)."""
-        nvars = self.nvars
-        for expo in terms:
-            if len(expo) != nvars or min(expo) < 0:
-                raise ValueError(f"bad exponent vector {expo} for {self!r}")
-        live = {e: c for e, c in terms.items() if c != 0}
-        degrees = set(map(sum, live))
-        if len(degrees) > 1:
-            raise ValueError(f"mixed-degree input {sorted(degrees)} rejected")
-        reduced = self._reduce(live)
-        return ChowElement(self, reduced, degrees.pop() if reduced else None)
+        """Build an element from raw exponent->coefficient data (normalized here).
+
+        One pass, one memo lookup per term.  Coefficients and exponent
+        entries must be ints, checked on every term: 1.0 and True equal 1,
+        so they would find the memo key of an int vector.  Length and sign
+        are checked on a miss only, since every memo key is a valid
+        exponent vector of this ambient.  Terms with coefficient zero are
+        dropped; the rest must share one degree.
+        """
+        memo = self._memo
+        out: dict = {}
+        degree = None
+        for expo, coeff in terms.items():
+            for k in expo:
+                if type(k) is not int:
+                    raise ValueError(f"exponent entry {k!r} of {expo} must be an int")
+            if type(coeff) is not int:
+                raise ValueError(f"coefficient {coeff!r} of {expo} must be an int")
+            nf = memo.get(expo)
+            if nf is None:
+                if len(expo) != self.nvars or min(expo) < 0:
+                    raise ValueError(f"bad exponent vector {expo} for {self!r}")
+                nf = self._normal_form(expo)
+            if not coeff:
+                continue
+            d = sum(expo)
+            if d != degree:
+                if degree is not None:
+                    raise ValueError(
+                        f"mixed-degree input (degrees {degree} and {d}) rejected"
+                    )
+                degree = d
+            for e, c in nf:
+                out[e] = out.get(e, 0) + coeff * c
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        return ChowElement(self, out, degree if out else None)
 
     def pullback(self, x: ChowElement) -> ChowElement:
         """Pull a base class back to the tower."""
@@ -427,62 +460,61 @@ class Ambient:
         return _rules(self._caps, self._rhss)
 
     def _normal_form(self, expo: tuple) -> tuple:
-        """Normal form of a non-normal monomial, as ((expo, coeff), ...).
+        """Normal form of a monomial not yet in the memo, as ((expo, coeff), ...).
 
-        Rewrites the first generator at or over its cap, then looks the
-        rewritten monomials up in the memo.  Monomials still unknown wait
-        on an explicit stack, so a deep rewriting chain (z^5000, say)
-        never recurses; every monomial met is memoized on the way.
+        A monomial below every cap is its own normal form, ((expo, 1),).
+        Otherwise the first generator at or over its cap is rewritten and
+        the rewritten monomials are looked up in the memo.  Monomials
+        still unknown wait on an explicit stack, so a deep rewriting chain
+        (z^5000, say) never recurses; every monomial met is memoized on
+        the way, normal or not.
         """
         caps, rhss = self._caps, self._rhss
         memo = self._memo
+        if all(map(lt, expo, caps)):
+            # most monomials met are normal: no stack for them
+            nf = memo[expo] = ((expo, 1),)
+            return nf
         stack = [expo]
         while stack:
             m = stack[-1]
             if m in memo:
                 stack.pop()
                 continue
+            if all(map(lt, m, caps)):
+                memo[m] = ((m, 1),)
+                stack.pop()
+                continue
             g = next(i for i, (k, cap) in enumerate(zip(m, caps)) if k >= cap)
             rest = list(m)
             rest[g] -= caps[g]
             images = [(tuple(map(add, rest, rexpo)), c) for rexpo, c in rhss[g]]
-            waiting = [
-                e for e, _ in images if e not in memo and not all(map(lt, e, caps))
-            ]
+            waiting = [e for e, _ in images if e not in memo]
             if waiting:
                 stack.extend(waiting)
                 continue
             acc: dict = {}
             for e, c in images:
-                nf = memo.get(e)
-                if nf is None:
-                    acc[e] = acc.get(e, 0) + c
-                    continue
-                for e2, c2 in nf:
+                for e2, c2 in memo[e]:
                     acc[e2] = acc.get(e2, 0) + c * c2
             memo[m] = tuple((e, c) for e, c in acc.items() if c)
             stack.pop()
         return memo[expo]
 
-    def _rewrite(self, expo: tuple):
-        """The memoized normal form of a monomial, or None if it is normal."""
-        nf = self._memo.get(expo)
-        if nf is None and not all(map(lt, expo, self._caps)):
-            nf = self._normal_form(expo)
-        return nf
-
     def _reduce(self, raw: dict) -> dict:
         """Normal form of exponent -> coefficient data, like terms merged."""
-        rewrite = self._rewrite
+        memo = self._memo
         out: dict = {}
         for expo, coeff in raw.items():
-            nf = rewrite(expo)
+            nf = memo.get(expo)
             if nf is None:
-                out[expo] = out.get(expo, 0) + coeff
-                continue
+                nf = self._normal_form(expo)
             for e, c in nf:
                 out[e] = out.get(e, 0) + coeff * c
-        return {e: c for e, c in out.items() if c}
+        # copied only when something cancelled, which most sums do not
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        return out
 
 
 @cache
@@ -564,7 +596,7 @@ def chern_tower(base: Base, rank: int, cherns: Sequence[ChowElement]) -> Ambient
 def integrate(x: ChowElement) -> int:
     """Degree of a zero-cycle: x must be homogeneous of top degree."""
     A = x.ambient
-    if x.is_zero():
+    if not x.terms:
         return 0
     if x.degree != A.dim:
         raise ValueError(

@@ -360,6 +360,8 @@ def enumerate_rho3(surface: Base) -> EnumerationResult:
 
 def surface_scroll(tag: str, rank: int, c2: int) -> Ambient:
     """P(F) over a surface for F of the given rank with c1 = -K and c2 points."""
+    if type(c2) is not int:
+        raise ValueError(f"c2 must be an int, got {c2!r}")
     surface = SURFACES[tag]
     c1 = -1 * canonical_base_class(surface)
     return chern_tower(surface, rank, [c1, c2 * base_space(surface).point()])

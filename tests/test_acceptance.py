@@ -35,6 +35,7 @@ from delpezzo.verify import (
     verify_smoothings,
 )
 
+from checkout import child_env
 from substitution_oracle import oracle_integrate
 from test_chow_oracle import build_zoo, random_monomial
 
@@ -233,6 +234,7 @@ def test_criterion_9_cli_golden_bytes():
         proc = subprocess.run(
             [sys.executable, "-m", "delpezzo", *args],
             capture_output=True,
+            env=child_env(),
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr

@@ -59,6 +59,14 @@ def test_split_bundle_rejects_non_int_entries(entries):
         SplitBundle(entries)
 
 
+@pytest.mark.parametrize("c2", [2.5, True, 1.0])
+def test_rank2_data_rejects_non_int_c2(c2):
+    # 2.5 would give degree 6.5 on P2 with c1 = 3h, and True would act as 1
+    h = base_space(P2()).gen("h")
+    with pytest.raises(ValueError, match="c2 must be an int"):
+        Rank2Data(P2(), 3 * h, c2)
+
+
 def test_h0_h1_frozen_values():
     assert h0_split(SplitBundle([0, 0, 0, 0])) == 4
     assert h1_split(SplitBundle([0, 0, 0, 0])) == 0

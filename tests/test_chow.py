@@ -23,6 +23,7 @@ from delpezzo import (
     make_tower,
     polarized_degree,
 )
+from substitution_oracle import oracle_reduce
 
 coeffs = st.integers(min_value=-6, max_value=6)
 
@@ -414,6 +415,82 @@ def test_deep_exponents_reduce_without_recursion():
     B = base_space(Fe(3))
     W = make_tower(Fe(3), [B.gen("C0"), B.gen("f"), 0])
     assert W.from_terms({(4000, 0, 3000): 1}).is_zero()
+
+
+def h_tower():
+    """P(O(h) + O) over P2: generators (h, z), caps (3, 2), dimension 3."""
+    return make_tower(P2(), [base_space(P2()).gen("h"), 0])
+
+
+@pytest.mark.parametrize("expo", [(1,), (1, 0, 0), (-1, 2), (2, -1)])
+def test_from_terms_rejects_bad_exponent_vectors(expo):
+    A = h_tower()
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        A.from_terms({expo: 1})
+    # and still once the ambient has met the monomials around it
+    A.from_terms({(1, 0): 1, (0, 1): 1})
+    A.from_terms({(2, 1): 1, (3, 0): 1})
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        A.from_terms({expo: 1})
+
+
+def test_from_terms_rejects_mixed_degrees():
+    A = h_tower()
+    with pytest.raises(ValueError, match="^mixed-degree"):
+        A.from_terms({(1, 0): 1, (0, 2): 1})
+    # a term that reduces to zero still has its degree
+    with pytest.raises(ValueError, match="^mixed-degree"):
+        A.from_terms({(0, 1): 1, (4, 0): 1})
+
+
+def test_from_terms_drops_zero_coefficients():
+    A = h_tower()
+    x = A.from_terms({(1, 0): 0, (0, 1): 3, (1, 1): 0})
+    assert x.terms == {(0, 1): 3} and x.degree == 1
+    y = A.from_terms({(1, 0): 0, (0, 3): 0})
+    assert y.is_zero() and y.degree is None
+
+
+def test_from_terms_of_no_terms_is_the_zero_class():
+    A = h_tower()
+    x = A.from_terms({})
+    assert x.is_zero() and x.degree is None and x == A.zero()
+
+
+def test_from_terms_reduces_like_the_oracle():
+    A = h_tower()
+    raw = {(0, 3): 2, (1, 2): -1, (3, 0): 5, (2, 1): 4}
+    x = A.from_terms(raw)
+    assert x.degree == 3
+    for seed in (0, 17, 99):
+        assert x.terms == oracle_reduce(A, list(raw.items()), seed=seed)
+    # z^2 = h z here, so z^3 and h z^2 both reduce to h^2 z and cancel
+    y = A.from_terms({(0, 3): 1, (1, 2): -1})
+    assert y.is_zero() and y.degree is None
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(2, 1): 2.5},
+        {(1, 0): True},
+        {(1, 0): 1.0},
+        {(1.0, 0): 1},
+        {(True, 0): 1},
+        {(0, 3.0): 1},
+    ],
+)
+def test_from_terms_rejects_non_int_data(terms):
+    # 2.5 would integrate to 2.5, and (1.0, 0) would have degree 1.0
+    A = h_tower()
+    with pytest.raises(ValueError, match="must be an int"):
+        A.from_terms(terms)
+    # (1.0, 0) hashes as (1, 0): once the ambient has met the int
+    # monomial, the float one must still be refused
+    for expo in terms:
+        A.from_terms({tuple(map(int, expo)): 1})
+    with pytest.raises(ValueError, match="must be an int"):
+        A.from_terms(terms)
 
 
 def test_integrate_rejects_wrong_degree():

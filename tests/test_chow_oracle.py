@@ -245,3 +245,48 @@ def test_random_towers_match_oracle(data):
     assert (x * y).terms == oracle_mul(
         A, list(x.terms.items()), list(y.terms.items()), seed=seed + 2
     )
+
+
+def rebuild(A):
+    """A fresh ambient equal to A, with an empty memo."""
+    if A.twists:
+        return make_tower(A.base, A.twists)
+    return chern_tower(A.base, A.rank, A.cherns)
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_memo_holds_only_normal_forms(data):
+    # whatever the ambient has met, by products and by from_terms, each
+    # memo value lists monomials below the caps with nonzero coefficients
+    A = data.draw(random_towers())
+    classes = [A.from_terms(data.draw(raw_classes(A))) for _ in range(3)]
+    for x in classes:
+        for y in classes:
+            x * y
+            # a product of two monomials takes a path of its own
+            for m1 in list(x.terms)[:3]:
+                for m2 in list(y.terms)[:3]:
+                    A.from_terms({m1: 1}) * A.from_terms({m2: -2})
+    caps = [lhs[i] for lhs, _ in A.relations() for i, k in enumerate(lhs) if k]
+    for nf in A._memo.values():
+        for expo, coeff in nf:
+            assert all(k < cap for k, cap in zip(expo, caps)) and coeff != 0
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_memo_fill_order_does_not_change_normal_forms(data):
+    A = data.draw(random_towers())
+    # monomials of up to four degrees, normal ones and ones to rewrite
+    rounds = data.draw(st.integers(1, 4))
+    mons = [m for _ in range(rounds) for m in data.draw(raw_classes(A))]
+    seed = data.draw(st.integers(0, 999))
+    first, second = rebuild(A), rebuild(A)
+    assert first == second == A and first._memo == second._memo == {}
+    forward = [first.from_terms({m: 1}).terms for m in mons]
+    backward = [second.from_terms({m: 1}).terms for m in reversed(mons)][::-1]
+    assert forward == backward
+    assert first._memo == second._memo
+    for m, terms in zip(mons, forward):
+        assert terms == oracle_reduce(A, [(m, 1)], seed=seed)

@@ -2,7 +2,6 @@
 
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,14 +12,16 @@ from delpezzo import cli
 from delpezzo.catalog import export
 from delpezzo.verify import REPORTS, CheckResult, Report
 
+from checkout import child_env
+
 GOLDEN = Path(__file__).parent / "golden"
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "delpezzo", *args],
         capture_output=True,
+        env=child_env(),
         timeout=120,
     )
 
@@ -149,7 +150,7 @@ def loaded_layers(argv):
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
+        env=child_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

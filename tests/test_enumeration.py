@@ -21,6 +21,7 @@ from delpezzo.enumeration import (
     scroll_degree_f1,
     scroll_degree_p1xp2,
     scroll_degree_p2,
+    surface_scroll,
     tower_p13,
 )
 
@@ -329,6 +330,13 @@ def test_tower_p13_is_p1_cubed_with_half_anticanonical_polarization():
     T, H = tower_p13()
     assert integrate(H**3) == 6
     assert (canonical_class(T) + 2 * H).is_zero()
+
+
+@pytest.mark.parametrize("c2", [2.5, True])
+def test_surface_scroll_rejects_non_int_c2(c2):
+    # 2.5 would end in a TypeError from scalar multiplication, True would act as 1
+    with pytest.raises(ValueError, match="c2 must be an int"):
+        surface_scroll("P2", 2, c2)
 
 
 def test_cached_quadric_table_is_a_tuple():

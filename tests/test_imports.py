@@ -7,12 +7,13 @@ its imports are the package's public re-exports.
 """
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from checkout import child_env
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "delpezzo"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
@@ -101,7 +102,7 @@ def test_chow_loads_no_dataclasses_and_no_other_layer():
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        env=child_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

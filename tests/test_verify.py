@@ -33,6 +33,8 @@ from delpezzo.verify import (
     verify_smoothings,
 )
 
+from checkout import child_env
+
 RECORDS = builtin_catalog()
 MODELED_IDS = [r.id for r in RECORDS if construction_models(r.id)]
 PARTNERED_IDS = [r.id for r in RECORDS if r.flop_partner is not None]
@@ -229,7 +231,10 @@ def test_verify_prints_the_same_bytes_twice_in_one_process(capsys):
         assert cli.run(["verify"]) == 0
         outputs.append(capsys.readouterr().out)
     cold = subprocess.run(
-        [sys.executable, "-m", "delpezzo", "verify"], capture_output=True, timeout=120
+        [sys.executable, "-m", "delpezzo", "verify"],
+        capture_output=True,
+        env=child_env(),
+        timeout=120,
     )
     assert outputs[0] == outputs[1] == cold.stdout.decode()
 
