@@ -10,7 +10,7 @@ notes.
 Each statement is one table with one row per family.  A row gives the
 id suffix, the fields that vary within the statement, the notes, and
 either the construction models (split-bundle tower, rank-2 Chern data,
-blow-up target, ...) from which the verify module recomputes degrees or
+blow-up target, ...) from which `enumeration` recomputes degrees or
 the reason the family has none.  The fields a whole statement shares
 (dimension, contraction, map type, the citation pattern) are written
 once, at its table, and the index is always dim - 1.
@@ -44,6 +44,10 @@ class FamilyRecord:
     notes: str
 
     def __post_init__(self):
+        for fname in ("dim", "degree", "picard", "index"):
+            value = getattr(self, fname)
+            if type(value) is not int:
+                raise ValueError(f"{self.id}: {fname} must be an int, got {value!r}")
         if self.degree < 1:
             raise ValueError(f"{self.id}: degree must be >= 1, got {self.degree}")
         if self.index != self.dim - 1:
@@ -65,8 +69,7 @@ _FIELDS = tuple(f.name for f in fields(FamilyRecord))
 class DegreeModel:
     """A recomputable construction attached to a catalog id."""
 
-    kind: str  # quadric | rank2 | rank3 | blowup | tower56 | towerP13 |
-    #            weighted | ci | grass | veronese
+    kind: str  # a key of `enumeration.MODEL_KINDS`
     data: tuple
 
 

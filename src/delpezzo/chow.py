@@ -198,7 +198,7 @@ class ChowElement:
         )
 
     def __rmul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             if other == 0:
                 return ChowElement(self.ambient, {}, None)
             return ChowElement(
@@ -208,7 +208,7 @@ class ChowElement:
 
     def __mul__(self, other):
         if not isinstance(other, ChowElement):
-            return other * self if isinstance(other, int) else NotImplemented
+            return other * self if type(other) is int else NotImplemented
         A = self.ambient
         if other.ambient is not A:
             self._check_same_ambient(other)
@@ -238,7 +238,7 @@ class ChowElement:
         return ChowElement(A, terms, degree)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("exponent must be a non-negative integer")
         if n == 0:
             return self.ambient.one()

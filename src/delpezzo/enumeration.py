@@ -5,21 +5,25 @@ stated numerical bounds and emits candidates plus first-class exclusion
 records (never silent skips), so negative results are as testable as
 positive ones.  All output orders are deterministic.
 
-The searches and the degree builders (`quadric_model_degree`,
-`scroll_degree_*`, `tower_p13`) are pure: their results depend on their
-arguments alone, never on a catalog under test (the point blow-up
-search reads only the frozen built-in table).  Each is therefore memoized per
-process, keyed by its arguments, and filled on first use.  Every cached
-value is immutable (a tuple, a frozen dataclass of tuples, a string, an
-int or a ring class), so no caller can change what the next one
-receives.
+The searches, the degree builders (`quadric_model_degree`,
+`scroll_degree_*`, `tower_p13`) and `model_values`, which derives what
+each construction model of the catalog supports through the one table
+`MODEL_KINDS`, are pure: their results depend on their arguments alone,
+never on a catalog under test (the point blow-up search reads only the
+frozen built-in table, and a blow-up model's data is its target's
+degree, read by the caller).  Each is therefore memoized per process,
+keyed by its arguments, and filled on first use.  Every cached value
+is immutable (a tuple, a frozen dataclass of tuples, a named tuple, a
+string, an int or a ring class), so no caller can change what the next
+one receives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bundles import (
     Rank2Data,
@@ -27,6 +31,7 @@ from .bundles import (
     blowup_chain,
     blowup_degree,
     chi_rank2,
+    h0_split,
     h1_split,
     twist_rank2,
 )
@@ -42,6 +47,7 @@ from .chow import (
     P2,
     base_space,
     canonical_base_class,
+    canonical_class,
     chern_tower,
     integrate,
     make_tower,
@@ -498,8 +504,8 @@ def enumerate_highdim(n: int) -> EnumerationResult:
         )
     cone_computed = ()
     if n == 4:
-        resolution = surface_scroll("P2", 3, 4)
-        cone_computed = (("resolution_degree", integrate(resolution.zeta**4)),)
+        resolution = model_values("rank3", ("P2", 4))
+        cone_computed = (("resolution_degree", resolution.degree),)
     exclusions.append(
         ExclusionRecord(
             kind="cone-exception",
@@ -532,3 +538,79 @@ def enumerate_highdim(n: int) -> EnumerationResult:
                 )
             )
     return EnumerationResult(tuple(candidates), tuple(exclusions))
+
+
+# ---------------------------------------------------------------------------
+# construction models of the catalog
+# ---------------------------------------------------------------------------
+
+
+class ModelValues(NamedTuple):
+    """What a model supports: degree, index residual (K + i H), h0."""
+
+    degree: int
+    index_residual: Optional[str] = None
+    h0: Optional[int] = None
+    h0_assumed: bool = False
+
+
+def _quadric_values(a: tuple[int, ...], alpha: int) -> ModelValues:
+    adj, degree = quadric_model_degree(a, alpha)
+    residual = str(adj + 2 * adj.ambient.zeta)
+    return ModelValues(degree, residual, h0_split(SplitBundle(a)))
+
+
+def _scroll_values(tag: str, rank: int, c2: int) -> ModelValues:
+    """P(F) over a surface, polarized by z; h0 is chi, for rank 2 only."""
+    A = surface_scroll(tag, rank, c2)
+    h0 = chi_rank2(Rank2Data(SURFACES[tag], A.cherns[0], c2)) if rank == 2 else None
+    residual = str(canonical_class(A) + rank * A.zeta)
+    return ModelValues(integrate(A.zeta ** (rank + 1)), residual, h0, rank == 2)
+
+
+def _tower_p13_values() -> ModelValues:
+    T, H = tower_p13()
+    return ModelValues(integrate(H**3), str(canonical_class(T) + 2 * H))
+
+
+def _weighted_values(deg: int, weights: tuple[int, ...]) -> ModelValues:
+    """A hypersurface of degree `deg` in P(weights), polarized by O(1)."""
+    denom = math.prod(weights)
+    if deg % denom != 0:
+        raise ArithmeticError(f"weighted degree {deg} not divisible by {denom}")
+    return ModelValues(deg // denom)
+
+
+def _grass_values(k: int, n: int) -> ModelValues:
+    """G(k, n) in its Pluecker embedding."""
+    m = n - k
+    deg = math.factorial(k * m)
+    for i in range(k):
+        deg = deg * math.factorial(i) // math.factorial(m + i)
+    return ModelValues(deg)
+
+
+# `catalog.DegreeModel.kind` -> the values of a model of that kind, from
+# its data; a blow-up's data is its target's degree, which the caller
+# reads from the catalog under test on every call
+MODEL_KINDS = {
+    "quadric": _quadric_values,
+    "rank2": lambda tag, c2: _scroll_values(tag, 2, c2),
+    "rank3": lambda tag, c2: _scroll_values(tag, 3, c2),
+    "towerP13": _tower_p13_values,
+    "tower56": lambda: ModelValues(scroll_degree_p1xp2()[1]),
+    "blowup": lambda degree: ModelValues(blowup_degree(3, degree).degree_after),
+    "weighted": _weighted_values,
+    "ci": lambda degrees: ModelValues(math.prod(degrees)),
+    "grass": _grass_values,
+    "veronese": lambda n, t: ModelValues(t**n),
+}
+
+
+@cache
+def model_values(kind: str, data: tuple) -> ModelValues:
+    """The values of a model of `kind` on `data`; they depend on these alone."""
+    derive = MODEL_KINDS.get(kind)
+    if derive is None:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return derive(*data)

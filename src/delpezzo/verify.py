@@ -6,32 +6,27 @@ Every check lands in a Report as pass, fail, or skipped(reason); checks
 that would need geometry this package cannot model are skipped with the
 reason spelled out, never silently passed.
 
-What a construction model computes from its own data is memoized per
-process, keyed by the model, and held as an immutable tuple.  Nothing
-that reads the catalog under test is memoized: the blow-up model takes
-its target's degree from that catalog, so it is recomputed on every
-call, and a planted error in the target always shows.
+Each construction model's values come from `enumeration.model_values`,
+which memoizes them by kind and data; this module only compares them
+with the record.  A blow-up model's data is its target's degree, read
+from the catalog under test on every call, so a planted error in the
+target always shows.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
-from functools import cache
-from typing import NamedTuple, Optional
 
-from .bundles import Rank2Data, SplitBundle, blowup_degree, chi_rank2, h0_split
+from . import enumeration
 from .catalog import (
     CONSTRUCTION_CLAIMS,
     NO_MODEL_REASONS,
     RHO3_SURFACES,
-    DegreeModel,
     FamilyRecord,
     builtin_catalog,
     construction_models,
 )
-from .chow import canonical_class, integrate
 from .enumeration import (
     SURFACES,
     enumerate_p2_bundles,
@@ -39,12 +34,8 @@ from .enumeration import (
     enumerate_quadric_fibrations,
     enumerate_rho3,
     enumerate_highdim,
+    model_values,
     quadric_model_degree,
-    scroll_degree_f1,
-    scroll_degree_p1xp2,
-    scroll_degree_p2,
-    surface_scroll,
-    tower_p13,
 )
 
 
@@ -150,84 +141,6 @@ def _resolve(checks, name, what, r, target_id, by_id, citation):
     return target
 
 
-# rank of F for the surface-scroll model kinds
-_SCROLL_RANKS = {"rank2": 2, "rank3": 3}
-
-
-# ---------------------------------------------------------------------------
-# model evaluation
-# ---------------------------------------------------------------------------
-
-
-class _ModelValues(NamedTuple):
-    """What a model supports: degree, index residual (K + i H), h0."""
-
-    degree: int
-    index_residual: Optional[str] = None
-    h0: Optional[int] = None
-    h0_assumed: bool = False
-
-
-@cache
-def _model_values(model: DegreeModel) -> _ModelValues:
-    """Values of a model that reads nothing but its own data."""
-    if model.kind == "quadric":
-        a, alpha = model.data
-        adj, degree = quadric_model_degree(a, alpha)
-        return _ModelValues(
-            degree, str(adj + 2 * adj.ambient.zeta), h0_split(SplitBundle(a))
-        )
-    if model.kind in _SCROLL_RANKS:
-        tag, c2 = model.data
-        rank = _SCROLL_RANKS[model.kind]
-        A = surface_scroll(tag, rank, c2)
-        h0 = None
-        if rank == 2:
-            h0 = chi_rank2(Rank2Data(SURFACES[tag], A.cherns[0], c2))
-        return _ModelValues(
-            integrate(A.zeta ** (rank + 1)),
-            str(canonical_class(A) + rank * A.zeta),
-            h0,
-            h0_assumed=rank == 2,
-        )
-    if model.kind == "towerP13":
-        T, H = tower_p13()
-        return _ModelValues(integrate(H**3), str(canonical_class(T) + 2 * H))
-    if model.kind == "tower56":
-        return _ModelValues(scroll_degree_p1xp2()[1])
-    if model.kind == "weighted":
-        deg, weights = model.data
-        denom = math.prod(weights)
-        if deg % denom != 0:
-            raise ArithmeticError(
-                f"weighted degree {deg} not divisible by {denom}"
-            )
-        return _ModelValues(deg // denom)
-    if model.kind == "ci":
-        (degrees,) = model.data
-        return _ModelValues(math.prod(degrees))
-    if model.kind == "grass":
-        k, n = model.data
-        m = n - k
-        deg = math.factorial(k * m)
-        for i in range(k):
-            deg = deg * math.factorial(i) // math.factorial(m + i)
-        return _ModelValues(deg)
-    if model.kind == "veronese":
-        n, t = model.data
-        return _ModelValues(t**n)
-    raise ValueError(f"unknown model kind {model.kind!r}")
-
-
-def _eval_model(model: DegreeModel, by_id) -> _ModelValues:
-    """Recompute what the model supports against the catalog `by_id`."""
-    if model.kind == "blowup":
-        # reads the target record of the catalog under test: never cached
-        (target_id,) = model.data
-        return _ModelValues(blowup_degree(3, by_id[target_id].degree).degree_after)
-    return _model_values(model)
-
-
 def _indexed(catalog):
     """The catalog under test (the built-in one by default) and its id map."""
     records = builtin_catalog() if catalog is None else list(catalog)
@@ -247,11 +160,15 @@ def _family_checks(r: FamilyRecord, by_id) -> list[CheckResult]:
         reason = NO_MODEL_REASONS.get(r.id, "no stored construction model")
         checks.append(_skip("degree-model", r.id, reason, r.citation))
     for model in models:
-        if model.kind == "blowup" and _resolve(
-            checks, "blowup", "target", r, model.data[0], by_id, r.citation
-        ) is None:
-            continue
-        result = _eval_model(model, by_id)
+        data = model.data
+        if model.kind == "blowup":
+            target = _resolve(
+                checks, "blowup", "target", r, data[0], by_id, r.citation
+            )
+            if target is None:
+                continue
+            data = (target.degree,)
+        result = model_values(model.kind, data)
         checks.append(
             _check(
                 f"degree-model:{model.kind}",
@@ -407,13 +324,6 @@ def verify_smoothings(catalog=None) -> Report:
 # scroll constructions behind the higher-dimensional cases
 # ---------------------------------------------------------------------------
 
-# `catalog.CONSTRUCTION_CLAIMS` key -> the builder that replays that claim
-_SCROLL_BUILDERS = {
-    "scroll_degree_p1xp2": scroll_degree_p1xp2,
-    "scroll_degree_p2": scroll_degree_p2,
-    "scroll_degree_f1": scroll_degree_f1,
-}
-
 
 def verify_constructions(catalog=None) -> Report:
     """Replay the scroll constructions; they read no catalog, so `catalog`
@@ -421,7 +331,7 @@ def verify_constructions(catalog=None) -> Report:
     checks = []
     for key, claim in CONSTRUCTION_CLAIMS.items():
         subject, want_adj, want_deg, citation, reason = claim
-        adj, deg = _SCROLL_BUILDERS[key]()
+        adj, deg = getattr(enumeration, key)()
         checks.append(
             _check("construction-adjunction", subject, want_adj, adj, citation, reason)
         )

@@ -145,6 +145,25 @@ def test_record_rejects_nonpositive_degree():
         _record(degree=0)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("dim", 3.0),
+        ("degree", 2.0),
+        ("degree", True),
+        ("degree", 2.5),
+        ("picard", 1.0),
+        ("picard", True),
+        ("index", 2.0),
+    ],
+)
+def test_record_rejects_non_int_integer_fields(field, value):
+    # 2.0 hashes like 2, so a float degree would share the value memoized
+    # for the int one by a model that reads it
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        _record(**{field: value})
+
+
 def test_record_rejects_wrong_index():
     with pytest.raises(ValueError, match="index"):
         _record(index=3)

@@ -493,6 +493,18 @@ def test_from_terms_rejects_non_int_data(terms):
         A.from_terms(terms)
 
 
+@pytest.mark.parametrize("scalar", [True, False, 2.0])
+def test_scalars_and_exponents_must_be_int(scalar):
+    # True acted as 1: True * h printed h and h ** True was h
+    h = base_space(P2()).gen("h")
+    with pytest.raises(TypeError):
+        scalar * h
+    with pytest.raises(TypeError):
+        h * scalar
+    with pytest.raises(ValueError, match="exponent"):
+        h**scalar
+
+
 def test_integrate_rejects_wrong_degree():
     T = p1_tower(0, 0, 0, 1)
     with pytest.raises(ValueError, match="degree"):

@@ -9,14 +9,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from delpezzo.bundles import SplitBundle
+from delpezzo.catalog import builtin_catalog, construction_models
 from delpezzo.chow import Fe, P1, P1xP1, P2, canonical_class, integrate
 from delpezzo.enumeration import (
+    MODEL_KINDS,
     classify_tuple,
     enumerate_highdim,
     enumerate_p2_bundles,
     enumerate_point_blowups,
     enumerate_quadric_fibrations,
     enumerate_rho3,
+    model_values,
     quadric_model_degree,
     scroll_degree_f1,
     scroll_degree_p1xp2,
@@ -319,6 +322,8 @@ def test_highdim_rejects_low_dimension():
         scroll_degree_f1,
         scroll_degree_p1xp2,
         tower_p13,
+        lambda: model_values("rank3", ("P2", 4)),
+        lambda: model_values("blowup", (8,)),
     ],
 )
 def test_searches_return_one_cached_value(search):
@@ -341,3 +346,20 @@ def test_surface_scroll_rejects_non_int_c2(c2):
 
 def test_cached_quadric_table_is_a_tuple():
     assert isinstance(enumerate_quadric_fibrations(), tuple)
+
+
+# ---------------------------------------------------------------------------
+# the construction-model table
+# ---------------------------------------------------------------------------
+
+
+def test_model_table_has_exactly_the_catalog_kinds():
+    used = {
+        m.kind for r in builtin_catalog() for m in construction_models(r.id)
+    }
+    assert set(MODEL_KINDS) == used
+
+
+def test_unknown_model_kind_is_refused():
+    with pytest.raises(ValueError, match="unknown model kind 'cone'"):
+        model_values("cone", ())

@@ -7,14 +7,16 @@ one report to flag each; a sweep case that passes silently means the
 checks have a blind spot.
 """
 
+import ast
 import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from delpezzo import cli, verify
+from delpezzo import cli, enumeration, verify
 from delpezzo.catalog import (
     CONSTRUCTION_CLAIMS,
     builtin_catalog,
@@ -136,8 +138,20 @@ def test_construction_replays():
 
 
 def test_every_construction_claim_is_keyed_by_its_builder():
-    builders = {key: f.__name__ for key, f in verify._SCROLL_BUILDERS.items()}
+    builders = {key: getattr(enumeration, key).__name__ for key in CONSTRUCTION_CLAIMS}
     assert builders == {key: key for key in CONSTRUCTION_CLAIMS}
+
+
+def test_verify_imports_only_catalog_and_enumeration():
+    """`verify` compares; every derivation it compares comes from these two."""
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    package = {
+        node.module or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+    assert package == {"catalog", "enumeration"}
 
 
 def test_report_json_round_trip():
@@ -390,3 +404,65 @@ def test_duplicate_candidate_is_flagged(monkeypatch):
             "Theorem 3.4",
         )
     ]
+
+
+# ---------------------------------------------------------------------------
+# planted errors in the engine's own data
+# ---------------------------------------------------------------------------
+
+# runs in a child interpreter: for each (base kind, row part, entry,
+# delta) on stdin, a fresh package whose `chow._BASES` row has that entry
+# moved by delta, and one line out: "fail <failed checks>" or
+# "raise <exception type>"
+_BASES_SWEEP = """
+import importlib, sys
+
+for line in sys.stdin:
+    kind, part, entry, delta = line.split()
+    for name in [m for m in sys.modules if m.split(".")[0] == "delpezzo"]:
+        del sys.modules[name]
+    chow = importlib.import_module("delpezzo.chow")
+    row = [list(values) for values in chow._BASES[kind]]
+    row[int(part)][int(entry)] += int(delta)
+    chow._BASES[kind] = tuple(map(tuple, row))
+    try:
+        reports = importlib.import_module("delpezzo.verify").verify_all()
+        print("fail", sum(rep.failed for rep in reports), flush=True)
+    except Exception as exc:
+        print("raise", type(exc).__name__, flush=True)
+"""
+
+
+def _bases_edits(deltas):
+    """(kind, part, entry, delta) for every cap (part 1) and K_B
+    coefficient (part 2) of every `chow._BASES` row."""
+    from delpezzo.chow import _BASES
+
+    return [
+        (kind, part, entry, delta)
+        for kind, row in _BASES.items()
+        for part in (1, 2)
+        for entry in range(len(row[part]))
+        for delta in deltas
+    ]
+
+
+def test_every_planted_base_data_error_fails_or_raises():
+    # the unedited rows (delta 0) run first, through the same path, and
+    # must pass: a fault of the harness itself cannot count as "raised"
+    control = _bases_edits((0,))
+    edits = _bases_edits((1, -1))
+    assert len(edits) == 32
+    lines = "".join(" ".join(map(str, e)) + "\n" for e in control + edits)
+    proc = subprocess.run(
+        [sys.executable, "-c", _BASES_SWEEP],
+        input=lines.encode(),
+        capture_output=True,
+        env=child_env(),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    outcomes = proc.stdout.decode().splitlines()
+    assert outcomes[: len(control)] == ["fail 0"] * len(control)
+    caught = dict(zip(edits, outcomes[len(control):], strict=True))
+    assert [e for e, out in caught.items() if out == "fail 0"] == []
