@@ -11,9 +11,11 @@ Each statement is one table with one row per family.  A row gives the
 id suffix, the fields that vary within the statement, the notes, and
 either the construction models (split-bundle tower, rank-2 Chern data,
 blow-up target, ...) from which `enumeration` recomputes degrees or
-the reason the family has none.  The fields a whole statement shares
-(dimension, contraction, map type, the citation pattern) are written
-once, at its table, and the index is always dim - 1.
+the reason the family has none.  A model is its row's own (kind, data)
+pair, and `construction_models` hands those pairs out unchanged.  The
+fields a whole statement shares (dimension, contraction, map type, the
+citation pattern) are written once, at its table, and the index is
+always dim - 1.
 
 Notes and citations deliberately avoid commas so the CSV export needs
 no quoting.
@@ -65,17 +67,10 @@ class FamilyRecord:
 _FIELDS = tuple(f.name for f in fields(FamilyRecord))
 
 
-@dataclass(frozen=True)
-class DegreeModel:
-    """A recomputable construction attached to a catalog id."""
-
-    kind: str  # a key of `enumeration.MODEL_KINDS`
-    data: tuple
-
-
 # A row that states a family ends in its notes and then either its
-# construction models, as (kind, data) pairs of a `DegreeModel`, or the
-# reason it has none; `_table` turns rows into records and models.
+# construction models, as (kind, data) pairs with `kind` a key of
+# `enumeration.MODEL_KINDS`, or the reason it has none; `_table` pairs
+# each row's record with them.
 
 # Theorem 2.1: the smooth del Pezzo threefolds (Fano, ample anticanonical
 # map), as (id suffix, degree, Picard number, notes, models)
@@ -242,8 +237,6 @@ def _table(prefix, citation, columns, rows, **shared):
             notes=notes,
             **stated,
         )
-        if not isinstance(models, str):
-            models = tuple(DegreeModel(kind, data) for kind, data in models)
         yield record, models
 
 
@@ -366,23 +359,10 @@ def lookup(id: str) -> Optional[FamilyRecord]:
     return _BY_ID.get(key)
 
 
-def construction_models(id: str) -> tuple[DegreeModel, ...]:
-    """Recomputable models for a record; empty when only data is stored."""
+def construction_models(id: str) -> tuple[tuple[str, tuple], ...]:
+    """A record's models as its row's (kind, data) pairs; empty when only
+    data is stored."""
     return _MODELS.get(id, ())
-
-
-def rank2_sources() -> list[tuple[str, str, int]]:
-    """(id, surface kind, c2) of every rank-2 surface model; sorted by id.
-
-    These are the possible quotients F' in 0 -> O^(n-3) -> F -> F' -> 0
-    for the projective-bundle case in higher dimensions.
-    """
-    out = []
-    for id in sorted(_MODELS):
-        for m in _MODELS[id]:
-            if m.kind == "rank2":
-                out.append((id, m.data[0], m.data[1]))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Command line front end: enumerate, verify, show, export.
 
 All output is deterministic, so the rendered tables can be compared
-byte-for-byte against golden files.
+byte-for-byte against golden files.  Each search has its own table
+renderer, but its JSON comes from the one `_json`, which writes every
+dataclass of the result as the dict of its fields.
 
 Each command imports only the layers it runs, so a cold process pays
 for nothing else.  `show` and `export` load `catalog` alone; `enumerate`
@@ -62,12 +64,6 @@ def _partner_label(family_id):
     return "self" if r.flop_partner == family_id else r.flop_partner
 
 
-def _result_json(result):
-    import json
-
-    return json.dumps(dataclasses.asdict(result), indent=2)
-
-
 def _quadric_lines(table, args):
     lines = [
         "quadric fibrations over P1: X in |O(2) + alpha F| on the split "
@@ -80,7 +76,7 @@ def _quadric_lines(table, args):
         (v for v in table if v.verdict == "Small"), key=lambda v: v.family
     )
     rows = [
-        [v.family, *v.bundle.a, v.alpha, v.degree, _partner_label(v.family)]
+        [v.family, *v.a, v.alpha, v.degree, _partner_label(v.family)]
         for v in smalls
     ]
     lines.extend(
@@ -90,7 +86,7 @@ def _quadric_lines(table, args):
     )
     lines.extend(["", "divisorial anticanonical map:", ""])
     rows = [
-        [*v.bundle.a, v.alpha, v.degree, "inferred" if v.inferred else "stated", v.reason]
+        [*v.a, v.alpha, v.degree, "inferred" if v.inferred else "stated", v.reason]
         for v in table
         if v.verdict == "Divisorial"
     ]
@@ -101,7 +97,7 @@ def _quadric_lines(table, args):
     )
     lines.extend(["", "rejected split types:", ""])
     rows = [
-        [*v.bundle.a, v.verdict, v.reason]
+        [*v.a, v.verdict, v.reason]
         for v in table
         if v.verdict.startswith("Rejected")
     ]
@@ -109,17 +105,6 @@ def _quadric_lines(table, args):
         _render_table(["a1", "a2", "a3", "a4", "verdict", "reason"], rows)
     )
     return lines
-
-
-def _quadric_json(table):
-    """Each verdict's fields, with the split type flattened to `a`."""
-    import json
-
-    rows = []
-    for v in table:
-        row = dataclasses.asdict(v)
-        rows.append({"a": row.pop("bundle")["a"], **row})
-    return json.dumps(rows, indent=2)
 
 
 def _p2bundle_lines(result, args):
@@ -197,34 +182,37 @@ def _highdim_lines(result, args):
     return lines
 
 
-# --case -> (search on the `enumeration` module, JSON renderer, table renderer)
+# --case -> (search on the `enumeration` module, table renderer)
 _ENUMERATIONS = {
-    "quadric": (
-        lambda e, a: e.enumerate_quadric_fibrations(),
-        _quadric_json,
-        _quadric_lines,
-    ),
-    "p2bundle": (lambda e, a: e.enumerate_p2_bundles(), _result_json, _p2bundle_lines),
-    "blowup": (lambda e, a: e.enumerate_point_blowups(), _result_json, _blowup_lines),
+    "quadric": (lambda e, a: e.enumerate_quadric_fibrations(), _quadric_lines),
+    "p2bundle": (lambda e, a: e.enumerate_p2_bundles(), _p2bundle_lines),
+    "blowup": (lambda e, a: e.enumerate_point_blowups(), _blowup_lines),
     "rho3": (
         lambda e, a: e.enumerate_rho3(e.SURFACES[RHO3_SURFACES[a.surface][0]]),
-        _result_json,
         _rho3_lines,
     ),
-    "highdim": (lambda e, a: e.enumerate_highdim(a.dim), _result_json, _highdim_lines),
+    "highdim": (lambda e, a: e.enumerate_highdim(a.dim), _highdim_lines),
 }
+
+
+def _json(result):
+    """A search result, or the quadric search's tuple of verdicts, as JSON:
+    every dataclass in it becomes the dict of its fields."""
+    import json
+
+    return json.dumps(result, default=dataclasses.asdict, indent=2)
 
 
 def _cmd_enumerate(args):
     from . import enumeration
 
-    search, to_json, to_lines = _ENUMERATIONS[args.case]
+    search, to_lines = _ENUMERATIONS[args.case]
     try:
         result = search(enumeration, args)
     except ValueError as exc:
         return _usage_error(str(exc))
     if args.format == "json":
-        _emit(to_json(result))
+        _emit(_json(result))
     else:
         _emit("\n".join(to_lines(result, args)))
     return 0
@@ -261,10 +249,10 @@ def _cmd_verify(args):
     return 0 if failed == 0 else 1
 
 
-def _model_label(m):
-    if not m.data:
-        return m.kind
-    return f"{m.kind}({', '.join(str(x) for x in m.data)})"
+def _model_label(kind, data):
+    if not data:
+        return kind
+    return f"{kind}({', '.join(str(x) for x in data)})"
 
 
 def _cmd_show(args):
@@ -276,7 +264,7 @@ def _cmd_show(args):
         for k, v in dataclasses.asdict(r).items()
     ]
     models = construction_models(r.id)
-    fields.append(("models", " + ".join(_model_label(m) for m in models) or "-"))
+    fields.append(("models", " + ".join(_model_label(*m) for m in models) or "-"))
     width = max(len(k) for k, _ in fields) + 1
     _emit("\n".join(f"{(k + ':').ljust(width)}  {v}" for k, v in fields))
     return 0
@@ -357,9 +345,5 @@ def run(argv=None) -> int:
     return args.func(args)
 
 
-def main() -> int:
-    return run()
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -10,12 +10,13 @@ The searches, the degree builders (`quadric_model_degree`,
 each construction model of the catalog supports through the one table
 `MODEL_KINDS`, are pure: their results depend on their arguments alone,
 never on a catalog under test (the point blow-up search reads only the
-frozen built-in table, and a blow-up model's data is its target's
-degree, read by the caller).  Each is therefore memoized per process,
-keyed by its arguments, and filled on first use.  Every cached value
-is immutable (a tuple, a frozen dataclass of tuples, a named tuple, a
-string, an int or a ring class), so no caller can change what the next
-one receives.
+frozen built-in records, the higher-dimensional search only their
+rank-2 models, and a blow-up model's data is its target's degree, read
+by the caller).  Each is therefore memoized per process, keyed by its
+arguments, and filled on first use.  Every cached value is immutable
+(a tuple, a frozen dataclass of tuples, a named tuple, a string, an
+int or a ring class), so no caller can change what the next one
+receives.
 """
 
 from __future__ import annotations
@@ -35,7 +36,12 @@ from .bundles import (
     h1_split,
     twist_rank2,
 )
-from .catalog import QUADRIC_FAMILIES, RHO3_SURFACES, builtin_catalog, rank2_sources
+from .catalog import (
+    QUADRIC_FAMILIES,
+    RHO3_SURFACES,
+    builtin_catalog,
+    construction_models,
+)
 from .chow import (
     Ambient,
     Base,
@@ -60,7 +66,7 @@ from .chow import (
 class TupleVerdict:
     """Outcome of the quadric-fibration test for one split type."""
 
-    bundle: SplitBundle
+    a: tuple[int, ...]  # split type of the rank-4 tower
     alpha: int  # X in |O(2) + alpha F|; alpha = 2 - sum(a), never free
     degree: int  # sum(a) + 2 = 2 sum(a) + alpha
     verdict: str  # Small | Divisorial | RejectedRange | RejectedGeometric
@@ -121,7 +127,7 @@ def classify_tuple(E: SplitBundle) -> TupleVerdict:
     degree = total + 2
 
     def verdict(v, **kw):
-        return TupleVerdict(E, alpha, degree, v, **kw)
+        return TupleVerdict(a, alpha, degree, v, **kw)
 
     if a[0] <= -2:
         return verdict(
@@ -414,14 +420,22 @@ def scroll_degree_p1xp2() -> tuple[str, int]:
 @cache
 def enumerate_highdim(n: int) -> EnumerationResult:
     """Candidates in dimension n >= 4 by contraction type."""
+    if type(n) is not int:
+        raise ValueError(f"the dimension must be an int, got {n!r}")
     if n < 4:
         raise ValueError(f"the higher-dimensional search starts at n = 4, got {n}")
     candidates, exclusions = [], []
 
     # (i) P^(n-2)-bundles over a surface: F is an extension of a rank-2
     # model F' by the trivial bundle O^(n-3), so the degree K^2 - c2 is
-    # read off the rank-2 sources
-    for source_id, surface_kind, c2 in rank2_sources():
+    # read off the rank-2 models of the built-in catalog, sorted by id
+    sources = sorted(
+        (r.id, *data)
+        for r in builtin_catalog()
+        for kind, data in construction_models(r.id)
+        if kind == "rank2"
+    )
+    for source_id, surface_kind, c2 in sources:
         S = SURFACES[surface_kind]
         d = Rank2Data(S, -1 * canonical_base_class(S), c2).degree
         assert 1 <= d <= 9
@@ -590,8 +604,8 @@ def _grass_values(k: int, n: int) -> ModelValues:
     return ModelValues(deg)
 
 
-# `catalog.DegreeModel.kind` -> the values of a model of that kind, from
-# its data; a blow-up's data is its target's degree, which the caller
+# the kind of a catalog model's (kind, data) pair -> the values of a
+# model of that kind, from its data; a blow-up's data is its target's degree, which the caller
 # reads from the catalog under test on every call
 MODEL_KINDS = {
     "quadric": _quadric_values,

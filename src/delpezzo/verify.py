@@ -35,7 +35,6 @@ from .enumeration import (
     enumerate_rho3,
     enumerate_highdim,
     model_values,
-    quadric_model_degree,
 )
 
 
@@ -159,19 +158,18 @@ def _family_checks(r: FamilyRecord, by_id) -> list[CheckResult]:
     if not models:
         reason = NO_MODEL_REASONS.get(r.id, "no stored construction model")
         checks.append(_skip("degree-model", r.id, reason, r.citation))
-    for model in models:
-        data = model.data
-        if model.kind == "blowup":
+    for kind, data in models:
+        if kind == "blowup":
             target = _resolve(
                 checks, "blowup", "target", r, data[0], by_id, r.citation
             )
             if target is None:
                 continue
             data = (target.degree,)
-        result = model_values(model.kind, data)
+        result = model_values(kind, data)
         checks.append(
             _check(
-                f"degree-model:{model.kind}",
+                f"degree-model:{kind}",
                 r.id,
                 r.degree,
                 result.degree,
@@ -181,7 +179,7 @@ def _family_checks(r: FamilyRecord, by_id) -> list[CheckResult]:
         if result.index_residual is not None:
             checks.append(
                 _check(
-                    f"index-divisibility:{model.kind}",
+                    f"index-divisibility:{kind}",
                     r.id,
                     "0",
                     result.index_residual,
@@ -198,7 +196,7 @@ def _family_checks(r: FamilyRecord, by_id) -> list[CheckResult]:
                 )
             checks.append(
                 _check(
-                    f"h0-sections:{model.kind}",
+                    f"h0-sections:{kind}",
                     r.id,
                     r.degree + r.dim - 1,
                     result.h0,
@@ -355,13 +353,16 @@ def _degree_and_picard(name, r, c, citation):
 
 
 def _quadric_pair(name, r, v, citation):
+    # the identity is checked on the record's own model: the search sets
+    # alpha = 2 - sum(a) on every verdict, so there it always holds
+    ((a, alpha),) = (d for kind, d in construction_models(r.id) if kind == "quadric")
     return [
         _check(f"{name}-degree", r.id, r.degree, v.degree, citation),
         _check(
             f"{name}-adjunction-identity",
             r.id,
             0,
-            sum(v.bundle.a) - 2 + v.alpha,
+            sum(a) - 2 + alpha,
             citation,
             reason="sum(a) - 2 + alpha = 0 ties alpha to the split type",
         ),
@@ -369,7 +370,7 @@ def _quadric_pair(name, r, v, citation):
             f"{name}-model-degree",
             r.id,
             r.degree,
-            quadric_model_degree(v.bundle.a, v.alpha)[1],
+            model_values("quadric", (v.a, v.alpha)).degree,
             citation,
             reason="degree recomputed on the split tower",
         ),

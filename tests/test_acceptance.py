@@ -50,7 +50,7 @@ def test_criterion_1_quadric_fibration_families():
     table = enumerate_quadric_fibrations()
     smalls = sorted(
         (
-            (v.bundle.a, v.alpha, v.degree, v.family)
+            (v.a, v.alpha, v.degree, v.family)
             for v in table
             if v.verdict == "Small"
         ),
@@ -64,7 +64,7 @@ def test_criterion_1_quadric_fibration_families():
         ((-1, 0, 0, 1), 2, 2, "thm3.4-5"),
         ((-1, 0, 0, 0), 3, 1, "thm3.4-6"),
     ]
-    named = next(v for v in table if v.bundle.a == (0, 0, 1, 2))
+    named = next(v for v in table if v.a == (0, 0, 1, 2))
     assert named.verdict == "Divisorial" and not named.inferred
     _ok(1, "six quadric-fibration families and the (0 0 1 2) divisorial case")
 

@@ -15,8 +15,8 @@ from delpezzo.catalog import (
     construction_models,
     export,
     lookup,
-    rank2_sources,
 )
+from delpezzo.enumeration import enumerate_highdim
 
 
 def test_catalog_size_and_unique_ids():
@@ -189,8 +189,8 @@ def test_record_rejects_commas_in_text():
 
 
 def test_construction_models_known_and_unknown():
-    (grass,) = construction_models("thm2.1-5")
-    assert grass.kind == "grass" and grass.data == (2, 5)
+    ((kind, data),) = construction_models("thm2.1-5")
+    assert kind == "grass" and data == (2, 5)
     assert construction_models("thm3.1-1a") == ()
     assert construction_models("nosuch") == ()
 
@@ -261,12 +261,18 @@ def test_construction_models_pinned_for_every_id():
     check, so each id's models are pinned literally."""
     assert list(PINNED_MODELS) == [r.id for r in builtin_catalog()]
     for rid, expected in PINNED_MODELS.items():
-        got = tuple((m.kind, m.data) for m in construction_models(rid))
+        got = tuple((kind, data) for kind, data in construction_models(rid))
         assert got == expected, rid
 
 
 def test_rank2_sources_frozen():
-    sources = rank2_sources()
+    # (source id, surface, c2) of each P^(n-2)-bundle candidate: the
+    # rank-2 models of the catalog that the dimension-4 search extends
+    sources = [
+        (c.data[3], c.data[1], c.data[2])
+        for c in enumerate_highdim(4).candidates
+        if c.kind == "pn-bundle"
+    ]
     assert len(sources) == 24
     assert sources == sorted(sources)
     assert ("thm2.1-6a", "P2", 3) in sources

@@ -100,6 +100,16 @@ def test_unwritable_export_target_exits_two(tmp_path):
     assert not target.exists()
 
 
+def test_console_script_names_a_cli_callable():
+    # read without a TOML parser, which Python 3.10 does not ship
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text("utf-8")
+    section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    (line,) = [line for line in section.splitlines() if line.strip()]
+    module, _, attr = line.split("=", 1)[1].strip().strip('"').partition(":")
+    assert module == "delpezzo.cli"
+    assert callable(getattr(cli, attr))
+
+
 def test_verify_exit_code_reports_failures(monkeypatch, capsys):
     bad = Report(
         title="families",

@@ -5,9 +5,13 @@ engine before being pinned here; the tests also re-derive each degree a
 second way so a regression in either route shows up as a disagreement.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+from delpezzo import enumeration
 from delpezzo.bundles import SplitBundle
 from delpezzo.catalog import builtin_catalog, construction_models
 from delpezzo.chow import Fe, P1, P1xP1, P2, canonical_class, integrate
@@ -59,7 +63,7 @@ def test_quadric_table_composition():
 def test_quadric_small_families_exact():
     table = enumerate_quadric_fibrations()
     got = [
-        (v.bundle.a, v.alpha, v.degree, v.family)
+        (v.a, v.alpha, v.degree, v.family)
         for v in table
         if v.verdict == "Small"
     ]
@@ -68,13 +72,13 @@ def test_quadric_small_families_exact():
 
 def test_quadric_divisorial_rows():
     table = enumerate_quadric_fibrations()
-    rows = [(v.bundle.a, v.inferred) for v in table if v.verdict == "Divisorial"]
+    rows = [(v.a, v.inferred) for v in table if v.verdict == "Divisorial"]
     assert rows == [
         ((0, 0, 0, 2), True),
         ((0, 0, 0, 3), True),
         ((0, 0, 1, 2), False),
     ]
-    named = next(v for v in table if v.bundle.a == (0, 0, 1, 2))
+    named = next(v for v in table if v.a == (0, 0, 1, 2))
     assert "divisorial" in named.reason
     # the inferred rows carry no family id and say where the call comes from
     for v in table:
@@ -89,7 +93,7 @@ def test_quadric_rejections_carry_reasons():
         if v.verdict.startswith("Rejected"):
             assert v.family is None
             assert v.reason
-    range_rows = [v.bundle.a for v in table if v.verdict == "RejectedRange"]
+    range_rows = [v.a for v in table if v.verdict == "RejectedRange"]
     assert range_rows == [
         (-1, -1, -1, -1),
         (-1, -1, -1, 0),
@@ -113,8 +117,8 @@ def test_quadric_degree_three_ways():
 )
 def test_classify_alpha_is_never_free(entries):
     v = classify_tuple(SplitBundle(entries))
-    assert v.alpha == 2 - sum(v.bundle.a)
-    assert v.degree == sum(v.bundle.a) + 2
+    assert v.alpha == 2 - sum(v.a)
+    assert v.degree == sum(v.a) + 2
     if v.verdict == "Small":
         assert v.family is not None
     else:
@@ -302,6 +306,15 @@ def test_highdim_rejects_low_dimension():
         enumerate_highdim(3)
 
 
+@pytest.mark.parametrize("n", [5.0, True])
+def test_highdim_rejects_non_int_dimension(n):
+    # 5.0 would give candidates of dim 5.0 and the note "O^2.0", True would
+    # act as 1; each is refused also after the int 5 has been searched
+    enumerate_highdim(5)
+    with pytest.raises(ValueError, match="dimension must be an int"):
+        enumerate_highdim(n)
+
+
 # ---------------------------------------------------------------------------
 # memoized searches
 # ---------------------------------------------------------------------------
@@ -355,9 +368,27 @@ def test_cached_quadric_table_is_a_tuple():
 
 def test_model_table_has_exactly_the_catalog_kinds():
     used = {
-        m.kind for r in builtin_catalog() for m in construction_models(r.id)
+        kind for r in builtin_catalog() for kind, _ in construction_models(r.id)
     }
     assert set(MODEL_KINDS) == used
+
+
+def test_enumeration_imports_only_these_catalog_names():
+    """What the searches read of the catalog: the quadric labels, the
+    Picard-3 surfaces, and the built-in records with their models."""
+    tree = ast.parse(Path(enumeration.__file__).read_text(encoding="utf-8"))
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module == "catalog"
+        for alias in node.names
+    }
+    assert names == {
+        "QUADRIC_FAMILIES",
+        "RHO3_SURFACES",
+        "builtin_catalog",
+        "construction_models",
+    }
 
 
 def test_unknown_model_kind_is_refused():

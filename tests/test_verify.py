@@ -406,6 +406,28 @@ def test_duplicate_candidate_is_flagged(monkeypatch):
     ]
 
 
+def test_quadric_adjunction_identity_reads_the_record_model(monkeypatch):
+    # the search sets alpha = 2 - sum(a) on every verdict, so the identity
+    # can only fail on the (a, alpha) the record's model claims
+    def models(rid):
+        if rid == "thm3.4-2":
+            return (("quadric", ((0, 0, 0, 1), 2)),)
+        return construction_models(rid)
+
+    monkeypatch.setattr(verify, "construction_models", models)
+    assert _enumeration_fails(RECORDS) == [
+        CheckResult(
+            "quadric-adjunction-identity",
+            "thm3.4-2",
+            "0",
+            "1",
+            "fail",
+            "sum(a) - 2 + alpha = 0 ties alpha to the split type",
+            "Theorem 3.4",
+        )
+    ]
+
+
 # ---------------------------------------------------------------------------
 # planted errors in the engine's own data
 # ---------------------------------------------------------------------------
