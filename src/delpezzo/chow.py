@@ -24,19 +24,23 @@ The left side of every rewrite rule is a pure power of one generator
 (h^3, C0^2, z^r, ...), so the rules are indexed by generator: a monomial
 is in normal form exactly when each exponent is below its generator's
 cap.  Each ambient memoizes the normal form of every monomial it has
-met, a normal one as itself, so the cap scan runs once per distinct
-monomial and ambient; rewritten forms are filled from the rule's right
-side without recursion.  Products and `from_terms` then pay one memo
-lookup per term: a product of general classes costs one pass over its
-raw terms, a product of two monomials, the common case in pairing
-tables, one exponent sum and one lookup with no intermediate dict, and
-`from_terms` one pass over its input.  The memo lives and dies with its
-ambient.  Every tower is built anew, but each
-base has one plain ambient per process (`base_space` is memoized by the
-base), so base classes built anywhere find their common ring by
-identity.  A split tower of rank r over B is built from e_1 .. e_dim(B)
-of its twists only, O(r * dim B) base products, since the higher
-elementary symmetric classes vanish on the base.
+met as an element of its ring, a normal monomial as itself, so the cap
+scan runs once per distinct monomial and ambient; rewritten forms are
+filled from the rule's right side without recursion.  Products and
+`from_terms` then pay one memo lookup per term: a product of general
+classes costs one pass over its raw terms, a product of two monomials,
+the common case in pairing tables, one exponent sum and one lookup with
+no intermediate dict, and `from_terms` one pass over its input.  A unit
+product of two monomials and a one-term `from_terms` with coefficient 1
+return the memo's element itself, with no copy and no construction.
+The memo lives and dies with its ambient; its elements point back at
+the ambient, so a dropped ring is freed by the cyclic garbage collector.
+Every tower is built anew, but each base has one plain ambient per
+process (`base_space` is memoized by the base), so base classes built
+anywhere find their common ring by identity.  A split tower of rank r
+over B is built from e_1 .. e_dim(B) of its twists only, O(r * dim B)
+base products, since the higher elementary symmetric classes vanish on
+the base.
 
 Two ambients are equal when they present the same ring: the same base,
 rank and Chern classes c_1 .. c_dim(B).  Twists are kept for display
@@ -44,7 +48,8 @@ only, so a split tower and a Chern-data tower with the same c(V) are
 one ring and their classes mix.
 
 Values are immutable after construction and all operations are pure
-(the memo only caches).
+(the memo only caches), so one element may be handed out many times:
+nothing writes to the `terms` of an element once it is built.
 """
 
 from __future__ import annotations
@@ -224,18 +229,19 @@ class ChowElement:
             nf = A._memo.get(expo)
             if nf is None:
                 nf = A._normal_form(expo)
-            # a unit coefficient, the common case, copies the normal form
-            terms = dict(nf) if coeff == 1 else {e: coeff * c for e, c in nf}
-        else:
-            expo_sum = A._expo_sum
-            raw: dict = {}
-            for e1, c1 in t1.items():
-                for e2, c2 in t2.items():
-                    expo = expo_sum(e1, e2)
-                    raw[expo] = raw.get(expo, 0) + c1 * c2
-            terms = A._reduce(raw)
-        degree = self.degree + other.degree if terms else None
-        return ChowElement(A, terms, degree)
+            # a unit coefficient, the common case, hands out the memo's element
+            if coeff == 1:
+                return nf
+            terms = {e: coeff * c for e, c in nf.terms.items()}
+            return ChowElement(A, terms, nf.degree)
+        expo_sum = A._expo_sum
+        raw: dict = {}
+        for e1, c1 in t1.items():
+            for e2, c2 in t2.items():
+                expo = expo_sum(e1, e2)
+                raw[expo] = raw.get(expo, 0) + c1 * c2
+        terms = A._reduce(raw)
+        return ChowElement(A, terms, self.degree + other.degree if terms else None)
 
     def __pow__(self, n: int):
         if type(n) is not int or n < 0:
@@ -344,7 +350,9 @@ class Ambient:
             rhss += (tuple(rhs),)
         self._caps = caps
         self._rhss = rhss
-        self._memo = {}  # every monomial met -> its normal form
+        # every monomial met -> its normal form, an element shared by the
+        # unit products and one-term `from_terms` calls that hand it out
+        self._memo = {}
 
     # -- structure ---------------------------------------------------
 
@@ -411,10 +419,12 @@ class Ambient:
         entries must be ints, checked on every term: 1.0 and True equal 1,
         so they would find the memo key of an int vector.  Length and sign
         are checked on a miss only, since every memo key is a valid
-        exponent vector of this ambient.  Terms with coefficient zero are
-        dropped; the rest must share one degree.
+        exponent vector of this ambient.  A single term with coefficient 1
+        returns the memo's element itself, after those checks.  Terms with
+        coefficient zero are dropped; the rest must share one degree.
         """
         memo = self._memo
+        single = len(terms) == 1
         out: dict = {}
         degree = None
         for expo, coeff in terms.items():
@@ -428,6 +438,8 @@ class Ambient:
                 if len(expo) != self.nvars or min(expo) < 0:
                     raise ValueError(f"bad exponent vector {expo} for {self!r}")
                 nf = self._normal_form(expo)
+            if single and coeff == 1:
+                return nf
             if not coeff:
                 continue
             d = sum(expo)
@@ -437,7 +449,7 @@ class Ambient:
                         f"mixed-degree input (degrees {degree} and {d}) rejected"
                     )
                 degree = d
-            for e, c in nf:
+            for e, c in nf.terms.items():
                 out[e] = out.get(e, 0) + coeff * c
         if 0 in out.values():
             out = {e: c for e, c in out.items() if c}
@@ -459,10 +471,12 @@ class Ambient:
         """All stored rewrite rules over the full generator tuple."""
         return _rules(self._caps, self._rhss)
 
-    def _normal_form(self, expo: tuple) -> tuple:
-        """Normal form of a monomial not yet in the memo, as ((expo, coeff), ...).
+    def _normal_form(self, expo: tuple) -> ChowElement:
+        """Normal form of a monomial not yet in the memo, as a memoized element.
 
-        A monomial below every cap is its own normal form, ((expo, 1),).
+        The element has degree sum(expo), or None when the form is zero,
+        and is shared by whoever the memo hands it to: values are never
+        mutated.  A monomial below every cap is its own normal form.
         Otherwise the first generator at or over its cap is rewritten and
         the rewritten monomials are looked up in the memo.  Monomials
         still unknown wait on an explicit stack, so a deep rewriting chain
@@ -473,7 +487,7 @@ class Ambient:
         memo = self._memo
         if all(map(lt, expo, caps)):
             # most monomials met are normal: no stack for them
-            nf = memo[expo] = ((expo, 1),)
+            nf = memo[expo] = ChowElement(self, {expo: 1}, sum(expo))
             return nf
         stack = [expo]
         while stack:
@@ -482,7 +496,7 @@ class Ambient:
                 stack.pop()
                 continue
             if all(map(lt, m, caps)):
-                memo[m] = ((m, 1),)
+                memo[m] = ChowElement(self, {m: 1}, sum(m))
                 stack.pop()
                 continue
             g = next(i for i, (k, cap) in enumerate(zip(m, caps)) if k >= cap)
@@ -495,9 +509,10 @@ class Ambient:
                 continue
             acc: dict = {}
             for e, c in images:
-                for e2, c2 in memo[e]:
+                for e2, c2 in memo[e].terms.items():
                     acc[e2] = acc.get(e2, 0) + c * c2
-            memo[m] = tuple((e, c) for e, c in acc.items() if c)
+            terms = {e: c for e, c in acc.items() if c}
+            memo[m] = ChowElement(self, terms, sum(m) if terms else None)
             stack.pop()
         return memo[expo]
 
@@ -509,7 +524,7 @@ class Ambient:
             nf = memo.get(expo)
             if nf is None:
                 nf = self._normal_form(expo)
-            for e, c in nf:
+            for e, c in nf.terms.items():
                 out[e] = out.get(e, 0) + coeff * c
         # copied only when something cancelled, which most sums do not
         if 0 in out.values():
@@ -527,8 +542,9 @@ def base_space(base: Base) -> Ambient:
     return Ambient(base, 1, (), ())
 
 
-def _coerce_twist(base: Base, t) -> ChowElement:
-    B = base_space(base)
+def _coerce_twist(B: Ambient, t) -> ChowElement:
+    """t as a divisor class on B, the plain ambient of the tower's base."""
+    base = B.base
     if type(t) is int:
         if t == 0:
             return B.zero()
@@ -539,7 +555,7 @@ def _coerce_twist(base: Base, t) -> ChowElement:
         )
     if not isinstance(t, ChowElement):
         raise ValueError(f"twist must be a divisor class or 0, got {t!r}")
-    if t.ambient.is_tower or t.ambient.base != base:
+    if t.ambient is not B and (t.ambient.is_tower or t.ambient.base != base):
         raise ValueError(f"twist {t} does not live on the base {base!r}")
     if not t.is_zero() and t.degree != 1:
         raise ValueError(f"twist {t} is not a divisor class")
@@ -554,10 +570,10 @@ def make_tower(base: Base, twists: Sequence) -> Ambient:
     """
     if not twists:
         raise ValueError("empty twist list: a tower needs at least two summands")
-    coerced = tuple(_coerce_twist(base, t) for t in twists)
+    B = base_space(base)
+    coerced = tuple(_coerce_twist(B, t) for t in twists)
     if len(coerced) < 2:
         raise ValueError("a tower needs rank >= 2")
-    B = base_space(base)
     rank = len(coerced)
     # e_1 .. e_d of the twists; e_i has degree i, so it vanishes on the
     # base for i > dim(B) and the classes beyond d are zero padding

@@ -90,6 +90,10 @@ class FamilyCandidate:
     spanned: bool = field(init=False)
 
     def __post_init__(self):
+        for fname in ("dim", "degree", "picard"):
+            value = getattr(self, fname)
+            if type(value) is not int:
+                raise ValueError(f"candidate {fname} must be an int, got {value!r}")
         if self.degree < 1:
             raise ValueError(f"candidate degree must be >= 1, got {self.degree}")
         if self.dim < 3:

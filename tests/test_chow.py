@@ -380,6 +380,28 @@ def test_tower_build_products_are_linear_in_rank(monkeypatch):
     assert 0 < calls <= rank * base.dim
 
 
+def test_tower_build_hashes_its_base_once(monkeypatch):
+    # one `base_space` lookup, whose cache compares the key once; the
+    # twists live on the ambient it returns, found by identity
+    base = P1xP2()
+    twists = _seeded_twists(base, 16, seed=0)
+    calls = {"hash": 0, "eq": 0}
+    base_hash, base_eq = Base.__hash__, Base.__eq__
+
+    def counting_hash(self):
+        calls["hash"] += 1
+        return base_hash(self)
+
+    def counting_eq(self, other):
+        calls["eq"] += 1
+        return base_eq(self, other)
+
+    monkeypatch.setattr(Base, "__hash__", counting_hash)
+    monkeypatch.setattr(Base, "__eq__", counting_eq)
+    make_tower(base, twists)
+    assert calls == {"hash": 1, "eq": 1}
+
+
 def test_pow_spends_no_product_on_the_unit(monkeypatch):
     A = make_tower(P1xP2(), [0, 0, 0, 0])
     B = base_space(P1xP2())
@@ -467,6 +489,46 @@ def test_from_terms_reduces_like_the_oracle():
     # z^2 = h z here, so z^3 and h z^2 both reduce to h^2 z and cancel
     y = A.from_terms({(0, 3): 1, (1, 2): -1})
     assert y.is_zero() and y.degree is None
+
+
+def test_handed_out_elements_keep_their_terms():
+    # a unit monomial product and a one-term from_terms with coefficient 1
+    # return the memo's element itself; later arithmetic on the same ring
+    # must leave every such element as it was handed out
+    A = h_tower()
+    h, z = A.from_terms({(1, 0): 1}), A.from_terms({(0, 1): 1})
+    zz = z * z  # z^2 = h z on this tower
+    handed = [h, z, zz, h * z, h * h * h, A.from_terms({(0, 2): 1})]
+    assert handed[-1] is zz and A.from_terms({(1, 0): 1}) is h
+    assert zz.terms == {(1, 1): 1} and handed[4].is_zero()
+    before = [(dict(x.terms), x.degree) for x in handed]
+    for x in handed:
+        for y in handed:
+            x * y
+            (-x) * y
+            x * (3 * y)
+            if x.degree == y.degree:
+                x + y
+                x - y
+                x + (-x)
+        -x
+        -2 * x
+    A.from_terms({(0, 2): 3, (1, 1): -3})
+    A.from_terms({(0, 3): 1, (2, 1): -1})
+    A.from_terms({(0, 2): -1})
+    assert [(x.terms, x.degree) for x in handed] == before
+
+
+def test_scaled_monomial_product_leaves_the_memo_entry():
+    A = h_tower()
+    z = A.zeta
+    unit = z * z
+    assert A._memo[(0, 2)] is unit
+    scaled = z * (-2 * z)
+    assert scaled.terms == {(1, 1): -2} and scaled.degree == 2
+    assert A.from_terms({(0, 2): -2}) == scaled
+    assert A._memo[(0, 2)] is unit and unit.terms == {(1, 1): 1}
+    assert z * z is unit
 
 
 @pytest.mark.parametrize(

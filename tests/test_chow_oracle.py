@@ -247,6 +247,33 @@ def test_random_towers_match_oracle(data):
     )
 
 
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_shared_monomial_products_match_oracle(data):
+    # unit monomial products and one-term from_terms calls hand out the
+    # memo's elements: each product matches the oracle, and no later
+    # product, sum, negation or from_terms call changes what was handed out
+    A = data.draw(random_towers())
+    mons = [m for _ in range(2) for m in data.draw(raw_classes(A))][:4]
+    seed = data.draw(st.integers(0, 999))
+    handed = []
+    for m1 in mons:
+        for m2 in mons:
+            x, y = A.from_terms({m1: 1}), A.from_terms({m2: 1})
+            prod = x * y
+            assert prod.terms == oracle_mul(
+                A, list(x.terms.items()), list(y.terms.items()), seed=seed
+            )
+            handed += [x, y, prod]
+    before = [(dict(x.terms), x.degree) for x in handed]
+    for x in handed:
+        -x
+        x + x
+        x * (-2 * x)
+        A.from_terms({m: -2 for m in x.terms})
+    assert [(x.terms, x.degree) for x in handed] == before
+
+
 def rebuild(A):
     """A fresh ambient equal to A, with an empty memo."""
     if A.twists:
@@ -270,7 +297,7 @@ def test_memo_holds_only_normal_forms(data):
                     A.from_terms({m1: 1}) * A.from_terms({m2: -2})
     caps = [lhs[i] for lhs, _ in A.relations() for i, k in enumerate(lhs) if k]
     for nf in A._memo.values():
-        for expo, coeff in nf:
+        for expo, coeff in nf.terms.items():
             assert all(k < cap for k, cap in zip(expo, caps)) and coeff != 0
 
 

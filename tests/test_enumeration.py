@@ -17,6 +17,7 @@ from delpezzo.catalog import builtin_catalog, construction_models
 from delpezzo.chow import Fe, P1, P1xP1, P2, canonical_class, integrate
 from delpezzo.enumeration import (
     MODEL_KINDS,
+    FamilyCandidate,
     classify_tuple,
     enumerate_highdim,
     enumerate_p2_bundles,
@@ -313,6 +314,23 @@ def test_highdim_rejects_non_int_dimension(n):
     enumerate_highdim(5)
     with pytest.raises(ValueError, match="dimension must be an int"):
         enumerate_highdim(n)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(dim=4.5, degree=2.5, picard=True),
+        dict(dim=4.0, degree=2, picard=1),
+        dict(dim=4, degree=True, picard=1),
+        dict(dim=4, degree=2, picard=1.0),
+    ],
+)
+def test_candidate_rejects_non_int_numbers(fields):
+    # as a catalog record does: 4.5 would pass the range checks, and 4.0
+    # and True equal ints, so each would print and compare as a number
+    with pytest.raises(ValueError, match="must be an int"):
+        FamilyCandidate(kind="x", data=(), **fields)
+    assert FamilyCandidate(kind="x", dim=4, degree=2, picard=1, data=()).spanned
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and none
-defines a private module-level name it never reads.
+"""No module of the package imports a name it never uses, none defines
+a private module-level name it never reads, and none writes into the
+`terms` of a Chow element.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree with `ast`.  Only `__init__.py` is exempt from the import guard:
@@ -87,6 +88,59 @@ def test_unread_private_names_are_detected():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+_DICT_MUTATORS = {"update", "pop", "popitem", "clear", "setdefault"}
+
+
+def _is_terms(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+
+def terms_mutations(source: str) -> list[int]:
+    """Lines that change an `.terms` dict in place.
+
+    The engine's memo hands the same element to every caller, so its
+    terms dict is shared: an item assignment, deletion, in-place `|=` or
+    mutating method call on any `.terms` would change other values too.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            hit = _is_terms(node.value)
+        elif isinstance(node, ast.AugAssign):
+            hit = _is_terms(node.target)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            hit = node.func.attr in _DICT_MUTATORS and _is_terms(node.func.value)
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_terms_mutations_are_detected():
+    source = (
+        "def f(x, y):\n"
+        "    x.terms[(1,)] = 2\n"
+        "    del y.terms[(0,)]\n"
+        "    x.terms[(2,)] += 1\n"
+        "    y.terms.update({})\n"
+        "    x.terms.setdefault((3,), 0)\n"
+        "    x.terms |= {}\n"
+        "    y.terms.pop((1,)), y.terms.popitem(), x.terms.clear()\n"
+        "    terms = dict(x.terms)\n"
+        "    terms[(1,)] = 0\n"
+        "    terms.pop((1,))\n"
+        "    x.terms = terms\n"
+        "    return x.terms.get((1,)), x.terms[(1,)], y.terms.items()\n"
+    )
+    assert terms_mutations(source) == [2, 3, 4, 5, 6, 7, 8, 8, 8]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_module_mutates_terms_in_place(path):
+    assert terms_mutations(path.read_text(encoding="utf-8")) == []
 
 
 def test_chow_loads_no_dataclasses_and_no_other_layer():
