@@ -108,6 +108,9 @@ class BlowupStep:
 
 def blowup_degree(n: int, d: int) -> BlowupStep:
     """(H')^n = H^n - 1 after blowing up a point of an n-fold of degree d."""
+    for what, value in (("dimension", n), ("degree", d)):
+        if type(value) is not int:
+            raise ValueError(f"{what} must be an int, got {value!r}")
     if n < 3:
         raise ValueError("blow-up bookkeeping starts at dimension 3")
     if d <= 0:

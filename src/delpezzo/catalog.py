@@ -198,13 +198,13 @@ _HIGHDIM_SMALL_TABLE = (
 )
 
 # Proposition 5.5 and Theorems 5.6-5.7: the printed adjunction class and
-# degree of each scroll construction, keyed by the name of the
-# `enumeration` builder that replays it, as (subject, adjunction class,
-# degree, citation, reason); the reason records the Proposition 5.5
-# erratum, which stays visible instead of being corrected silently
+# degree of each scroll construction, keyed by its key in
+# `enumeration.SCROLLS`, as (subject, adjunction class, degree, citation,
+# reason); the reason records the Proposition 5.5 erratum, which stays
+# visible instead of being corrected silently
 CONSTRUCTION_CLAIMS = {
-    "scroll_degree_p1xp2": ("(5;5) scroll over P1xP2", "-p - h - 3*z", 5, "Theorem 5.6", ""),
-    "scroll_degree_p2": (
+    "p1xp2": ("(5;5) scroll over P1xP2", "-p - h - 3*z", 5, "Theorem 5.6", ""),
+    "p2": (
         "(4;6) scroll over P2",
         "-3*z",
         6,
@@ -212,7 +212,7 @@ CONSTRUCTION_CLAIMS = {
         "computed with V = O(2) + O^3; the printed V = O + O^3 is "
         "inconsistent with D in |z - 2h| and with this degree",
     ),
-    "scroll_degree_f1": ("(4;5) scroll over F1", "-3*z", 5, "Theorem 5.7", ""),
+    "f1": ("(4;5) scroll over F1", "-3*z", 5, "Theorem 5.7", ""),
 }
 
 

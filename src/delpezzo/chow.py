@@ -592,6 +592,8 @@ def chern_tower(base: Base, rank: int, cherns: Sequence[ChowElement]) -> Ambient
     cherns[i] must be a class of degree i+1 on the base (or zero); classes
     beyond dim(base) are identically zero and must not be supplied.
     """
+    if type(rank) is not int:
+        raise ValueError(f"rank must be an int, got {rank!r}")
     if rank < 2:
         raise ValueError("a tower needs rank >= 2")
     if len(cherns) > min(rank, base.dim):

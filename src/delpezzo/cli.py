@@ -187,10 +187,7 @@ _ENUMERATIONS = {
     "quadric": (lambda e, a: e.enumerate_quadric_fibrations(), _quadric_lines),
     "p2bundle": (lambda e, a: e.enumerate_p2_bundles(), _p2bundle_lines),
     "blowup": (lambda e, a: e.enumerate_point_blowups(), _blowup_lines),
-    "rho3": (
-        lambda e, a: e.enumerate_rho3(e.SURFACES[RHO3_SURFACES[a.surface][0]]),
-        _rho3_lines,
-    ),
+    "rho3": (lambda e, a: e.enumerate_rho3(a.surface), _rho3_lines),
     "highdim": (lambda e, a: e.enumerate_highdim(a.dim), _highdim_lines),
 }
 

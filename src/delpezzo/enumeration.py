@@ -5,18 +5,18 @@ stated numerical bounds and emits candidates plus first-class exclusion
 records (never silent skips), so negative results are as testable as
 positive ones.  All output orders are deterministic.
 
-The searches, the degree builders (`quadric_model_degree`,
-`scroll_degree_*`, `tower_p13`) and `model_values`, which derives what
-each construction model of the catalog supports through the one table
-`MODEL_KINDS`, are pure: their results depend on their arguments alone,
-never on a catalog under test (the point blow-up search reads only the
-frozen built-in records, the higher-dimensional search only their
-rank-2 models, and a blow-up model's data is its target's degree, read
-by the caller).  Each is therefore memoized per process, keyed by its
-arguments, and filled on first use.  Every cached value is immutable
-(a tuple, a frozen dataclass of tuples, a named tuple, a string, an
-int or a ring class), so no caller can change what the next one
-receives.
+The searches, the degree builders (`quadric_model_degree`, `scroll`,
+`tower_p13`) and `model_values`, which derives what each construction
+model of the catalog supports through the one table `MODEL_KINDS`, are
+pure: their results depend on their arguments alone, never on a catalog
+under test (the point blow-up search takes its targets from Fujita's
+list, the higher-dimensional search reads only the rank-2 models of the
+frozen built-in records, and a blow-up model's data is its target's
+degree, read by the caller).  Each is therefore memoized per process,
+keyed by its arguments, and filled on first use.  Every cached value is
+immutable (a tuple, a frozen dataclass of tuples, a named tuple, a
+string, an int or a ring class), so no caller can change what the next
+one receives.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .catalog import (
 )
 from .chow import (
     Ambient,
-    Base,
     ChowElement,
     Fe,
     P1,
@@ -254,18 +253,19 @@ def enumerate_p2_bundles() -> EnumerationResult:
 # point blow-ups of del Pezzo threefolds
 # ---------------------------------------------------------------------------
 
+# Fujita's list (Classification Theories of Polarized Varieties, LMS LN
+# 155): the degrees of the smooth del Pezzo threefolds of Picard number 1,
+# V(2;1) .. V(2;5) and P3 with H = O(2); input to the search, not a claim
+# under test
+FUJITA_RANK1_DEGREES = (1, 2, 3, 4, 5, 8)
+
+
 @cache
 def enumerate_point_blowups() -> EnumerationResult:
     """Blow-ups of rank-1 smooth del Pezzo threefolds in a general point."""
-    rank1 = [
-        r
-        for r in builtin_catalog()
-        if r.id.startswith("thm2.1-") and r.picard == 1
-    ]
     candidates, exclusions = [], []
     for d in range(1, 6):  # the degree window 1 <= d <= 5 for small maps
-        targets = [r for r in rank1 if r.degree == d + 1]
-        if not targets:
+        if d + 1 not in FUJITA_RANK1_DEGREES:
             exclusions.append(
                 ExclusionRecord(
                     kind="blowup-v2d",
@@ -278,8 +278,8 @@ def enumerate_point_blowups() -> EnumerationResult:
                 )
             )
             continue
-        (target,) = targets
-        step = blowup_degree(3, target.degree)
+        target = f"thm2.1-{d + 1}"
+        step = blowup_degree(3, d + 1)
         assert step.degree_after == d and step.admissible
         candidates.append(
             FamilyCandidate(
@@ -287,9 +287,9 @@ def enumerate_point_blowups() -> EnumerationResult:
                 dim=3,
                 degree=d,
                 picard=2,
-                data=(target.id,),
+                data=(target,),
                 family=f"thm3.6-{d}",
-                notes=(f"blow-up of {target.id} = V(2;{d + 1}) in a general point",),
+                notes=(f"blow-up of {target} = V(2;{d + 1}) in a general point",),
             )
         )
     return EnumerationResult(tuple(candidates), tuple(exclusions))
@@ -302,18 +302,16 @@ def enumerate_point_blowups() -> EnumerationResult:
 # surface tags of the rank-2 and rank-3 construction models
 SURFACES = {"P2": P2(), "P1xP1": P1xP1(), "F2": Fe(2)}
 
-# surface -> its tag in `catalog.RHO3_SURFACES`
-_RHO3_TAGS = {SURFACES[key]: tag for tag, (key, _) in RHO3_SURFACES.items()}
-
 
 @cache
-def enumerate_rho3(surface: Base) -> EnumerationResult:
-    """Rank-2 bundles with c1 = -K over P1 x P1 or F2, bounded by bigness."""
-    tag = _RHO3_TAGS.get(surface)
-    if tag is None:
+def enumerate_rho3(tag: str) -> EnumerationResult:
+    """Rank-2 bundles with c1 = -K over the surface of a `RHO3_SURFACES`
+    tag, P1 x P1 or F2, bounded by bigness."""
+    if tag not in RHO3_SURFACES:
         raise ValueError(
-            f"the Picard-3 classification covers P1 x P1 and F2 only, got {surface!r}"
+            f"the Picard-3 classification covers P1 x P1 and F2 only, got {tag!r}"
         )
+    surface = SURFACES[RHO3_SURFACES[tag][0]]
     B = base_space(surface)
     c1 = -1 * canonical_base_class(surface)
     c1sq = integrate(c1 * c1)
@@ -391,34 +389,24 @@ def tower_p13() -> tuple[Ambient, ChowElement]:
     return T, T.zeta + T.pullback(B.gen("f1") + B.gen("f2"))
 
 
-def _scroll(base: Base, twist: ChowElement, divisor: ChowElement) -> tuple[str, int]:
-    """Adjunction and degree of X in |z + divisor| inside P(O(twist) + O^3)."""
-    W = make_tower(base, [twist, 0, 0, 0])
-    X = W.zeta + W.pullback(divisor)
+# Proposition 5.5 and Theorems 5.6-5.7: each scroll X in |z + D| inside
+# P(O(L) + O^3), as key -> (base, the base generators -> (L, D))
+SCROLLS = {
+    "p2": (P2(), lambda h: (2 * h, h)),
+    "f1": (Fe(1), lambda C0, f: (C0 + 2 * f, C0 + f)),
+    "p1xp2": (P1xP2(), lambda p, h: (p + h, h)),
+}
+
+
+@cache
+def scroll(key: str) -> tuple[str, int]:
+    """Adjunction class and degree of the scroll `SCROLLS[key]`."""
+    base, divisors = SCROLLS[key]
+    B = base_space(base)
+    L, D = divisors(*map(B.gen, base.gens))
+    W = make_tower(base, [L, 0, 0, 0])
+    X = W.zeta + W.pullback(D)
     return str(adjunction(W, X)), polarized_degree(W, X, W.zeta)
-
-
-@cache
-def scroll_degree_p2() -> tuple[str, int]:
-    """The (4;6) scroll: X in |z + h| inside P(O(2) + O^3) over P2."""
-    h = base_space(P2()).gen("h")
-    return _scroll(P2(), 2 * h, h)
-
-
-@cache
-def scroll_degree_f1() -> tuple[str, int]:
-    """The (4;5) scroll: X in |z + tau - f| inside P(O(tau) + O^3) over F1."""
-    B = base_space(Fe(1))
-    tau = B.gen("C0") + 2 * B.gen("f")
-    return _scroll(Fe(1), tau, tau - B.gen("f"))
-
-
-@cache
-def scroll_degree_p1xp2() -> tuple[str, int]:
-    """The (5;5) scroll: X in |z + h| inside P(O(p + h) + O^3) over P1 x P2."""
-    B = base_space(P1xP2())
-    p, h = B.gen("p"), B.gen("h")
-    return _scroll(P1xP2(), p + h, h)
 
 
 @cache
@@ -495,7 +483,7 @@ def enumerate_highdim(n: int) -> EnumerationResult:
                 ),
             )
         )
-        adj6, deg6 = scroll_degree_p2()
+        adj6, deg6 = scroll("p2")
         exclusions.append(
             ExclusionRecord(
                 kind="quadric-bundle-highdim",
@@ -508,7 +496,7 @@ def enumerate_highdim(n: int) -> EnumerationResult:
                 computed=(("tower_degree", deg6), ("adjunction", adj6)),
             )
         )
-        adj5, deg5 = scroll_degree_f1()
+        adj5, deg5 = scroll("f1")
         exclusions.append(
             ExclusionRecord(
                 kind="quadric-bundle-highdim",
@@ -616,7 +604,7 @@ MODEL_KINDS = {
     "rank2": lambda tag, c2: _scroll_values(tag, 2, c2),
     "rank3": lambda tag, c2: _scroll_values(tag, 3, c2),
     "towerP13": _tower_p13_values,
-    "tower56": lambda: ModelValues(scroll_degree_p1xp2()[1]),
+    "tower56": lambda: ModelValues(scroll("p1xp2")[1]),
     "blowup": lambda degree: ModelValues(blowup_degree(3, degree).degree_after),
     "weighted": _weighted_values,
     "ci": lambda degrees: ModelValues(math.prod(degrees)),

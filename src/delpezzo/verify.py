@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from . import enumeration
 from .catalog import (
     CONSTRUCTION_CLAIMS,
     NO_MODEL_REASONS,
@@ -28,13 +27,13 @@ from .catalog import (
     construction_models,
 )
 from .enumeration import (
-    SURFACES,
     enumerate_p2_bundles,
     enumerate_point_blowups,
     enumerate_quadric_fibrations,
     enumerate_rho3,
     enumerate_highdim,
     model_values,
+    scroll,
 )
 
 
@@ -329,7 +328,7 @@ def verify_constructions(catalog=None) -> Report:
     checks = []
     for key, claim in CONSTRUCTION_CLAIMS.items():
         subject, want_adj, want_deg, citation, reason = claim
-        adj, deg = getattr(enumeration, key)()
+        adj, deg = scroll(key)
         checks.append(
             _check("construction-adjunction", subject, want_adj, adj, citation, reason)
         )
@@ -426,11 +425,11 @@ def verify_enumeration_matches_catalog(catalog=None) -> Report:
     match("quadric", "thm3.4-", smalls, "Theorem 3.4", _quadric_pair)
     match("p2bundle", "thm3.5-", enumerate_p2_bundles().candidates, "Theorem 3.5")
     match("blowup", "thm3.6-", enumerate_point_blowups().candidates, "Theorem 3.6")
-    for tag, (key, _) in RHO3_SURFACES.items():
+    for tag in RHO3_SURFACES:
         match(
             f"rho3-{tag}",
             f"thm4.1-{tag}-",
-            enumerate_rho3(SURFACES[key]).candidates,
+            enumerate_rho3(tag).candidates,
             "Theorem 4.1(2)",
         )
 

@@ -217,6 +217,14 @@ def test_blowup_degree_rejections():
         blowup_degree(2, 5)
 
 
+@pytest.mark.parametrize("n,d", [(3, 2.5), (3.0, 4), (3, 4.0), (True, 4)])
+def test_blowup_degree_rejects_non_int(n, d):
+    # (3, 2.5) would give degree_after = 1.5, valid and admissible
+    for blowup in (blowup_degree, blowup_chain):
+        with pytest.raises(ValueError, match="must be an int"):
+            blowup(n, d)
+
+
 @given(d=st.integers(min_value=1, max_value=30))
 @settings(max_examples=40, deadline=None)
 def test_blowup_chain_has_d_minus_1_steps(d):

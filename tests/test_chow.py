@@ -611,6 +611,16 @@ def test_chern_tower_input_validation():
         chern_tower(P2(), 2, [h, h * h, h * h * h])
 
 
+@pytest.mark.parametrize("rank", [2.5, 2.0, True])
+def test_chern_tower_rejects_non_int_rank(rank):
+    # 2.5 would build a ring of dimension 3.5, 2.0 one equal to rank 2
+    F = base_space(P1()).gen("F")
+    with pytest.raises(ValueError, match="rank must be an int"):
+        chern_tower(P1(), rank, [F])
+    with pytest.raises(ValueError, match="rank must be an int"):
+        chern_tower(P2(), rank, [])
+
+
 def test_canonical_class_needs_tower():
     with pytest.raises(ValueError, match="rank"):
         canonical_class(base_space(P2()))

@@ -14,8 +14,9 @@ from hypothesis import given, strategies as st
 from delpezzo import enumeration
 from delpezzo.bundles import SplitBundle
 from delpezzo.catalog import builtin_catalog, construction_models
-from delpezzo.chow import Fe, P1, P1xP1, P2, canonical_class, integrate
+from delpezzo.chow import Fe, P1xP1, canonical_class, integrate
 from delpezzo.enumeration import (
+    FUJITA_RANK1_DEGREES,
     MODEL_KINDS,
     FamilyCandidate,
     classify_tuple,
@@ -26,9 +27,7 @@ from delpezzo.enumeration import (
     enumerate_rho3,
     model_values,
     quadric_model_degree,
-    scroll_degree_f1,
-    scroll_degree_p1xp2,
-    scroll_degree_p2,
+    scroll,
     surface_scroll,
     tower_p13,
 )
@@ -194,6 +193,22 @@ def test_point_blowup_degree_five_excluded():
     assert dict(e.computed) == {"target_degree": 6, "matches": 0}
 
 
+def test_point_blowups_read_no_catalog(monkeypatch):
+    # the targets come from Fujita's list, so an empty catalog changes nothing
+    cached = enumerate_point_blowups()
+    monkeypatch.setattr(enumeration, "builtin_catalog", lambda: [])
+    assert enumerate_point_blowups.__wrapped__() == cached
+
+
+def test_fujita_list_agrees_with_the_rank1_smooth_records():
+    rank1 = sorted(
+        r.degree
+        for r in builtin_catalog()
+        if r.id.startswith("thm2.1-") and r.picard == 1
+    )
+    assert tuple(rank1) == FUJITA_RANK1_DEGREES
+
+
 # ---------------------------------------------------------------------------
 # Picard number 3
 # ---------------------------------------------------------------------------
@@ -201,7 +216,10 @@ def test_point_blowup_degree_five_excluded():
 
 @pytest.mark.parametrize("surface,tag", [(P1xP1(), "p1p1"), (Fe(2), "f2")])
 def test_rho3_candidates(surface, tag):
-    res = enumerate_rho3(surface)
+    # the search takes the tag of its surface, not the surface itself
+    with pytest.raises(ValueError, match="P1 x P1 and F2"):
+        enumerate_rho3(surface)
+    res = enumerate_rho3(tag)
     got = [(c.data[1], c.degree, c.family) for c in res.candidates]
     assert got == [
         (c2, 8 - c2, f"thm4.1-{tag}-c{c2}") for c2 in (0, 2, 3, 4, 5, 6, 7)
@@ -213,9 +231,9 @@ def test_rho3_candidates(surface, tag):
     assert all(mirrored) if tag == "f2" else not any(mirrored)
 
 
-@pytest.mark.parametrize("surface", [P1xP1(), Fe(2)])
-def test_rho3_c2_one_excluded(surface):
-    res = enumerate_rho3(surface)
+@pytest.mark.parametrize("tag", ["p1p1", "f2"])
+def test_rho3_c2_one_excluded(tag):
+    res = enumerate_rho3(tag)
     assert len(res.exclusions) == 1
     e = res.exclusions[0]
     assert e.data[1] == 1
@@ -224,9 +242,9 @@ def test_rho3_c2_one_excluded(surface):
 
 def test_rho3_rejects_other_surfaces():
     with pytest.raises(ValueError, match="P1 x P1 and F2"):
-        enumerate_rho3(P2())
+        enumerate_rho3("p2")
     with pytest.raises(ValueError, match="P1 x P1 and F2"):
-        enumerate_rho3(Fe(1))
+        enumerate_rho3("f1")
 
 
 # ---------------------------------------------------------------------------
@@ -344,21 +362,21 @@ def test_candidate_rejects_non_int_numbers(fields):
         enumerate_quadric_fibrations,
         enumerate_p2_bundles,
         enumerate_point_blowups,
-        lambda: enumerate_rho3(P1xP1()),
-        lambda: enumerate_rho3(Fe(2)),
+        lambda: enumerate_rho3("p1p1"),
+        lambda: enumerate_rho3("f2"),
         lambda: enumerate_highdim(4),
         lambda: enumerate_highdim(5),
         lambda: quadric_model_degree((0, 0, 0, 1), 1),
-        scroll_degree_p2,
-        scroll_degree_f1,
-        scroll_degree_p1xp2,
         tower_p13,
         lambda: model_values("rank3", ("P2", 4)),
         lambda: model_values("blowup", (8,)),
+        pytest.param(lambda: scroll("p2"), id="scroll-p2"),
+        pytest.param(lambda: scroll("f1"), id="scroll-f1"),
+        pytest.param(lambda: scroll("p1xp2"), id="scroll-p1xp2"),
     ],
 )
 def test_searches_return_one_cached_value(search):
-    # equal fresh arguments (a new Base each call) find the same entry
+    # equal fresh arguments (a new tuple each call) find the same entry
     assert search() is search()
 
 
