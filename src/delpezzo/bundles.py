@@ -5,7 +5,7 @@ blow-up degree bookkeeping."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .chow import Base, ChowElement, base_space, canonical_base_class, integrate
 
@@ -95,18 +95,7 @@ def twist_rank2(D: Rank2Data, M: ChowElement) -> Rank2Data:
     return Rank2Data(D.surface, c1p, c2p)
 
 
-@dataclass(frozen=True)
-class BlowupStep:
-    """Degree bookkeeping for blowing up a point: H^n drops by one."""
-
-    n: int
-    degree_before: int
-    degree_after: int
-    valid: bool  # the new polarization still has positive degree
-    admissible: Optional[bool]  # n = 3 only: hypothesis d >= 2 for a general point
-
-
-def blowup_degree(n: int, d: int) -> BlowupStep:
+def blowup_degree(n: int, d: int) -> int:
     """(H')^n = H^n - 1 after blowing up a point of an n-fold of degree d."""
     for what, value in (("dimension", n), ("degree", d)):
         if type(value) is not int:
@@ -115,25 +104,14 @@ def blowup_degree(n: int, d: int) -> BlowupStep:
         raise ValueError("blow-up bookkeeping starts at dimension 3")
     if d <= 0:
         raise ValueError(f"degree must be positive, got {d}")
-    return BlowupStep(
-        n=n,
-        degree_before=d,
-        degree_after=d - 1,
-        valid=d - 1 > 0,
-        admissible=(d >= 2) if n == 3 else None,
-    )
+    return d - 1
 
 
-def blowup_chain(n: int, d: int) -> list[BlowupStep]:
-    """All successive admissible point blow-ups starting from degree d.
+def blowup_chain(n: int, d: int) -> tuple[int, ...]:
+    """Degrees after each successive admissible point blow-up from degree d.
 
     Each step needs degree >= 2 (the resulting anticanonical class must
-    stay big), so a chain from degree d has exactly d - 1 steps.
+    stay big), so a chain from degree d has exactly d - 1 steps, down to 1.
     """
-    steps = []
-    current = d
-    while current >= 2:
-        step = blowup_degree(n, current)
-        steps.append(step)
-        current = step.degree_after
-    return steps
+    blowup_degree(n, d)
+    return tuple(range(d - 1, 0, -1))

@@ -79,15 +79,6 @@ _EXPONENT_SUM = {
 }
 
 
-def _rules(caps: tuple, rhss: tuple) -> list:
-    """The rewrite rules gen^cap -> right side, one per generator, in order."""
-    n = len(caps)
-    return [
-        (tuple(cap if j == i else 0 for j in range(n)), list(rhs))
-        for i, (cap, rhs) in enumerate(zip(caps, rhss))
-    ]
-
-
 class Base:
     """One of the supported base spaces, identified by kind (and e for F_e).
 
@@ -113,13 +104,13 @@ class Base:
             # C0^2 = -e C0 f, and K_B = -2 C0 - (e + 2) f
             self.rhss = ((((1, 1), -e),), ())
             canonical = (canonical[0], canonical[1] - e)
+        # relations keep degree in a graded ring; C0 -> C0 f would never stop
+        for cap, rhs in zip(self.caps, self.rhss):
+            if any(sum(m) != cap for m, _ in rhs):
+                raise ValueError(f"the relations of {kind} are not homogeneous")
         self._canonical = canonical
         self.top_monomial = tuple(cap - 1 for cap in self.caps)
         self.dim = sum(self.top_monomial)
-
-    def relations(self) -> list[tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]]:
-        """Rewrite rules (lhs monomial -> polynomial) defining the base ring."""
-        return _rules(self.caps, self.rhss)
 
     def canonical_coeffs(self) -> dict[str, int]:
         """Coefficients of K_B on the degree-1 generators."""
@@ -468,8 +459,13 @@ class Ambient:
     # -- rewriting ---------------------------------------------------
 
     def relations(self) -> list[tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]]:
-        """All stored rewrite rules over the full generator tuple."""
-        return _rules(self._caps, self._rhss)
+        """All stored rewrite rules over the full generator tuple, one per
+        generator in order: gen^cap -> right side."""
+        n = self.nvars
+        return [
+            (tuple(cap if j == i else 0 for j in range(n)), list(rhs))
+            for i, (cap, rhs) in enumerate(zip(self._caps, self._rhss))
+        ]
 
     def _normal_form(self, expo: tuple) -> ChowElement:
         """Normal form of a monomial not yet in the memo, as a memoized element.

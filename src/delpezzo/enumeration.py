@@ -145,7 +145,6 @@ def classify_tuple(E: SplitBundle) -> TupleVerdict:
         if a[3] == 0:
             return verdict("Small", family=QUADRIC_FAMILIES[a])
         if a[2] == 0 and a[3] == 1:
-            assert 2 - a[3] > 0  # the contracted-divisor intersection stays positive
             return verdict("Small", family=QUADRIC_FAMILIES[a])
         if a[2] > 0:
             if a == (0, 0, 1, 2):
@@ -153,7 +152,6 @@ def classify_tuple(E: SplitBundle) -> TupleVerdict:
                     "Divisorial", reason="psi is divisorial: X in |O(2) - F|"
                 )
             return verdict("Small", family=QUADRIC_FAMILIES[a])
-        assert a[3] >= 2
         return verdict(
             "Divisorial",
             reason="a4 >= 2 with a3 = 0 follows the divisorial exclusion pattern",
@@ -184,7 +182,6 @@ def enumerate_quadric_fibrations() -> tuple[TupleVerdict, ...]:
                 for a4 in range(a3, 4):
                     if a1 + a2 + a3 + a4 > 3:
                         continue
-                    assert all(-1 <= x <= 3 for x in (a1, a2, a3, a4))
                     table.append(classify_tuple(SplitBundle((a1, a2, a3, a4))))
     assert sum(1 for v in table if v.verdict == "Small") == 6
     return tuple(table)
@@ -279,13 +276,11 @@ def enumerate_point_blowups() -> EnumerationResult:
             )
             continue
         target = f"thm2.1-{d + 1}"
-        step = blowup_degree(3, d + 1)
-        assert step.degree_after == d and step.admissible
         candidates.append(
             FamilyCandidate(
                 kind="blowup-v2d",
                 dim=3,
-                degree=d,
+                degree=blowup_degree(3, d + 1),
                 picard=2,
                 data=(target,),
                 family=f"thm3.6-{d}",
@@ -430,7 +425,6 @@ def enumerate_highdim(n: int) -> EnumerationResult:
     for source_id, surface_kind, c2 in sources:
         S = SURFACES[surface_kind]
         d = Rank2Data(S, -1 * canonical_base_class(S), c2).degree
-        assert 1 <= d <= 9
         picard = len(S.gens) + 1
         notes = [
             f"extension 0 -> O^{n - 3} -> F -> F' -> 0 with F' the rank-2 "
@@ -467,6 +461,7 @@ def enumerate_highdim(n: int) -> EnumerationResult:
                 notes=("X' is a singular hyperplane section of G(1 4) in P9",),
             )
         )
+    cone_computed = ()
     if n == 4:
         candidates.append(
             FamilyCandidate(
@@ -508,8 +503,6 @@ def enumerate_highdim(n: int) -> EnumerationResult:
                 computed=(("tower_degree", deg5), ("adjunction", adj5)),
             )
         )
-    cone_computed = ()
-    if n == 4:
         resolution = model_values("rank3", ("P2", 4))
         cone_computed = (("resolution_degree", resolution.degree),)
     exclusions.append(
@@ -528,13 +521,12 @@ def enumerate_highdim(n: int) -> EnumerationResult:
     # (iii) point blow-up chains: every candidate of degree >= 2 extends
     base_candidates = list(candidates)
     for c in base_candidates:
-        chain = blowup_chain(n, c.degree)
-        for r, step in enumerate(chain, start=1):
+        for r, degree in enumerate(blowup_chain(n, c.degree), start=1):
             candidates.append(
                 FamilyCandidate(
                     kind="point-blowup-chain",
                     dim=n,
-                    degree=step.degree_after,
+                    degree=degree,
                     picard=c.picard + r,
                     data=(c.kind, c.data, r),
                     notes=(
@@ -581,6 +573,8 @@ def _tower_p13_values() -> ModelValues:
 
 def _weighted_values(deg: int, weights: tuple[int, ...]) -> ModelValues:
     """A hypersurface of degree `deg` in P(weights), polarized by O(1)."""
+    if min(weights) < 1:
+        raise ValueError(f"weights must be positive, got {weights}")
     denom = math.prod(weights)
     if deg % denom != 0:
         raise ArithmeticError(f"weighted degree {deg} not divisible by {denom}")
@@ -597,15 +591,15 @@ def _grass_values(k: int, n: int) -> ModelValues:
 
 
 # the kind of a catalog model's (kind, data) pair -> the values of a
-# model of that kind, from its data; a blow-up's data is its target's degree, which the caller
-# reads from the catalog under test on every call
+# model of that kind, from its data; a blow-up's data is its target's
+# degree, which the caller reads from the catalog under test on every call
 MODEL_KINDS = {
     "quadric": _quadric_values,
     "rank2": lambda tag, c2: _scroll_values(tag, 2, c2),
     "rank3": lambda tag, c2: _scroll_values(tag, 3, c2),
     "towerP13": _tower_p13_values,
     "tower56": lambda: ModelValues(scroll("p1xp2")[1]),
-    "blowup": lambda degree: ModelValues(blowup_degree(3, degree).degree_after),
+    "blowup": lambda degree: ModelValues(blowup_degree(3, degree)),
     "weighted": _weighted_values,
     "ci": lambda degrees: ModelValues(math.prod(degrees)),
     "grass": _grass_values,

@@ -8,9 +8,10 @@ reason spelled out, never silently passed.
 
 Each construction model's values come from `enumeration.model_values`,
 which memoizes them by kind and data; this module only compares them
-with the record.  A blow-up model's data is its target's degree, read
-from the catalog under test on every call, so a planted error in the
-target always shows.
+with the record, and a model that cannot be derived from its data fails
+a `model-derivation` check instead of raising.  A blow-up model's data
+is its target's degree, read from the catalog under test on every call,
+so a planted error in the target always shows.
 """
 
 from __future__ import annotations
@@ -165,7 +166,13 @@ def _family_checks(r: FamilyRecord, by_id) -> list[CheckResult]:
             if target is None:
                 continue
             data = (target.degree,)
-        result = model_values(kind, data)
+        try:
+            result = model_values(kind, data)
+        except (ValueError, ArithmeticError) as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            name = f"model-derivation:{kind}"
+            checks.append(_check(name, r.id, "a derivable model", error, r.citation))
+            continue
         checks.append(
             _check(
                 f"degree-model:{kind}",

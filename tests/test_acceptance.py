@@ -217,10 +217,13 @@ def test_criterion_8_blowup_chains():
         for d in range(2, 10):
             chain = blowup_chain(n, d)
             assert len(chain) == d - 1
-            assert [s.degree_after for s in chain] == list(range(d - 1, 0, -1))
-            assert all(s.valid for s in chain)
-    step = blowup_degree(3, 1)
-    assert not step.valid and not step.admissible
+            assert chain == tuple(range(d - 1, 0, -1))
+            # each step loses exactly one, and the last leaves degree 1
+            assert [a - b for a, b in zip((d,) + chain, chain)] == [1] * (d - 1)
+            assert chain[-1] == 1
+    # blowing up degree 1 would leave degree 0, so no chain takes that step
+    assert blowup_degree(3, 1) == 0
+    assert blowup_chain(3, 1) == ()
     _ok(8, "blow-up chains lose exactly one in degree per step and stop at 1")
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from delpezzo import Fe, P1xP1, P2, base_space, integrate
 from delpezzo.bundles import (
-    BlowupStep,
     Rank2Data,
     SplitBundle,
     blowup_chain,
@@ -200,12 +199,12 @@ def test_chi_commutes_with_twist_substitution(c, c2):
 
 
 def test_blowup_degree_frozen_values():
-    s = blowup_degree(3, 8)
-    assert s == BlowupStep(n=3, degree_before=8, degree_after=7, valid=True, admissible=True)
-    s1 = blowup_degree(3, 1)
-    assert s1.degree_after == 0 and not s1.valid and not s1.admissible
-    s4 = blowup_degree(4, 5)
-    assert s4.degree_after == 4 and s4.valid and s4.admissible is None
+    assert blowup_degree(3, 8) == 7
+    # the step from degree 1 leaves no positive degree, so no chain takes it
+    assert blowup_degree(3, 1) == 0
+    assert blowup_chain(3, 1) == ()
+    assert blowup_degree(4, 5) == 4
+    assert type(blowup_degree(3, 8)) is int
 
 
 def test_blowup_degree_rejections():
@@ -215,11 +214,17 @@ def test_blowup_degree_rejections():
         blowup_degree(4, -2)
     with pytest.raises(ValueError, match="dimension 3"):
         blowup_degree(2, 5)
+    for d in (0, -2):
+        with pytest.raises(ValueError, match="positive"):
+            blowup_chain(3, d)
 
 
-@pytest.mark.parametrize("n,d", [(3, 2.5), (3.0, 4), (3, 4.0), (True, 4)])
+@pytest.mark.parametrize(
+    "n,d", [(3, 2.5), (3.0, 4), (3, 4.0), (True, 4), (3, True), (3, 1.0)]
+)
 def test_blowup_degree_rejects_non_int(n, d):
-    # (3, 2.5) would give degree_after = 1.5, valid and admissible
+    # (3, 2.5) would give degree 1.5; a chain from True or 1.0 takes no
+    # step, yet is refused before it is built
     for blowup in (blowup_degree, blowup_chain):
         with pytest.raises(ValueError, match="must be an int"):
             blowup(n, d)
@@ -230,6 +235,4 @@ def test_blowup_degree_rejects_non_int(n, d):
 def test_blowup_chain_has_d_minus_1_steps(d):
     chain = blowup_chain(3, d)
     assert len(chain) == d - 1
-    assert all(step.admissible for step in chain)
-    degrees = [step.degree_after for step in chain]
-    assert degrees == list(range(d - 1, 0, -1))
+    assert chain == tuple(range(d - 1, 0, -1))

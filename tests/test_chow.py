@@ -23,6 +23,7 @@ from delpezzo import (
     make_tower,
     polarized_degree,
 )
+from delpezzo import chow
 from substitution_oracle import oracle_reduce
 
 coeffs = st.integers(min_value=-6, max_value=6)
@@ -102,9 +103,8 @@ def test_base_facts_are_pinned(base, gens, dim, top, relations, canonical):
     assert base.gens == gens
     assert base.dim == dim
     assert base.top_monomial == top
-    assert base.relations() == relations
     assert base.canonical_coeffs() == canonical
-    # the plain ring presents exactly the base's rules
+    # the base ring is presented by exactly these rewrite rules
     assert base_space(base).relations() == relations
 
 
@@ -116,6 +116,17 @@ def test_base_parameter_must_be_an_int(kind, e):
         base_space(Base(kind, e))
     assert str(base_space(Fe(2)).gen("C0") ** 2) == "-2*C0*f"
     assert repr(base_space(Fe(1))) == "F1"
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_base_rules_must_keep_degree(monkeypatch, delta):
+    # C0^2 = -e C0 f with the cap of C0 moved: at cap 1 the rule would
+    # rewrite C0 -> C0 f forever
+    gens, caps, canonical = chow._BASES["Fe"]
+    edited = (gens, (caps[0] + delta, caps[1]), canonical)
+    monkeypatch.setitem(chow._BASES, "Fe", edited)
+    with pytest.raises(ValueError, match="Fe are not homogeneous"):
+        Fe(1)
 
 
 # -- degrees of the rank-4 quadric fibration models ----------------------
@@ -274,6 +285,9 @@ def test_zero_and_scalars():
     assert integrate(0 * (z * z)) == 0
     assert 2 * z + 3 * z == 5 * z
     assert str(z - z) == "0"
+    # a degree-0 class prints as its integer
+    assert str(3 * T.one()) == "3"
+    assert str(-2 * T.one()) == "-2"
 
 
 # -- rejection paths -------------------------------------------------------
@@ -673,6 +687,11 @@ def test_pullback_is_a_ring_map(x, y):
     by = y[0] * B.gen("f1") + y[1] * B.gen("f2")
     assert A.pullback(bx * by) == A.pullback(bx) * A.pullback(by)
     assert A.pullback(bx + by) == A.pullback(bx) + A.pullback(by)
+
+
+def test_pullback_on_a_plain_base_is_the_identity():
+    h = base_space(P2()).gen("h")
+    assert base_space(P2()).pullback(h) is h
 
 
 @given(c=st.integers(min_value=-9, max_value=9))

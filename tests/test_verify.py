@@ -164,6 +164,31 @@ def test_report_json_round_trip():
     assert {c["status"] for c in payload["checks"]} <= {"pass", "fail", "skipped"}
 
 
+def test_report_json_is_pinned():
+    check = CheckResult("n", "s", "1", "2", "fail", "why", "cit")
+    assert verify.Report("t", (check,)).to_json() == (
+        "{\n"
+        '  "title": "t",\n'
+        '  "summary": {\n'
+        '    "pass": 0,\n'
+        '    "fail": 1,\n'
+        '    "skipped": 0\n'
+        "  },\n"
+        '  "checks": [\n'
+        "    {\n"
+        '      "name": "n",\n'
+        '      "subject": "s",\n'
+        '      "expected": "1",\n'
+        '      "computed": "2",\n'
+        '      "status": "fail",\n'
+        '      "reason": "why",\n'
+        '      "citation": "cit"\n'
+        "    }\n"
+        "  ]\n"
+        "}\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # seeded errors are detected
 # ---------------------------------------------------------------------------
@@ -236,6 +261,28 @@ def test_memoized_models_do_not_leak_a_planted_error():
     ]
     assert [c.status for c in blowup] == ["fail"]
     assert _counts(verify_all()) == PINNED_COUNTS
+
+
+def test_planted_degree_error_counts_are_pinned():
+    # V(2;3) = thm2.1-3 at degree 4: its own model, both blow-ups of it and
+    # the three families that smooth to it fail, and nothing else does
+    mutated = _mutate(RECORDS, "thm2.1-3", degree=4)
+    reports = verify_all(mutated)
+    assert _counts(reports) == {
+        **PINNED_COUNTS,
+        "families": (124, 3, 6),
+        "smoothings": (67, 3, 0),
+    }
+    fails = [(c.name, c.subject) for rep in reports for c in rep.checks
+             if c.status == "fail"]
+    assert fails == [
+        ("degree-model:ci", "thm2.1-3"),
+        ("degree-model:blowup", "thm3.1-3b"),
+        ("degree-model:blowup", "thm3.6-2"),
+        ("smoothing-degree", "thm3.4-2"),
+        ("smoothing-degree", "thm3.5-3"),
+        ("smoothing-degree", "thm3.6-3"),
+    ]
 
 
 def test_verify_prints_the_same_bytes_twice_in_one_process(capsys):
@@ -425,6 +472,68 @@ def test_quadric_adjunction_identity_reads_the_record_model(monkeypatch):
             "Theorem 3.4",
         )
     ]
+
+
+# ---------------------------------------------------------------------------
+# planted errors in the construction-model data
+# ---------------------------------------------------------------------------
+
+
+def _int_edits(data, delta):
+    """Copies of nested tuple `data` with one int entry moved by delta."""
+    if type(data) is int:
+        return [data + delta]
+    if not isinstance(data, tuple):
+        return []
+    return [
+        data[:i] + (edited,) + data[i + 1:]
+        for i, entry in enumerate(data)
+        for edited in _int_edits(entry, delta)
+    ]
+
+
+def _model_edits():
+    """(record id, model index, kind, edited data) for every +-1 edit of
+    an int in the data of every construction model."""
+    return [
+        (r.id, i, kind, edited)
+        for r in RECORDS
+        for i, (kind, data) in enumerate(construction_models(r.id))
+        for delta in (1, -1)
+        for edited in _int_edits(data, delta)
+    ]
+
+
+def _underivable(kind, data):
+    try:
+        enumeration.model_values(kind, data)
+    except (ValueError, ArithmeticError):
+        return True
+    return False
+
+
+def test_every_underivable_model_edit_fails_a_check(monkeypatch):
+    edits = _model_edits()
+    assert len(edits) == 182
+    underivable = [e for e in edits if _underivable(e[2], e[3])]
+    assert len(underivable) == 39
+    assert {kind for _, _, kind, _ in underivable} == {"weighted"}
+    errors = []
+    for rid, i, kind, edited in underivable:
+        def models(x, rid=rid, i=i, model=(kind, edited)):
+            found = construction_models(x)
+            return found[:i] + (model,) + found[i + 1:] if x == rid else found
+
+        monkeypatch.setattr(verify, "construction_models", models)
+        fails = [c for rep in verify_all() for c in rep.checks if c.status == "fail"]
+        assert [(c.name, c.subject) for c in fails] == [
+            ("model-derivation:weighted", rid)
+        ]
+        assert fails[0].expected == "a derivable model"
+        errors.append(fails[0].computed.split(":")[0])
+    # a weight edited to 0 is refused; every other edit leaves a degree
+    # the product of the weights does not divide
+    assert sorted(errors) == ["ArithmeticError"] * 23 + ["ValueError"] * 16
 
 
 # ---------------------------------------------------------------------------
