@@ -5,18 +5,18 @@ stated numerical bounds and emits candidates plus first-class exclusion
 records (never silent skips), so negative results are as testable as
 positive ones.  All output orders are deterministic.
 
-The searches, the degree builders (`quadric_model_degree`, `scroll`,
-`tower_p13`) and `model_values`, which derives what each construction
-model of the catalog supports through the one table `MODEL_KINDS`, are
-pure: their results depend on their arguments alone, never on a catalog
-under test (the point blow-up search takes its targets from Fujita's
-list, the higher-dimensional search reads only the rank-2 models of the
-frozen built-in records, and a blow-up model's data is its target's
-degree, read by the caller).  Each is therefore memoized per process,
-keyed by its arguments, and filled on first use.  Every cached value is
-immutable (a tuple, a frozen dataclass of tuples, a named tuple, a
-string, an int or a ring class), so no caller can change what the next
-one receives.
+The searches, `scroll` (which `verify` also replays directly) and
+`model_values`, which derives what each construction model supports
+through the one table `MODEL_KINDS`, are pure: their results depend on
+their arguments alone, never on a catalog under test (the point blow-up
+search takes its targets from Fujita's list, the higher-dimensional
+search reads only the rank-2 models of the frozen built-in records, and
+a blow-up model's data is its target's degree, read by the caller).
+Each is memoized per process, keyed by its arguments; `model_values` is
+the one cache of the models, so builders such as `quadric_model_degree`
+keep none.  Every cached value is immutable (a tuple, a frozen dataclass
+of tuples, a named tuple, a string or an int), so no caller can change
+what the next one receives.
 """
 
 from __future__ import annotations
@@ -141,35 +141,26 @@ def classify_tuple(E: SplitBundle) -> TupleVerdict:
         return verdict(
             "RejectedRange", reason=f"sum {total} outside the window [-1; 3]"
         )
-    if a[0] == 0:
-        if a[3] == 0:
-            return verdict("Small", family=QUADRIC_FAMILIES[a])
-        if a[2] == 0 and a[3] == 1:
-            return verdict("Small", family=QUADRIC_FAMILIES[a])
-        if a[2] > 0:
-            if a == (0, 0, 1, 2):
-                return verdict(
-                    "Divisorial", reason="psi is divisorial: X in |O(2) - F|"
-                )
-            return verdict("Small", family=QUADRIC_FAMILIES[a])
+    # inside the window a1 is 0 or -1
+    if a == (0, 0, 1, 2):
+        return verdict("Divisorial", reason="psi is divisorial: X in |O(2) - F|")
+    if a[0] == 0 and a[2] == 0 and a[3] >= 2:
         return verdict(
             "Divisorial",
             reason="a4 >= 2 with a3 = 0 follows the divisorial exclusion pattern",
             inferred=True,
         )
-    # a1 = -1 branch
-    if a[1] < 0:
+    if a[0] == -1 and a[1] < 0:
         return verdict(
             "RejectedGeometric",
             reason="a1 = -1 requires a2 >= 0: two negative summands give X a fixed component",
         )
-    if 0 <= alpha - 2 <= 1:
-        assert a in QUADRIC_FAMILIES
-        return verdict("Small", family=QUADRIC_FAMILIES[a])
-    return verdict(
-        "RejectedGeometric",
-        reason=f"alpha = {alpha} outside the window 2 <= alpha <= 3 for a1 = -1",
-    )
+    if a[0] == -1 and not 2 <= alpha <= 3:
+        return verdict(
+            "RejectedGeometric",
+            reason=f"alpha = {alpha} outside the window 2 <= alpha <= 3 for a1 = -1",
+        )
+    return verdict("Small", family=QUADRIC_FAMILIES.get(a))
 
 
 @cache
@@ -187,7 +178,6 @@ def enumerate_quadric_fibrations() -> tuple[TupleVerdict, ...]:
     return tuple(table)
 
 
-@cache
 def quadric_model_degree(a: tuple[int, ...], alpha: int) -> tuple[ChowElement, int]:
     """Adjunction class and degree of X in |O(2) + alpha F| on the split tower."""
     T = make_tower(P1(), list(a))
@@ -310,7 +300,7 @@ def enumerate_rho3(tag: str) -> EnumerationResult:
     B = base_space(surface)
     c1 = -1 * canonical_base_class(surface)
     c1sq = integrate(c1 * c1)
-    assert c1sq == 8
+    assert c1sq == 8, f"c1sq = {c1sq}, not 8"
     # O(-1;-2) on P1 x P1, O(-C0 - 2f) on F2
     g1, g2 = (B.gen(g) for g in surface.gens)
     ruling_twist = -1 * g1 - 2 * g2
@@ -374,14 +364,6 @@ def surface_scroll(tag: str, rank: int, c2: int) -> Ambient:
     surface = SURFACES[tag]
     c1 = -1 * canonical_base_class(surface)
     return chern_tower(surface, rank, [c1, c2 * base_space(surface).point()])
-
-
-@cache
-def tower_p13() -> tuple[Ambient, ChowElement]:
-    """(P1)^3 as P(O + O) over P1 x P1, with its polarization H = z + f1 + f2."""
-    B = base_space(P1xP1())
-    T = make_tower(P1xP1(), [0, 0])
-    return T, T.zeta + T.pullback(B.gen("f1") + B.gen("f2"))
 
 
 # Proposition 5.5 and Theorems 5.6-5.7: each scroll X in |z + D| inside
@@ -478,31 +460,21 @@ def enumerate_highdim(n: int) -> EnumerationResult:
                 ),
             )
         )
-        adj6, deg6 = scroll("p2")
-        exclusions.append(
-            ExclusionRecord(
-                kind="quadric-bundle-highdim",
-                data=(4, 6),
-                reason=(
-                    "(4;6) does not occur: the scroll model over P2 has the "
-                    "right adjunction yet its double-projection geometry is "
-                    "inconsistent"
-                ),
-                computed=(("tower_degree", deg6), ("adjunction", adj6)),
+        for key, d, reason in (
+            ("p2", 6, "(4;6) does not occur: the scroll model over P2 has the right "
+             "adjunction yet its double-projection geometry is inconsistent"),
+            ("f1", 5, "the scroll-over-F1 route to (4;5) is excluded; (4;5) arises "
+             "only as a hyperplane section of the (5;5) family"),
+        ):
+            adj, deg = scroll(key)
+            exclusions.append(
+                ExclusionRecord(
+                    kind="quadric-bundle-highdim",
+                    data=(4, d),
+                    reason=reason,
+                    computed=(("tower_degree", deg), ("adjunction", adj)),
+                )
             )
-        )
-        adj5, deg5 = scroll("f1")
-        exclusions.append(
-            ExclusionRecord(
-                kind="quadric-bundle-highdim",
-                data=(4, 5),
-                reason=(
-                    "the scroll-over-F1 route to (4;5) is excluded; (4;5) "
-                    "arises only as a hyperplane section of the (5;5) family"
-                ),
-                computed=(("tower_degree", deg5), ("adjunction", adj5)),
-            )
-        )
         resolution = model_values("rank3", ("P2", 4))
         cone_computed = (("resolution_degree", resolution.degree),)
     exclusions.append(
@@ -567,7 +539,10 @@ def _scroll_values(tag: str, rank: int, c2: int) -> ModelValues:
 
 
 def _tower_p13_values() -> ModelValues:
-    T, H = tower_p13()
+    """(P1)^3 as P(O + O) over P1 x P1, polarized by H = z + f1 + f2."""
+    B = base_space(P1xP1())
+    T = make_tower(P1xP1(), [0, 0])
+    H = T.zeta + T.pullback(B.gen("f1") + B.gen("f2"))
     return ModelValues(integrate(H**3), str(canonical_class(T) + 2 * H))
 
 

@@ -8,10 +8,11 @@ reason spelled out, never silently passed.
 
 Each construction model's values come from `enumeration.model_values`,
 which memoizes them by kind and data; this module only compares them
-with the record, and a model that cannot be derived from its data fails
-a `model-derivation` check instead of raising.  A blow-up model's data
-is its target's degree, read from the catalog under test on every call,
-so a planted error in the target always shows.
+with the record.  A model that cannot be derived from its data fails a
+`model-derivation` check, and a search that raises a `{name}-search`
+check, so broken data ends in a report.  A blow-up model's data is its
+target's degree, read from the catalog under test on every call, so a
+planted error in the target always shows.
 """
 
 from __future__ import annotations
@@ -387,9 +388,16 @@ def verify_enumeration_matches_catalog(catalog=None) -> Report:
     _, by_id = _indexed(catalog)
     checks = []
 
-    def match(name, prefix, emitted, citation, pair_checks=_degree_and_picard):
+    def match(name, prefix, search, citation, pair_checks=_degree_and_picard):
         """Each record whose id starts with `prefix` (one string, or a tuple
-        of them as `str.startswith` takes) against its candidate."""
+        of them as `str.startswith` takes) against its candidate among what
+        `search()` emits; a search that raises fails one check instead."""
+        try:
+            emitted = search()
+        except (ValueError, ArithmeticError, AssertionError) as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            checks.append(_check(f"{name}-search", name, "a search", error, citation))
+            return
         emitted_by_family = {}
         for c in emitted:
             if c.family in emitted_by_family:
@@ -428,25 +436,27 @@ def verify_enumeration_matches_catalog(catalog=None) -> Report:
                 )
             )
 
-    smalls = [v for v in enumerate_quadric_fibrations() if v.verdict == "Small"]
+    def smalls():
+        return [v for v in enumerate_quadric_fibrations() if v.verdict == "Small"]
+
+    def candidates(search, *args):
+        return lambda: search(*args).candidates
+
+    def highdim():
+        emitted = (c for n in (4, 5) for c in enumerate_highdim(n).candidates)
+        return [c for c in emitted if c.kind == "quadric-bundle-highdim"]
+
     match("quadric", "thm3.4-", smalls, "Theorem 3.4", _quadric_pair)
-    match("p2bundle", "thm3.5-", enumerate_p2_bundles().candidates, "Theorem 3.5")
-    match("blowup", "thm3.6-", enumerate_point_blowups().candidates, "Theorem 3.6")
+    match("p2bundle", "thm3.5-", candidates(enumerate_p2_bundles), "Theorem 3.5")
+    match("blowup", "thm3.6-", candidates(enumerate_point_blowups), "Theorem 3.6")
     for tag in RHO3_SURFACES:
         match(
             f"rho3-{tag}",
             f"thm4.1-{tag}-",
-            enumerate_rho3(tag).candidates,
+            candidates(enumerate_rho3, tag),
             "Theorem 4.1(2)",
         )
-
-    highdim = (c for n in (4, 5) for c in enumerate_highdim(n).candidates)
-    match(
-        "highdim-quadric",
-        ("thm5.8-2", "thm5.8-3"),
-        [c for c in highdim if c.kind == "quadric-bundle-highdim"],
-        "Theorem 5.8",
-    )
+    match("highdim-quadric", ("thm5.8-2", "thm5.8-3"), highdim, "Theorem 5.8")
     return Report(title="enumeration", checks=tuple(checks))
 
 

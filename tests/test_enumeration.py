@@ -6,6 +6,7 @@ second way so a regression in either route shows up as a disagreement.
 """
 
 import ast
+import itertools
 from pathlib import Path
 
 import pytest
@@ -14,11 +15,12 @@ from hypothesis import given, strategies as st
 from delpezzo import enumeration
 from delpezzo.bundles import SplitBundle
 from delpezzo.catalog import builtin_catalog, construction_models
-from delpezzo.chow import Fe, P1xP1, canonical_class, integrate
+from delpezzo.chow import Fe, P1xP1
 from delpezzo.enumeration import (
     FUJITA_RANK1_DEGREES,
     MODEL_KINDS,
     FamilyCandidate,
+    ModelValues,
     classify_tuple,
     enumerate_highdim,
     enumerate_p2_bundles,
@@ -29,7 +31,6 @@ from delpezzo.enumeration import (
     quadric_model_degree,
     scroll,
     surface_scroll,
-    tower_p13,
 )
 
 # ---------------------------------------------------------------------------
@@ -123,6 +124,33 @@ def test_classify_alpha_is_never_free(entries):
         assert v.family is not None
     else:
         assert v.reason
+
+
+def test_classify_rejects_a1_below_minus_one():
+    # off the search path, whose loops start at a1 = -1
+    v = classify_tuple(SplitBundle((-2, 0, 1, 1)))
+    assert (v.verdict, v.reason) == (
+        "RejectedRange",
+        "h1 of the bundle is 1 > 0; vanishing forces a1 >= -1",
+    )
+
+
+def test_classify_verdict_counts_over_a_wide_box():
+    # every non-decreasing split type with entries in -4..7; the 25
+    # geometric rejections are the search's 18 and the 7 types with an
+    # entry above 3 that its loops do not reach
+    counts = {}
+    for a in itertools.combinations_with_replacement(range(-4, 8), 4):
+        v = classify_tuple(SplitBundle(a))
+        key = (v.verdict, v.inferred)
+        counts[key] = counts.get(key, 0) + 1
+    assert counts == {
+        ("RejectedRange", False): 1331,
+        ("RejectedGeometric", False): 25,
+        ("Small", False): 6,
+        ("Divisorial", False): 1,
+        ("Divisorial", True): 2,
+    }
 
 
 def test_classify_needs_rank_four():
@@ -366,8 +394,8 @@ def test_candidate_rejects_non_int_numbers(fields):
         lambda: enumerate_rho3("f2"),
         lambda: enumerate_highdim(4),
         lambda: enumerate_highdim(5),
-        lambda: quadric_model_degree((0, 0, 0, 1), 1),
-        tower_p13,
+        lambda: model_values("quadric", ((0, 0, 0, 1), 1)),
+        pytest.param(lambda: model_values("towerP13", ()), id="model-towerP13"),
         lambda: model_values("rank3", ("P2", 4)),
         lambda: model_values("blowup", (8,)),
         pytest.param(lambda: scroll("p2"), id="scroll-p2"),
@@ -381,9 +409,8 @@ def test_searches_return_one_cached_value(search):
 
 
 def test_tower_p13_is_p1_cubed_with_half_anticanonical_polarization():
-    T, H = tower_p13()
-    assert integrate(H**3) == 6
-    assert (canonical_class(T) + 2 * H).is_zero()
+    # H^3 = 6 and K + 2H = 0 on P(O + O) over P1 x P1
+    assert model_values("towerP13", ()) == ModelValues(6, "0")
 
 
 @pytest.mark.parametrize("c2", [2.5, True])

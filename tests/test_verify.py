@@ -474,6 +474,39 @@ def test_quadric_adjunction_identity_reads_the_record_model(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("family", ["thm3.4-1", "thm3.4-5"])
+def test_missing_quadric_label_fails_without_raising(monkeypatch, family):
+    # the search emits the Small verdict without a family id, so the
+    # record goes uncovered and the verdict is a surplus
+    labels = {a: f for a, f in enumeration.QUADRIC_FAMILIES.items() if f != family}
+    monkeypatch.setattr(enumeration, "QUADRIC_FAMILIES", labels)
+    table = enumeration.enumerate_quadric_fibrations.__wrapped__()
+    monkeypatch.setattr(verify, "enumerate_quadric_fibrations", lambda: table)
+    fails = [c for rep in verify_all() for c in rep.checks if c.status == "fail"]
+    assert [(c.name, c.subject) for c in fails] == [
+        ("quadric-coverage", family),
+        ("quadric-surplus", "None"),
+    ]
+
+
+def test_raising_search_fails_one_check(monkeypatch):
+    def search():
+        raise ArithmeticError("planted")
+
+    monkeypatch.setattr(verify, "enumerate_p2_bundles", search)
+    assert _enumeration_fails(RECORDS) == [
+        CheckResult(
+            "p2bundle-search",
+            "p2bundle",
+            "a search",
+            "ArithmeticError: planted",
+            "fail",
+            "",
+            "Theorem 3.5",
+        )
+    ]
+
+
 # ---------------------------------------------------------------------------
 # planted errors in the construction-model data
 # ---------------------------------------------------------------------------
@@ -543,11 +576,17 @@ def test_every_underivable_model_edit_fails_a_check(monkeypatch):
 # runs in a child interpreter: for each (base kind, row part, entry,
 # delta) on stdin, a fresh package whose `chow._BASES` row has that entry
 # moved by delta, and one line out: "fail <failed checks>" or
-# "raise <exception type>"
+# "raise <exception type>"; an edit with no outcome within 20 s (a
+# rewriting loop) ends in "raise TimeoutError", so the next edit still runs
 _BASES_SWEEP = """
-import importlib, sys
+import importlib, signal, sys
 
+def hung(signum, frame):
+    raise TimeoutError("no outcome within 20 s")
+
+signal.signal(signal.SIGALRM, hung)
 for line in sys.stdin:
+    signal.alarm(20)
     kind, part, entry, delta = line.split()
     for name in [m for m in sys.modules if m.split(".")[0] == "delpezzo"]:
         del sys.modules[name]
@@ -560,6 +599,7 @@ for line in sys.stdin:
         print("fail", sum(rep.failed for rep in reports), flush=True)
     except Exception as exc:
         print("raise", type(exc).__name__, flush=True)
+    signal.alarm(0)
 """
 
 
@@ -595,4 +635,18 @@ def test_every_planted_base_data_error_fails_or_raises():
     outcomes = proc.stdout.decode().splitlines()
     assert outcomes[: len(control)] == ["fail 0"] * len(control)
     caught = dict(zip(edits, outcomes[len(control):], strict=True))
-    assert [e for e, out in caught.items() if out == "fail 0"] == []
+    # `Base` refuses the two edits of the F_e cap of C0 at import, since
+    # C0^2 = -e C0 f then changes degree; every other edit reaches the
+    # reports, and at least one check fails instead of a report raising
+    refused = {e: out for e, out in caught.items() if e[:3] == ("Fe", 1, 0)}
+    assert refused == {
+        ("Fe", 1, 0, 1): "raise ValueError",
+        ("Fe", 1, 0, -1): "raise ValueError",
+    }
+    reported = {e: out for e, out in caught.items() if e not in refused}
+    assert len(reported) == 30
+    assert {
+        e: out
+        for e, out in reported.items()
+        if not (out.startswith("fail ") and int(out.split()[1]) >= 1)
+    } == {}
