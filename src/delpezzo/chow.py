@@ -25,14 +25,18 @@ The left side of every rewrite rule is a pure power of one generator
 is in normal form exactly when each exponent is below its generator's
 cap.  Each ambient memoizes the normal form of every monomial it has
 met as an element of its ring, a normal monomial as itself, so the cap
-scan runs once per distinct monomial and ambient; rewritten forms are
-filled from the rule's right side without recursion.  Products and
-`from_terms` then pay one memo lookup per term: a product of general
-classes costs one pass over its raw terms, a product of two monomials,
-the common case in pairing tables, one exponent sum and one lookup with
+scan runs once per distinct monomial and ambient.  A monomial that a
+generator's zero rule (gen^cap = 0) divides is memoized as zero at
+once; other rewritten forms are filled from the rule's right side
+without recursion.  Products and `from_terms` then pay one memo lookup
+per term: a product of general classes costs one pass over its raw
+terms, a product of two monomials one exponent sum and one lookup with
 no intermediate dict, and `from_terms` one pass over its input.  A unit
 product of two monomials and a one-term `from_terms` with coefficient 1
 return the memo's element itself, with no copy and no construction.
+The memo's normal monomials carry their exponent vector as `mono`, so
+a product of two of them on one ambient, the common case in pairing
+tables, is that exponent sum and lookup with no other work.
 The memo lives and dies with its ambient; its elements point back at
 the ambient, so a dropped ring is freed by the cyclic garbage collector.
 Every tower is built anew, but each base has one plain ambient per
@@ -149,15 +153,21 @@ def P1xP2() -> Base:
 
 
 class ChowElement:
-    """A homogeneous class on a fixed ambient, stored in normal form."""
+    """A homogeneous class on a fixed ambient, stored in normal form.
 
-    __slots__ = ("ambient", "terms", "degree")
+    `mono` is the exponent vector of the memo's normal monomial {mono: 1}
+    and None on every other element; it only selects the product's fast
+    path, so an element without it is still computed correctly.
+    """
 
-    def __init__(self, ambient: "Ambient", terms: dict, degree):
+    __slots__ = ("ambient", "terms", "degree", "mono")
+
+    def __init__(self, ambient: "Ambient", terms: dict, degree, mono=None):
         # internal constructor; terms must already be normal-form
         self.ambient = ambient
         self.terms = terms
         self.degree = degree
+        self.mono = mono
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -203,6 +213,18 @@ class ChowElement:
         return NotImplemented
 
     def __mul__(self, other):
+        e1 = self.mono
+        if (
+            e1 is not None
+            and type(other) is ChowElement
+            and other.mono is not None
+            and other.ambient is self.ambient
+        ):
+            # two normal monomials of one memo: their product is the memo's
+            A = self.ambient
+            expo = A._expo_sum(e1, other.mono)
+            nf = A._memo.get(expo)
+            return nf if nf is not None else A._normal_form(expo)
         if not isinstance(other, ChowElement):
             return other * self if type(other) is int else NotImplemented
         A = self.ambient
@@ -472,18 +494,21 @@ class Ambient:
 
         The element has degree sum(expo), or None when the form is zero,
         and is shared by whoever the memo hands it to: values are never
-        mutated.  A monomial below every cap is its own normal form.
-        Otherwise the first generator at or over its cap is rewritten and
-        the rewritten monomials are looked up in the memo.  Monomials
-        still unknown wait on an explicit stack, so a deep rewriting chain
-        (z^5000, say) never recurses; every monomial met is memoized on
-        the way, normal or not.
+        mutated.  A monomial below every cap is its own normal form, and
+        carries itself as `mono`.  One at or over the cap of a generator
+        whose rule is gen^cap = 0 is zero, with nothing rewritten, so
+        which monomials the memo holds does not depend on the order they
+        were met in.  Otherwise the first generator at or over its cap is
+        rewritten and the rewritten monomials are looked up in the memo.
+        Monomials still unknown wait on an explicit stack, so a deep
+        rewriting chain (z^5000, say) never recurses; every monomial met
+        is memoized on the way, normal or not.
         """
         caps, rhss = self._caps, self._rhss
         memo = self._memo
         if all(map(lt, expo, caps)):
             # most monomials met are normal: no stack for them
-            nf = memo[expo] = ChowElement(self, {expo: 1}, sum(expo))
+            nf = memo[expo] = ChowElement(self, {expo: 1}, sum(expo), expo)
             return nf
         stack = [expo]
         while stack:
@@ -492,10 +517,13 @@ class Ambient:
                 stack.pop()
                 continue
             if all(map(lt, m, caps)):
-                memo[m] = ChowElement(self, {m: 1}, sum(m))
+                memo[m] = ChowElement(self, {m: 1}, sum(m), m)
                 stack.pop()
                 continue
-            g = next(i for i, (k, cap) in enumerate(zip(m, caps)) if k >= cap)
+            # a zero rule gen^cap = 0 that divides m goes first: m then
+            # has no images and is memoized as zero in this one pass
+            over = [i for i, (k, cap) in enumerate(zip(m, caps)) if k >= cap]
+            g = next((i for i in over if not rhss[i]), over[0])
             rest = list(m)
             rest[g] -= caps[g]
             images = [(tuple(map(add, rest, rexpo)), c) for rexpo, c in rhss[g]]

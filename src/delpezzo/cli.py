@@ -9,7 +9,8 @@ Each command imports only the layers it runs, so a cold process pays
 for nothing else.  `show` and `export` load `catalog` alone; `enumerate`
 adds `enumeration` (with `bundles`) when it runs its search; `verify`
 adds `verify` when it runs its reports.  `json` is loaded only to
-render JSON.  The package root still loads `chow` on every command.
+render JSON.  The package root loads nothing itself, so `chow` comes
+only with `enumeration`.
 """
 
 from __future__ import annotations

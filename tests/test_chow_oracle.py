@@ -168,6 +168,83 @@ def test_monomial_product_edge_cases(idx):
         g * other.zero()
 
 
+def _hinted_zoo():
+    """Fresh towers over F_0, F_3, P1, P2, P1xP1 and rank 16 over P1xP2."""
+    F0, F3, B2, Bq, Bm = (base_space(b) for b in (Fe(0), Fe(3), P2(), P1xP1(), P1xP2()))
+    p, h = Bm.gen("p"), Bm.gen("h")
+    return [
+        make_tower(Fe(0), [F0.gen("C0") + 2 * F0.gen("f"), F0.gen("f"), 0]),
+        make_tower(Fe(3), [F3.gen("C0"), 2 * F3.gen("f"), 0]),
+        chern_tower(Fe(3), 2, [F3.gen("C0") - F3.gen("f"), 5 * F3.point()]),
+        make_tower(P1(), [3, -1, 0]),
+        make_tower(P2(), [2 * B2.gen("h"), 0, 0, 0]),
+        make_tower(P1xP1(), [Bq.gen("f1") - Bq.gen("f2"), 0]),
+        chern_tower(P1xP2(), 16, [2 * p + 3 * h, 5 * p * h - h * h, 7 * Bm.point()]),
+    ]
+
+
+@pytest.mark.parametrize("idx", range(len(_hinted_zoo())))
+def test_hinted_monomial_products_match_the_general_path(idx):
+    # x * y of two memo monomials takes the hinted path; 1 * x drops the
+    # hint, so the same product on an equal, fresh ring takes the general
+    # one, which fills its memo by itself
+    fast, general = _hinted_zoo()[idx], _hinted_zoo()[idx]
+    mons = normal_monomials(fast)
+    xs = [fast.from_terms({m: 1}) for m in mons]
+    ys = [1 * general.from_terms({m: 1}) for m in mons]
+    assert all(x.mono == m for x, m in zip(xs, mons))
+    assert all(y.mono is None for y in ys)
+    for x, gx in zip(xs, ys):
+        for y, gy in zip(xs, ys):
+            prod = x * y
+            assert prod is fast._memo[fast._expo_sum(x.mono, y.mono)]
+            want = gx * gy
+            assert prod == want and prod.degree == want.degree
+    # hinted monomials of two rings take the path that compares them
+    x, y = xs[-1], general.from_terms({mons[-1]: 1})
+    assert y.mono == x.mono and (x * y).terms == (1 * x * y).terms
+    other = _hinted_zoo()[idx - 1]
+    with pytest.raises(ValueError, match="different ambients"):
+        x * other.from_terms({(0,) * other.nvars: 1})
+
+
+def test_monomials_over_a_zero_rule_are_zero_at_once():
+    # f^2 = 0 divides C0^2 f^2 on F_3, though C0, the first generator over
+    # its cap, has the nonzero rule C0^2 = -3 C0 f: nothing is rewritten
+    B = base_space(Fe(3))
+    A = make_tower(Fe(3), [B.gen("C0"), 0])
+    x = A.from_terms({(2, 2, 0): 1})
+    assert x.is_zero() and x.degree is None and x.mono is None
+    assert list(A._memo) == [(2, 2, 0)]
+    # every rule of a trivial P2 tower is zero, z^3 = 0 included
+    T = make_tower(P2(), [0, 0, 0])
+    h, z = T.from_terms({(1, 0): 1}), T.from_terms({(0, 1): 1})
+    for prod in (h * h * h, z * z * z, h * h * z * z * z, (h * z) * (h * h)):
+        assert prod.is_zero() and prod.degree is None
+    # C0^2 f^2 is zero by f^2 = 0 also where the rewriting of z^4 meets
+    # it, so the memo does not depend on which of the two came first
+    F0 = base_space(Fe(0))
+    first, second = (chern_tower(Fe(0), 2, [F0.zero(), F0.point()]) for _ in range(2))
+    for A, order in ((first, [(0, 0, 4), (2, 2, 0)]), (second, [(2, 2, 0), (0, 0, 4)])):
+        for m in order:
+            A.from_terms({m: 1})
+    assert first._memo == second._memo
+
+
+@pytest.mark.parametrize("e", [0, 3])
+def test_c0_squared_agrees_with_the_oracle(e):
+    # F_0 states C0^2 = 0 C0 f, a rule with a right side, so its monomials
+    # take the rewriting path; F_3's rule does not vanish
+    B = base_space(Fe(e))
+    A = make_tower(Fe(e), [B.gen("C0") + B.gen("f"), 0, 0])
+    for expo in [(2, 0, 0), (2, 0, 1), (2, 1, 0), (3, 0, 2), (2, 0, 3), (4, 0, 1)]:
+        x = A.from_terms({expo: 1})
+        for seed in (0, 17):
+            assert x.terms == oracle_reduce(A, [(expo, 1)], seed=seed)
+    assert base_space(Fe(0)).from_terms({(2, 0): 1}).is_zero()
+    assert (B.gen("C0") * B.gen("C0")).terms == ({(1, 1): -3} if e else {})
+
+
 def test_oracle_disagrees_with_a_wrong_relation():
     # sanity check that the oracle has teeth: mutate the Grothendieck rule
     # via a tower with a wrong Chern class and observe a different integral
@@ -299,6 +376,30 @@ def test_memo_holds_only_normal_forms(data):
     for nf in A._memo.values():
         for expo, coeff in nf.terms.items():
             assert all(k < cap for k, cap in zip(expo, caps)) and coeff != 0
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_memo_monomials_carry_their_exponent(data):
+    # the product's fast path trusts `mono`: a memo element carries it
+    # exactly when it is the normal monomial {mono: 1} of its own key
+    A = data.draw(random_towers())
+    mons = [tuple(int(i == g) for i in range(A.nvars)) for g in range(A.nvars)]
+    for _ in range(3):
+        mons += list(A.from_terms(data.draw(raw_classes(A))).terms)[:4]
+    for m1 in mons:
+        for m2 in mons:
+            A.from_terms({m1: 1}) * A.from_terms({m2: 1})
+    caps = [lhs[i] for lhs, _ in A.relations() for i, k in enumerate(lhs) if k]
+    hinted = 0
+    for expo, nf in A._memo.items():
+        if all(k < cap for k, cap in zip(expo, caps)):
+            assert nf.mono == expo
+        if nf.mono is not None:
+            hinted += 1
+            assert nf.terms == {nf.mono: 1} and nf.degree == sum(nf.mono)
+            assert nf.ambient is A
+    assert hinted >= A.nvars
 
 
 @given(data=st.data())

@@ -170,7 +170,7 @@ def loaded_layers(argv):
 
 
 def test_cold_commands_import_only_their_layers():
-    catalog_only = {"delpezzo", "delpezzo.chow", "delpezzo.catalog", "delpezzo.cli"}
+    catalog_only = {"delpezzo", "delpezzo.catalog", "delpezzo.cli"}
     assert loaded_layers(["show", "thm3.5-1"]) == catalog_only
     assert loaded_layers(["export", "--format", "csv"]) == catalog_only
     assert "delpezzo.verify" not in loaded_layers(["enumerate", "--case", "quadric"])

@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses, none defines
-a private module-level name it never reads, and none writes into the
-`terms` of a Chow element.
+a private module-level name it never reads, none writes into the
+`terms` of a Chow element, and none sets the `mono` hint of one outside
+its constructor.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree with `ast`.  Only `__init__.py` is exempt from the import guard:
@@ -143,6 +144,74 @@ def test_no_module_mutates_terms_in_place(path):
     assert terms_mutations(path.read_text(encoding="utf-8")) == []
 
 
+def _is_mono_setattr(node) -> bool:
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return (
+        name in ("setattr", "__setattr__")
+        and len(node.args) >= 2
+        and isinstance(node.args[1], ast.Constant)
+        and node.args[1].value == "mono"
+    )
+
+
+def mono_assignments(source: str) -> list[int]:
+    """Lines that set or delete a `.mono` outside `ChowElement.__init__`.
+
+    The product's fast path trusts `mono` to name the element's one term
+    {mono: 1}; only the constructor may set it, so an element can never
+    gain or change the hint after its terms are fixed.
+    """
+    tree = ast.parse(source)
+    exempt = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "ChowElement":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    exempt |= {id(n) for n in ast.walk(fn)}
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Attribute):
+            hit = node.attr == "mono" and not isinstance(node.ctx, ast.Load)
+        elif isinstance(node, ast.Call):
+            hit = _is_mono_setattr(node)
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_mono_assignments_are_detected():
+    source = (
+        "class ChowElement:\n"
+        "    def __init__(self, mono=None):\n"
+        "        self.mono = mono\n"
+        "    def hint(self, m):\n"
+        "        self.mono = m\n"
+        "def f(x, y):\n"
+        "    x.mono = (1,)\n"
+        "    x.mono, y.degree = (2,), 0\n"
+        "    del y.mono\n"
+        "    x.mono += (0,)\n"
+        "    setattr(x, 'mono', None)\n"
+        "    object.__setattr__(y, 'mono', None)\n"
+        "    for x.mono in [(1,)]: pass\n"
+        "    return x.mono, getattr(y, 'mono'), setattr(x, 'degree', 1)\n"
+        "class Other:\n"
+        "    def __init__(self):\n"
+        "        self.mono = None\n"
+    )
+    assert mono_assignments(source) == [5, 7, 8, 9, 10, 11, 12, 13, 17]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_module_sets_mono_outside_the_constructor(path):
+    assert mono_assignments(path.read_text(encoding="utf-8")) == []
+
+
 def test_chow_loads_no_dataclasses_and_no_other_layer():
     # the engine is imported by every command and benchmark: it stays a
     # plain module, so its import pays for neither `dataclasses` nor the
@@ -152,6 +221,29 @@ def test_chow_loads_no_dataclasses_and_no_other_layer():
         "import delpezzo.chow\n"
         "print(*sorted(m for m in sys.modules\n"
         "              if m == 'dataclasses' or m.split('.')[0] == 'delpezzo'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env=child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().split() == ["delpezzo", "delpezzo.chow"]
+
+
+def test_package_root_resolves_only_chow_and_its_names():
+    # `delpezzo.chow` and the `__all__` names load on first access; any
+    # other probe, `__main__` included, is an AttributeError that imports
+    # nothing (`__main__` would run the command line)
+    code = (
+        "import sys\n"
+        "import delpezzo as dp\n"
+        "assert not hasattr(dp, '__main__') and not hasattr(dp, 'catalog')\n"
+        "assert 'delpezzo.chow' not in sys.modules\n"
+        "assert dp.make_tower is dp.chow.make_tower\n"
+        "assert all(hasattr(dp, name) for name in dp.__all__)\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'delpezzo'))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
