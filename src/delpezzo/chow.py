@@ -25,18 +25,19 @@ The left side of every rewrite rule is a pure power of one generator
 is in normal form exactly when each exponent is below its generator's
 cap.  Each ambient memoizes the normal form of every monomial it has
 met as an element of its ring, a normal monomial as itself, so the cap
-scan runs once per distinct monomial and ambient.  A monomial that a
-generator's zero rule (gen^cap = 0) divides is memoized as zero at
-once; other rewritten forms are filled from the rule's right side
-without recursion.  Products and `from_terms` then pay one memo lookup
-per term: a product of general classes costs one pass over its raw
-terms, a product of two monomials one exponent sum and one lookup with
-no intermediate dict, and `from_terms` one pass over its input.  A unit
-product of two monomials and a one-term `from_terms` with coefficient 1
-return the memo's element itself, with no copy and no construction.
-The memo's normal monomials carry their exponent vector as `mono`, so
-a product of two of them on one ambient, the common case in pairing
-tables, is that exponent sum and lookup with no other work.
+scan runs once per distinct monomial and ambient.  Rewritten forms are
+filled from the rules' right sides without recursion, a zero rule
+(gen^cap = 0) first, so a monomial that one divides is zero in one step.
+
+The memo is the one source of unit monomials: `gen`, `one`, `point`,
+`zeta`, a one-term `from_terms` with coefficient 1 and a product of two
+unit monomials all hand out the memo's element itself, which carries
+its exponent vector as `mono`.  A product takes one of two paths.  Two
+such elements of one ambient, the common case in pairing tables, cost
+one exponent sum and one lookup.  Anything else costs one pass over its
+raw terms and `_reduce`, one memo lookup per raw monomial, which
+`from_terms` also uses for the sum it was given.
+
 The memo lives and dies with its ambient; its elements point back at
 the ambient, so a dropped ring is freed by the cyclic garbage collector.
 Every tower is built anew, but each base has one plain ambient per
@@ -221,6 +222,7 @@ class ChowElement:
             and other.ambient is self.ambient
         ):
             # two normal monomials of one memo: their product is the memo's
+            # (`Ambient._monomial`, inlined on the hot path)
             A = self.ambient
             expo = A._expo_sum(e1, other.mono)
             nf = A._memo.get(expo)
@@ -233,20 +235,6 @@ class ChowElement:
         t1, t2 = self.terms, other.terms
         if not t1 or not t2:
             return ChowElement(A, {}, None)
-        if len(t1) == 1 and len(t2) == 1:
-            # monomial times monomial: no raw dict, one memo lookup
-            ((e1, c1),) = t1.items()
-            ((e2, c2),) = t2.items()
-            expo = A._expo_sum(e1, e2)
-            coeff = c1 * c2
-            nf = A._memo.get(expo)
-            if nf is None:
-                nf = A._normal_form(expo)
-            # a unit coefficient, the common case, hands out the memo's element
-            if coeff == 1:
-                return nf
-            terms = {e: coeff * c for e, c in nf.terms.items()}
-            return ChowElement(A, terms, nf.degree)
         expo_sum = A._expo_sum
         raw: dict = {}
         for e1, c1 in t1.items():
@@ -363,8 +351,8 @@ class Ambient:
             rhss += (tuple(rhs),)
         self._caps = caps
         self._rhss = rhss
-        # every monomial met -> its normal form, an element shared by the
-        # unit products and one-term `from_terms` calls that hand it out
+        # every monomial met -> its normal form, an element shared by
+        # every caller that `_monomial` or a unit product hands it to
         self._memo = {}
 
     # -- structure ---------------------------------------------------
@@ -392,7 +380,7 @@ class Ambient:
         if not self.is_tower:
             return f"{self.base!r}"
         if self.twists:
-            inner = ", ".join(str(t) if not t.is_zero() else "0" for t in self.twists)
+            inner = ", ".join(str(t) for t in self.twists)
             return f"P({inner}) over {self.base!r}"
         inner = ", ".join(f"c{i + 1}={c}" for i, c in enumerate(self.cherns))
         return f"P({inner}) over {self.base!r}"
@@ -403,14 +391,13 @@ class Ambient:
         return ChowElement(self, {}, None)
 
     def one(self) -> ChowElement:
-        return ChowElement(self, {(0,) * self.nvars: 1}, 0)
+        return self._monomial((0,) * self.nvars)
 
     def gen(self, name: str) -> ChowElement:
         names = self.gen_names
         if name not in names:
             raise ValueError(f"no generator {name!r} on {self!r}")
-        expo = tuple(1 if g == name else 0 for g in names)
-        return ChowElement(self, {expo: 1}, 1)
+        return self._monomial(tuple(1 if g == name else 0 for g in names))
 
     @property
     def zeta(self) -> ChowElement:
@@ -423,22 +410,21 @@ class Ambient:
         expo = self.base.top_monomial
         if self.is_tower:
             expo = expo + (0,)
-        return ChowElement(self, {expo: 1}, self.base.dim)
+        return self._monomial(expo)
 
     def from_terms(self, terms: dict) -> ChowElement:
         """Build an element from raw exponent->coefficient data (normalized here).
 
-        One pass, one memo lookup per term.  Coefficients and exponent
-        entries must be ints, checked on every term: 1.0 and True equal 1,
-        so they would find the memo key of an int vector.  Length and sign
-        are checked on a miss only, since every memo key is a valid
-        exponent vector of this ambient.  A single term with coefficient 1
-        returns the memo's element itself, after those checks.  Terms with
-        coefficient zero are dropped; the rest must share one degree.
+        Coefficients and exponent entries must be ints, checked on every
+        term: 1.0 and True equal 1, so they would find the memo key of an
+        int vector.  Length and sign are checked on a memo miss only, since
+        every memo key is a valid exponent vector of this ambient.  A single
+        term with coefficient 1 returns the memo's element itself, after
+        those checks.  Terms with coefficient zero are dropped; the rest
+        must share one degree.  `_reduce` then sums the normal forms.
         """
         memo = self._memo
         single = len(terms) == 1
-        out: dict = {}
         degree = None
         for expo, coeff in terms.items():
             for k in expo:
@@ -446,13 +432,10 @@ class Ambient:
                     raise ValueError(f"exponent entry {k!r} of {expo} must be an int")
             if type(coeff) is not int:
                 raise ValueError(f"coefficient {coeff!r} of {expo} must be an int")
-            nf = memo.get(expo)
-            if nf is None:
-                if len(expo) != self.nvars or min(expo) < 0:
-                    raise ValueError(f"bad exponent vector {expo} for {self!r}")
-                nf = self._normal_form(expo)
+            if expo not in memo and (len(expo) != self.nvars or min(expo) < 0):
+                raise ValueError(f"bad exponent vector {expo} for {self!r}")
             if single and coeff == 1:
-                return nf
+                return self._monomial(expo)
             if not coeff:
                 continue
             d = sum(expo)
@@ -462,10 +445,7 @@ class Ambient:
                         f"mixed-degree input (degrees {degree} and {d}) rejected"
                     )
                 degree = d
-            for e, c in nf.terms.items():
-                out[e] = out.get(e, 0) + coeff * c
-        if 0 in out.values():
-            out = {e: c for e, c in out.items() if c}
+        out = self._reduce(terms)
         return ChowElement(self, out, degree if out else None)
 
     def pullback(self, x: ChowElement) -> ChowElement:
@@ -489,27 +469,29 @@ class Ambient:
             for i, (cap, rhs) in enumerate(zip(self._caps, self._rhss))
         ]
 
+    def _monomial(self, expo: tuple) -> ChowElement:
+        """The memo's normal form of the monomial with this exponent vector."""
+        nf = self._memo.get(expo)
+        return nf if nf is not None else self._normal_form(expo)
+
     def _normal_form(self, expo: tuple) -> ChowElement:
         """Normal form of a monomial not yet in the memo, as a memoized element.
 
         The element has degree sum(expo), or None when the form is zero,
         and is shared by whoever the memo hands it to: values are never
-        mutated.  A monomial below every cap is its own normal form, and
-        carries itself as `mono`.  One at or over the cap of a generator
-        whose rule is gen^cap = 0 is zero, with nothing rewritten, so
-        which monomials the memo holds does not depend on the order they
-        were met in.  Otherwise the first generator at or over its cap is
-        rewritten and the rewritten monomials are looked up in the memo.
-        Monomials still unknown wait on an explicit stack, so a deep
-        rewriting chain (z^5000, say) never recurses; every monomial met
-        is memoized on the way, normal or not.
+        mutated.  Each monomial on an explicit stack, this one first, is
+        tested against the caps once.  One below every cap is its own
+        normal form, and carries itself as `mono`.  One at or over the cap
+        of a generator whose rule is gen^cap = 0 is zero, with nothing
+        rewritten, so which monomials the memo holds does not depend on
+        the order they were met in.  Otherwise the first generator at or
+        over its cap is rewritten, and the rewritten monomials still
+        unknown wait on the stack, so a deep rewriting chain (z^5000, say)
+        never recurses; every monomial met is memoized on the way, normal
+        or not.
         """
         caps, rhss = self._caps, self._rhss
         memo = self._memo
-        if all(map(lt, expo, caps)):
-            # most monomials met are normal: no stack for them
-            nf = memo[expo] = ChowElement(self, {expo: 1}, sum(expo), expo)
-            return nf
         stack = [expo]
         while stack:
             m = stack[-1]

@@ -165,7 +165,14 @@ def classify_tuple(E: SplitBundle) -> TupleVerdict:
 
 @cache
 def enumerate_quadric_fibrations() -> tuple[TupleVerdict, ...]:
-    """Classify every non-decreasing 4-tuple with a1 >= -1 and sum <= 3."""
+    """Classify each non-decreasing 4-tuple with a1 >= -1, a4 <= 3, sum <= 3.
+
+    The cap a4 <= 3 leaves out the 7 tuples with a1 >= -1 and sum <= 3
+    whose a4 is 4, 5 or 6: (-1, -1, -1, 4..6), (-1, -1, 0, 4..5),
+    (-1, -1, 1, 4) and (-1, 0, 0, 4).  `classify_tuple` rejects each of
+    them by its a1 = -1 rules, so no verdict outside the rejections
+    depends on the gap.
+    """
     table = []
     for a1 in range(-1, 4):
         for a2 in range(a1, 4):

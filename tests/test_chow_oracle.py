@@ -184,22 +184,49 @@ def _hinted_zoo():
 
 
 @pytest.mark.parametrize("idx", range(len(_hinted_zoo())))
+def test_unit_monomials_are_the_memo_elements(idx):
+    # gen, one, point, zeta and a one-term from_terms with coefficient 1
+    # hand out the memo's element, which carries its exponent as `mono`
+    A = _hinted_zoo()[idx]
+    n = A.nvars
+    handed = [
+        (A.gen(g), tuple(int(j == i) for j in range(n)))
+        for i, g in enumerate(A.gen_names)
+    ]
+    handed += [
+        (A.one(), (0,) * n),
+        (A.point(), A.base.top_monomial + (0,)),
+        (A.zeta, (0,) * (n - 1) + (1,)),
+    ]
+    handed += [(A.from_terms({m: 1}), m) for m in normal_monomials(A)]
+    for x, expo in handed:
+        assert x is A._memo[expo] and x.mono == expo
+    assert A.zeta is A.zeta
+
+
+@pytest.mark.parametrize("idx", range(len(_hinted_zoo())))
 def test_hinted_monomial_products_match_the_general_path(idx):
     # x * y of two memo monomials takes the hinted path; 1 * x drops the
     # hint, so the same product on an equal, fresh ring takes the general
-    # one, which fills its memo by itself
+    # one, which fills its memo by itself; a scaled factor also takes the
+    # general path, and leaves the memo's element as it was
     fast, general = _hinted_zoo()[idx], _hinted_zoo()[idx]
     mons = normal_monomials(fast)
     xs = [fast.from_terms({m: 1}) for m in mons]
     ys = [1 * general.from_terms({m: 1}) for m in mons]
     assert all(x.mono == m for x, m in zip(xs, mons))
     assert all(y.mono is None for y in ys)
+    c = -2
     for x, gx in zip(xs, ys):
         for y, gy in zip(xs, ys):
+            key = fast._expo_sum(x.mono, y.mono)
             prod = x * y
-            assert prod is fast._memo[fast._expo_sum(x.mono, y.mono)]
+            assert prod is fast._memo[key]
             want = gx * gy
             assert prod == want and prod.degree == want.degree
+            for scaled in (x * (c * y), (c * x) * y):
+                assert scaled == c * prod and scaled.degree == prod.degree
+            assert fast._memo[key] is prod and prod.terms == want.terms
     # hinted monomials of two rings take the path that compares them
     x, y = xs[-1], general.from_terms({mons[-1]: 1})
     assert y.mono == x.mono and (x * y).terms == (1 * x * y).terms
@@ -368,7 +395,7 @@ def test_memo_holds_only_normal_forms(data):
     for x in classes:
         for y in classes:
             x * y
-            # a product of two monomials takes a path of its own
+            # and a unit monomial times a scaled one, on the general path
             for m1 in list(x.terms)[:3]:
                 for m2 in list(y.terms)[:3]:
                     A.from_terms({m1: 1}) * A.from_terms({m2: -2})

@@ -1,7 +1,8 @@
 """No module of the package imports a name it never uses, none defines
 a private module-level name it never reads, none writes into the
-`terms` of a Chow element, and none sets the `mono` hint of one outside
-its constructor.
+`terms` of a Chow element, none sets the `mono` hint of one outside
+its constructor, and none passes that hint to the constructor outside
+the memo's `Ambient._normal_form`.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree with `ast`.  Only `__init__.py` is exempt from the import guard:
@@ -144,6 +145,18 @@ def test_no_module_mutates_terms_in_place(path):
     assert terms_mutations(path.read_text(encoding="utf-8")) == []
 
 
+def _function_nodes(tree, cls_name: str, fn_name: str) -> set[int]:
+    """ids of every node inside method fn_name of class cls_name."""
+    return {
+        id(n)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == cls_name
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == fn_name
+        for n in ast.walk(fn)
+    }
+
+
 def _is_mono_setattr(node) -> bool:
     func = node.func
     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
@@ -163,12 +176,7 @@ def mono_assignments(source: str) -> list[int]:
     gain or change the hint after its terms are fixed.
     """
     tree = ast.parse(source)
-    exempt = set()
-    for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef) and cls.name == "ChowElement":
-            for fn in cls.body:
-                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
-                    exempt |= {id(n) for n in ast.walk(fn)}
+    exempt = _function_nodes(tree, "ChowElement", "__init__")
     lines = []
     for node in ast.walk(tree):
         if id(node) in exempt:
@@ -210,6 +218,59 @@ def test_mono_assignments_are_detected():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_module_sets_mono_outside_the_constructor(path):
     assert mono_assignments(path.read_text(encoding="utf-8")) == []
+
+
+def mono_constructions(source: str) -> list[int]:
+    """Lines that call `ChowElement(...)` with a `mono` hint outside
+    `Ambient._normal_form`.
+
+    A fourth positional argument, a `mono=` keyword, or a starred or
+    `**` argument that could carry either counts.  Only the memo makes
+    elements that are its own normal monomials, so only it may say so.
+    """
+    tree = ast.parse(source)
+    exempt = _function_nodes(tree, "Ambient", "_normal_form")
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in exempt or not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name != "ChowElement":
+            continue
+        if (
+            len(node.args) > 3
+            or any(isinstance(a, ast.Starred) for a in node.args)
+            or any(k.arg in ("mono", None) for k in node.keywords)
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_mono_constructions_are_detected():
+    source = (
+        "class Ambient:\n"
+        "    def _normal_form(self, m):\n"
+        "        return ChowElement(self, {m: 1}, sum(m), m)\n"
+        "    def gen(self, m):\n"
+        "        return ChowElement(self, {m: 1}, 1, m)\n"
+        "def f(A, m, args, kw):\n"
+        "    ChowElement(A, {m: 1}, 1, mono=m)\n"
+        "    chow.ChowElement(A, {m: 1}, 1, m)\n"
+        "    ChowElement(*args)\n"
+        "    ChowElement(A, **kw)\n"
+        "    ChowElement(A, {}, None), ChowElement(A, {m: 1}, degree=1)\n"
+        "    return Other(A, {m: 1}, 1, m), A.ChowElement\n"
+        "class Other:\n"
+        "    def _normal_form(self, m):\n"
+        "        return ChowElement(self, {m: 1}, 1, m)\n"
+    )
+    assert mono_constructions(source) == [5, 7, 8, 9, 10, 15]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_module_passes_mono_outside_the_memo(path):
+    assert mono_constructions(path.read_text(encoding="utf-8")) == []
 
 
 def test_chow_loads_no_dataclasses_and_no_other_layer():
