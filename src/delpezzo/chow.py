@@ -30,13 +30,13 @@ filled from the rules' right sides without recursion, a zero rule
 (gen^cap = 0) first, so a monomial that one divides is zero in one step.
 
 The memo is the one source of unit monomials: `gen`, `one`, `point`,
-`zeta`, a one-term `from_terms` with coefficient 1 and a product of two
-unit monomials all hand out the memo's element itself, which carries
-its exponent vector as `mono`.  A product takes one of two paths.  Two
-such elements of one ambient, the common case in pairing tables, cost
-one exponent sum and one lookup.  Anything else costs one pass over its
-raw terms and `_reduce`, one memo lookup per raw monomial, which
-`from_terms` also uses for the sum it was given.
+`zeta`, a one-term `from_terms` with coefficient 1, a pulled-back unit
+monomial and a product of two unit monomials all hand out the memo's
+element itself, which carries its exponent vector as `mono`.  A product
+takes one of two paths.  Two such elements of one ambient, the common
+case in pairing tables, cost one exponent sum and one lookup.  Anything
+else costs one pass over its raw terms and `_reduce`, one memo lookup
+per raw monomial, which `from_terms` also uses for the sum it was given.
 
 The memo lives and dies with its ambient; its elements point back at
 the ambient, so a dropped ring is freed by the cyclic garbage collector.
@@ -454,9 +454,7 @@ class Ambient:
             raise ValueError("pullback expects a class on this tower's base")
         if not self.is_tower:
             return x
-        return ChowElement(
-            self, {e + (0,): c for e, c in x.terms.items()}, x.degree
-        )
+        return self.from_terms({e + (0,): c for e, c in x.terms.items()})
 
     # -- rewriting ---------------------------------------------------
 

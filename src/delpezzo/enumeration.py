@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import combinations_with_replacement
 from typing import NamedTuple, Optional
 
 from .bundles import (
@@ -173,14 +174,11 @@ def enumerate_quadric_fibrations() -> tuple[TupleVerdict, ...]:
     them by its a1 = -1 rules, so no verdict outside the rejections
     depends on the gap.
     """
-    table = []
-    for a1 in range(-1, 4):
-        for a2 in range(a1, 4):
-            for a3 in range(a2, 4):
-                for a4 in range(a3, 4):
-                    if a1 + a2 + a3 + a4 > 3:
-                        continue
-                    table.append(classify_tuple(SplitBundle((a1, a2, a3, a4))))
+    table = [
+        classify_tuple(SplitBundle(a))
+        for a in combinations_with_replacement(range(-1, 4), 4)
+        if sum(a) <= 3
+    ]
     assert sum(1 for v in table if v.verdict == "Small") == 6
     return tuple(table)
 

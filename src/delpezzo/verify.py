@@ -17,7 +17,6 @@ planted error in the target always shows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 from .catalog import (
@@ -83,17 +82,26 @@ class Report:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
+# the reason on every h0 check whose model equates h0 with chi
+H0_ASSUMED = (
+    "h0 equated with chi; vanishing of higher cohomology "
+    "of the twisted bundle is assumed as stated"
+)
+
+
 def _check(name, subject, expected, computed, citation="", reason=""):
-    status = "pass" if str(expected) == str(computed) else "fail"
+    expected, computed = str(expected), str(computed)
     return CheckResult(
         name=name,
         subject=subject,
-        expected=str(expected),
-        computed=str(computed),
-        status=status,
+        expected=expected,
+        computed=computed,
+        status="pass" if expected == computed else "fail",
         reason=reason,
         citation=citation,
     )
@@ -174,43 +182,18 @@ def _family_checks(r: FamilyRecord, by_id) -> list[CheckResult]:
             name = f"model-derivation:{kind}"
             checks.append(_check(name, r.id, "a derivable model", error, r.citation))
             continue
-        checks.append(
-            _check(
-                f"degree-model:{kind}",
-                r.id,
-                r.degree,
-                result.degree,
-                r.citation,
-            )
+        index_reason = f"K + {r.index} H must vanish on the model"
+        h0_reason = H0_ASSUMED if result.h0_assumed else ""
+        rows = (
+            ("degree-model", r.degree, result.degree, ""),
+            ("index-divisibility", "0", result.index_residual, index_reason),
+            ("h0-sections", r.degree + r.dim - 1, result.h0, h0_reason),
         )
-        if result.index_residual is not None:
-            checks.append(
-                _check(
-                    f"index-divisibility:{kind}",
-                    r.id,
-                    "0",
-                    result.index_residual,
-                    r.citation,
-                    reason=f"K + {r.index} H must vanish on the model",
-                )
-            )
-        if result.h0 is not None:
-            reason = ""
-            if result.h0_assumed:
-                reason = (
-                    "h0 equated with chi; vanishing of higher cohomology "
-                    "of the twisted bundle is assumed as stated"
-                )
-            checks.append(
-                _check(
-                    f"h0-sections:{kind}",
-                    r.id,
-                    r.degree + r.dim - 1,
-                    result.h0,
-                    r.citation,
-                    reason=reason,
-                )
-            )
+        for name, expected, computed, reason in rows:
+            if computed is None and name != "degree-model":  # an optional value
+                continue
+            name = f"{name}:{kind}"
+            checks.append(_check(name, r.id, expected, computed, r.citation, reason))
     if r.anticanonical_map == "Small" and r.picard == 2 and r.dim == 3:
         checks.append(_window("degree-window", r, "1 <= degree <= 5", r.degree))
     return checks
@@ -254,15 +237,13 @@ def verify_flops(catalog=None) -> Report:
         )
         if partner is None:
             continue
-        checks.append(
-            _check("flop-symmetry", r.id, r.id, partner.flop_partner, r.citation)
+        rows = (
+            ("flop-symmetry", r.id, partner.flop_partner),
+            ("flop-degree", r.degree, partner.degree),
+            ("flop-index", r.index, partner.index),
         )
-        checks.append(
-            _check("flop-degree", r.id, r.degree, partner.degree, r.citation)
-        )
-        checks.append(
-            _check("flop-index", r.id, r.index, partner.index, r.citation)
-        )
+        for name, expected, computed in rows:
+            checks.append(_check(name, r.id, expected, computed, r.citation))
         if small_rho2_dim3 and r.degree <= 2:
             checks.append(
                 _check(
@@ -288,36 +269,23 @@ def verify_smoothings(catalog=None) -> Report:
         )
         if target is None:
             continue
-        checks.append(
-            _check(
-                "smoothing-target-class",
-                r.id,
-                "smooth-list record",
-                "smooth-list record"
-                if target.id.startswith("thm2.1-")
-                else target.id,
-                "Theorem 3.2",
-            )
+        target_class = (
+            "smooth-list record" if target.id.startswith("thm2.1-") else target.id
         )
-        checks.append(
-            _check("smoothing-degree", r.id, r.degree, target.degree, "Theorem 3.2")
-        )
-        checks.append(
-            _check("smoothing-index", r.id, r.index, target.index, "Theorem 3.2")
-        )
-        checks.append(
-            _check(
+        rows = (
+            ("smoothing-target-class", "smooth-list record", target_class, ""),
+            ("smoothing-degree", r.degree, target.degree, ""),
+            ("smoothing-index", r.index, target.index, ""),
+            (
                 "smoothing-picard",
-                r.id,
                 r.picard - 1,
                 target.picard,
-                "Theorem 3.2",
-                reason=(
-                    "the anticanonical model loses one in Picard rank under "
-                    "the small contraction; its smoothing keeps that rank"
-                ),
-            )
+                "the anticanonical model loses one in Picard rank under "
+                "the small contraction; its smoothing keeps that rank",
+            ),
         )
+        for name, expected, computed, reason in rows:
+            checks.append(_check(name, r.id, expected, computed, "Theorem 3.2", reason))
         if r.anticanonical_map == "Small":
             checks.append(
                 _window("smoothing-window", r, "target degree in [1; 5]", target.degree)
@@ -337,12 +305,12 @@ def verify_constructions(catalog=None) -> Report:
     for key, claim in CONSTRUCTION_CLAIMS.items():
         subject, want_adj, want_deg, citation, reason = claim
         adj, deg = scroll(key)
-        checks.append(
-            _check("construction-adjunction", subject, want_adj, adj, citation, reason)
+        rows = (
+            ("construction-adjunction", want_adj, adj),
+            ("construction-degree", want_deg, deg),
         )
-        checks.append(
-            _check("construction-degree", subject, want_deg, deg, citation, reason)
-        )
+        for name, expected, computed in rows:
+            checks.append(_check(name, subject, expected, computed, citation, reason))
     return Report(title="constructions", checks=tuple(checks))
 
 
@@ -351,44 +319,38 @@ def verify_constructions(catalog=None) -> Report:
 # ---------------------------------------------------------------------------
 
 
-# per-pair checks of `match`: record r against the candidate emitted for it
-def _degree_and_picard(name, r, c, citation):
-    return [
-        _check(f"{name}-degree", r.id, r.degree, c.degree, citation),
-        _check(f"{name}-picard", r.id, r.picard, c.picard, citation),
-    ]
+# per-pair rows (suffix, expected, computed, reason) of `match`: record r
+# against the candidate emitted for it
+def _degree_and_picard(r, c):
+    return (("degree", r.degree, c.degree, ""), ("picard", r.picard, c.picard, ""))
 
 
-def _quadric_pair(name, r, v, citation):
+def _quadric_pair(r, v):
     # the identity is checked on the record's own model: the search sets
     # alpha = 2 - sum(a) on every verdict, so there it always holds
     ((a, alpha),) = (d for kind, d in construction_models(r.id) if kind == "quadric")
-    return [
-        _check(f"{name}-degree", r.id, r.degree, v.degree, citation),
-        _check(
-            f"{name}-adjunction-identity",
-            r.id,
+    return (
+        ("degree", r.degree, v.degree, ""),
+        (
+            "adjunction-identity",
             0,
             sum(a) - 2 + alpha,
-            citation,
-            reason="sum(a) - 2 + alpha = 0 ties alpha to the split type",
+            "sum(a) - 2 + alpha = 0 ties alpha to the split type",
         ),
-        _check(
-            f"{name}-model-degree",
-            r.id,
+        (
+            "model-degree",
             r.degree,
             model_values("quadric", (v.a, v.alpha)).degree,
-            citation,
-            reason="degree recomputed on the split tower",
+            "degree recomputed on the split tower",
         ),
-    ]
+    )
 
 
 def verify_enumeration_matches_catalog(catalog=None) -> Report:
     _, by_id = _indexed(catalog)
     checks = []
 
-    def match(name, prefix, search, citation, pair_checks=_degree_and_picard):
+    def match(name, prefix, search, citation, pair_rows=_degree_and_picard):
         """Each record whose id starts with `prefix` (one string, or a tuple
         of them as `str.startswith` takes) against its candidate among what
         `search()` emits; a search that raises fails one check instead."""
@@ -423,8 +385,10 @@ def verify_enumeration_matches_catalog(catalog=None) -> Report:
                         citation,
                     )
                 )
-            else:
-                checks.extend(pair_checks(name, by_id[fid], c, citation))
+                continue
+            for suffix, expected, computed, reason in pair_rows(by_id[fid], c):
+                label = f"{name}-{suffix}"
+                checks.append(_check(label, fid, expected, computed, citation, reason))
         for fid in sorted(emitted_by_family, key=str):
             checks.append(
                 _check(

@@ -694,6 +694,12 @@ def test_pullback_on_a_plain_base_is_the_identity():
     assert base_space(P2()).pullback(h) is h
 
 
+def test_pullback_of_a_base_generator_is_the_memo_element():
+    T = make_tower(P1(), [1, 0])
+    F = T.pullback(base_space(P1()).gen("F"))
+    assert F is T.gen("F") and F.mono == (1, 0)
+
+
 @given(c=st.integers(min_value=-9, max_value=9))
 @settings(max_examples=40, deadline=None)
 def test_projection_formula_for_points(c):

@@ -146,16 +146,21 @@ EVERY_LAYER = {
 
 
 def loaded_layers(argv):
-    """The `delpezzo*` modules a fresh interpreter holds after `cli.run(argv)`.
+    """The `delpezzo*` modules a fresh interpreter holds after `cli.run(argv)`,
+    plus `json` when the command loaded it.
 
-    Only package modules are compared: `site` may preload stdlib ones.
+    Only package modules and `json` are compared: `site` may preload stdlib
+    ones, so a preloaded `json` is dropped before the import and only the
+    command can bring it back.
     """
     code = (
         "import contextlib, io, sys\n"
+        "sys.modules.pop('json', None)\n"
         "from delpezzo import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    rc = cli.run({list(argv)!r})\n"
-        "print(rc, *sorted(m for m in sys.modules if m.split('.')[0] == 'delpezzo'))\n"
+        "print(rc, *sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] == 'delpezzo' or m == 'json'))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -173,7 +178,11 @@ def test_cold_commands_import_only_their_layers():
     catalog_only = {"delpezzo", "delpezzo.catalog", "delpezzo.cli"}
     assert loaded_layers(["show", "thm3.5-1"]) == catalog_only
     assert loaded_layers(["export", "--format", "csv"]) == catalog_only
-    assert "delpezzo.verify" not in loaded_layers(["enumerate", "--case", "quadric"])
+    engine = EVERY_LAYER - {"delpezzo.verify"}
+    assert loaded_layers(["enumerate", "--case", "quadric"]) == engine
+    json_argv = ["enumerate", "--case", "quadric", "--format", "json"]
+    assert loaded_layers(json_argv) == engine | {"json"}
+    # text output leaves `json` unloaded, so the set is the package alone
     assert loaded_layers(["verify", "--only", "flops"]) == EVERY_LAYER
 
 

@@ -9,6 +9,7 @@ checks have a blind spot.
 
 import ast
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -164,6 +165,19 @@ def test_report_json_round_trip():
     assert {c["status"] for c in payload["checks"]} <= {"pass", "fail", "skipped"}
 
 
+# sha256 of the concatenated `Report.to_json()` of `verify_all()` on the
+# built-in catalog, the first digest `scripts/verify_digest.py` prints; a
+# declared change to any check regenerates it, as it does PINNED_COUNTS
+PINNED_DIGEST = "d120bb8d99fe9f196b26c8699d2157679588ecc7f7d72fcafc8b333f98acb1ee"
+
+
+def test_builtin_verify_output_is_pinned():
+    digest = hashlib.sha256()
+    for report in verify_all():
+        digest.update(report.to_json().encode())
+    assert digest.hexdigest() == PINNED_DIGEST
+
+
 def test_report_json_is_pinned():
     check = CheckResult("n", "s", "1", "2", "fail", "why", "cit")
     assert verify.Report("t", (check,)).to_json() == (
@@ -208,6 +222,30 @@ def test_missing_partner_on_small_family_is_flagged():
     fails = [c for c in rep.checks if c.status == "fail"]
     # the record itself lacks a partner and its partner loses symmetry
     assert any(c.name == "flop-partner-present" for c in fails)
+
+
+def test_partner_without_partner_fails_symmetry_with_none():
+    # only the family rows skip an unsupported (None) value; a partner
+    # whose own partner is None must still fail its symmetry check
+    mutated = _mutate(RECORDS, "thm3.4-4", flop_partner=None)
+    (symmetry,) = (
+        c for c in verify_flops(mutated).checks
+        if c.subject == "thm3.5-1" and c.name == "flop-symmetry"
+    )
+    assert (symmetry.status, symmetry.expected, symmetry.computed) == (
+        "fail", "thm3.5-1", "None"
+    )
+
+
+def test_model_without_degree_fails_instead_of_skipping(monkeypatch):
+    # index and h0 are optional model values; the degree is not, so a
+    # model that gives none fails its degree check rather than dropping it
+    unsupported = enumeration.ModelValues(None)
+    monkeypatch.setattr(verify, "model_values", lambda kind, data: unsupported)
+    rep = verify_family(lookup("thm3.4-4"))
+    degree = [c for c in rep.checks if c.name.startswith("degree-model:")]
+    assert degree and all((c.status, c.computed) == ("fail", "None") for c in degree)
+    assert not any(c.name.startswith(("index-", "h0-")) for c in rep.checks)
 
 
 def test_unresolvable_smoothing_is_flagged():
