@@ -5,7 +5,7 @@ concatenated `Report.to_json()` of every report of `verify_all`.
 The first digest covers the built-in catalog.  The second continues the
 same hash over one catalog for each planted single-field error of the
 `audit` benchmark's mutation space (`bench/audit.py`, 1797 errors; about
-20 s).  A change that keeps every verify report byte for byte keeps both
+10 s on a 2-core x86-64 host).  A change that keeps every verify report byte for byte keeps both
 digests, so comparing them at two commits checks that nothing `verify`
 prints has moved.
 

@@ -1,8 +1,9 @@
 """No module of the package imports a name it never uses, none defines
 a private module-level name it never reads, none writes into the
 `terms` of a Chow element, none sets the `mono` hint of one outside
-its constructor, and none passes that hint to the constructor outside
-the memo's `Ambient._normal_form`.
+its constructor, none passes that hint to the constructor outside
+the memo's `Ambient._normal_form`, and none builds a `CheckResult`
+outside `verify`'s `_check`, `_skip` and `_window`.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree with `ast`.  Only `__init__.py` is exempt from the import guard:
@@ -271,6 +272,58 @@ def test_mono_constructions_are_detected():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_module_passes_mono_outside_the_memo(path):
     assert mono_constructions(path.read_text(encoding="utf-8")) == []
+
+
+# the only functions that build a `CheckResult`, each at module level
+CHECK_BUILDERS = ("_check", "_skip", "_window")
+
+
+def check_constructions(source: str) -> list[int]:
+    """Lines that call `CheckResult(...)` outside the module-level
+    functions `_check`, `_skip` and `_window` of `verify`.
+
+    Those three build every check positionally, so each check keeps one
+    cheap way in and one place where its field order is spelled out.
+    """
+    tree = ast.parse(source)
+    exempt = {
+        id(n)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name in CHECK_BUILDERS
+        for n in ast.walk(fn)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in exempt or not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "CheckResult":
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_check_constructions_are_detected():
+    source = (
+        "def _check(name, subject, expected, computed):\n"
+        "    return CheckResult(name, subject, expected, computed, 'pass')\n"
+        "def _skip(name, subject, reason):\n"
+        "    return CheckResult(name, subject, '', '', 'skipped', reason)\n"
+        "def f(r):\n"
+        "    a = CheckResult('n', r.id, '1', '1', 'pass')\n"
+        "    b = verify.CheckResult(name='n', subject=r.id, expected='1',\n"
+        "        computed='1', status='pass')\n"
+        "    return a, b, CheckResult._fields, Other('n')\n"
+        "class Report:\n"
+        "    def _window(self):\n"
+        "        return CheckResult('n', 's', '', '', 'pass')\n"
+    )
+    assert check_constructions(source) == [6, 7, 12]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_module_builds_a_check_outside_its_builders(path):
+    assert check_constructions(path.read_text(encoding="utf-8")) == []
 
 
 def test_chow_loads_no_dataclasses_and_no_other_layer():

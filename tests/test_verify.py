@@ -203,6 +203,48 @@ def test_report_json_is_pinned():
     )
 
 
+def test_check_result_is_an_immutable_row():
+    check = CheckResult("n", "s", "1", "1", "pass")
+    with pytest.raises(AttributeError):
+        check.status = "fail"
+    assert CheckResult._fields == (
+        "name",
+        "subject",
+        "expected",
+        "computed",
+        "status",
+        "reason",
+        "citation",
+    )
+    assert (check.reason, check.citation) == ("", "")
+    assert check == CheckResult(
+        name="n", subject="s", expected="1", computed="1", status="pass"
+    )
+    assert CheckResult("n", "s", "1", "2", "fail", "r", "c") == CheckResult(
+        name="n",
+        subject="s",
+        expected="1",
+        computed="2",
+        status="fail",
+        reason="r",
+        citation="c",
+    )
+
+
+def test_check_maps_each_argument_to_its_field():
+    # `_check` takes the citation before the reason; the row stores the
+    # reason first
+    assert verify._check("n", "s", 1, "1", citation="c", reason="r") == (
+        CheckResult("n", "s", "1", "1", "pass", "r", "c")
+    )
+    assert verify._check("n", "s", 1, "2", "c", "r") == (
+        CheckResult("n", "s", "1", "2", "fail", "r", "c")
+    )
+    assert verify._skip("n", "s", "r", "c") == (
+        CheckResult("n", "s", "", "", "skipped", "r", "c")
+    )
+
+
 # ---------------------------------------------------------------------------
 # seeded errors are detected
 # ---------------------------------------------------------------------------
