@@ -227,7 +227,6 @@ def _cmd_verify(args):
         names = ", ".join(verify.REPORTS)
         return _usage_error(f"no report named {args.only!r}; choose from {names}")
     lines = []
-    failed = 0
     for rep in reports:
         lines.append(
             f"report {rep.title}: pass {rep.passed}  fail {rep.failed}  "
@@ -235,13 +234,13 @@ def _cmd_verify(args):
         )
         for c in rep.checks:
             if c.status == "fail":
-                failed += 1
                 lines.append(
                     f"  FAIL {c.name} [{c.subject}]: expected {c.expected}, "
                     f"computed {c.computed}"
                 )
             elif c.status == "skipped" and args.only is not None:
                 lines.append(f"  skip {c.name} [{c.subject}]: {c.reason}")
+    failed = sum(rep.failed for rep in reports)
     lines.append("all checks pass" if failed == 0 else f"{failed} checks FAILED")
     _emit("\n".join(lines))
     return 0 if failed == 0 else 1

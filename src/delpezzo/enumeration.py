@@ -166,17 +166,11 @@ def classify_tuple(E: SplitBundle) -> TupleVerdict:
 
 @cache
 def enumerate_quadric_fibrations() -> tuple[TupleVerdict, ...]:
-    """Classify each non-decreasing 4-tuple with a1 >= -1, a4 <= 3, sum <= 3.
-
-    The cap a4 <= 3 leaves out the 7 tuples with a1 >= -1 and sum <= 3
-    whose a4 is 4, 5 or 6: (-1, -1, -1, 4..6), (-1, -1, 0, 4..5),
-    (-1, -1, 1, 4) and (-1, 0, 0, 4).  `classify_tuple` rejects each of
-    them by its a1 = -1 rules, so no verdict outside the rejections
-    depends on the gap.
-    """
+    """Classify each non-decreasing 4-tuple with a1 >= -1 and sum <= 3,
+    which bound a4 by 6."""
     table = [
         classify_tuple(SplitBundle(a))
-        for a in combinations_with_replacement(range(-1, 4), 4)
+        for a in combinations_with_replacement(range(-1, 7), 4)
         if sum(a) <= 3
     ]
     assert sum(1 for v in table if v.verdict == "Small") == 6

@@ -13,6 +13,12 @@ with the record.  A model that cannot be derived from its data fails a
 check, so broken data ends in a report.  A blow-up model's data is its
 target's degree, read from the catalog under test on every call, so a
 planted error in the target always shows.
+
+Each report is one generator of its checks, which `Report` takes as a
+tuple: the catalog-level reports loop over the records inside it, and
+the enumeration report runs `_match` over each search group.  An id a
+record points at that names no record fails the check `_unresolved`
+builds.
 """
 
 from __future__ import annotations
@@ -115,21 +121,11 @@ def _window(name, r, expected, degree):
     return CheckResult(name, r.id, expected, computed, status, "", "Corollary 3.3")
 
 
-def _resolve(checks, name, what, r, target_id, by_id, citation):
-    """The record `r` points at by `target_id`, or None after appending a
-    failing `{name}-referential-integrity` check to `checks`."""
-    target = by_id.get(target_id)
-    if target is None:
-        checks.append(
-            _check(
-                f"{name}-referential-integrity",
-                r.id,
-                f"resolvable {what} id",
-                f"unknown id {target_id}",
-                citation,
-            )
-        )
-    return target
+def _unresolved(name, what, r, target_id, citation):
+    """The failing `{name}-referential-integrity` check of `r`, whose
+    `target_id` names no record of the catalog under test."""
+    expected, computed = f"resolvable {what} id", f"unknown id {target_id}"
+    return _check(f"{name}-referential-integrity", r.id, expected, computed, citation)
 
 
 def _indexed(catalog):
@@ -141,53 +137,47 @@ def _indexed(catalog):
 def verify_family(r: FamilyRecord, catalog=None) -> Report:
     """Recompute a single record's invariants through its stored models."""
     _, by_id = _indexed(catalog)
-    return Report(title=f"family {r.id}", checks=tuple(_family_checks(r, by_id)))
-
-
-def _family_checks(r: FamilyRecord, by_id) -> list[CheckResult]:
-    checks = []
-    models = construction_models(r.id)
-    if not models:
-        reason = NO_MODEL_REASONS.get(r.id, "no stored construction model")
-        checks.append(_skip("degree-model", r.id, reason, r.citation))
-    for kind, data in models:
-        if kind == "blowup":
-            target = _resolve(
-                checks, "blowup", "target", r, data[0], by_id, r.citation
-            )
-            if target is None:
-                continue
-            data = (target.degree,)
-        try:
-            result = model_values(kind, data)
-        except (ValueError, ArithmeticError) as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            name = f"model-derivation:{kind}"
-            checks.append(_check(name, r.id, "a derivable model", error, r.citation))
-            continue
-        index_reason = f"K + {r.index} H must vanish on the model"
-        h0_reason = H0_ASSUMED if result.h0_assumed else ""
-        rows = (
-            ("degree-model", r.degree, result.degree, ""),
-            ("index-divisibility", "0", result.index_residual, index_reason),
-            ("h0-sections", r.degree + r.dim - 1, result.h0, h0_reason),
-        )
-        for name, expected, computed, reason in rows:
-            if computed is None and name != "degree-model":  # an optional value
-                continue
-            name = f"{name}:{kind}"
-            checks.append(_check(name, r.id, expected, computed, r.citation, reason))
-    if r.anticanonical_map == "Small" and r.picard == 2 and r.dim == 3:
-        checks.append(_window("degree-window", r, "1 <= degree <= 5", r.degree))
-    return checks
+    return Report(f"family {r.id}", tuple(_family_checks([r], by_id)))
 
 
 def verify_families(catalog=None) -> Report:
-    records, by_id = _indexed(catalog)
-    checks = []
+    return Report("families", tuple(_family_checks(*_indexed(catalog))))
+
+
+def _family_checks(records, by_id):
     for r in records:
-        checks.extend(_family_checks(r, by_id))
-    return Report(title="families", checks=tuple(checks))
+        models = construction_models(r.id)
+        if not models:
+            reason = NO_MODEL_REASONS.get(r.id, "no stored construction model")
+            yield _skip("degree-model", r.id, reason, r.citation)
+        for kind, data in models:
+            if kind == "blowup":
+                target = by_id.get(data[0])
+                if target is None:
+                    yield _unresolved("blowup", "target", r, data[0], r.citation)
+                    continue
+                data = (target.degree,)
+            try:
+                result = model_values(kind, data)
+            except (ValueError, ArithmeticError) as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                name = f"model-derivation:{kind}"
+                yield _check(name, r.id, "a derivable model", error, r.citation)
+                continue
+            index_reason = f"K + {r.index} H must vanish on the model"
+            h0_reason = H0_ASSUMED if result.h0_assumed else ""
+            rows = (
+                ("degree-model", r.degree, result.degree, ""),
+                ("index-divisibility", "0", result.index_residual, index_reason),
+                ("h0-sections", r.degree + r.dim - 1, result.h0, h0_reason),
+            )
+            for name, expected, computed, reason in rows:
+                if computed is None and name != "degree-model":  # an optional value
+                    continue
+                name = f"{name}:{kind}"
+                yield _check(name, r.id, expected, computed, r.citation, reason)
+        if r.anticanonical_map == "Small" and r.picard == 2 and r.dim == 3:
+            yield _window("degree-window", r, "1 <= degree <= 5", r.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -196,29 +186,28 @@ def verify_families(catalog=None) -> Report:
 
 
 def verify_flops(catalog=None) -> Report:
-    records, by_id = _indexed(catalog)
-    checks = []
+    return Report("flops", tuple(_flop_checks(*_indexed(catalog))))
+
+
+def _flop_checks(records, by_id):
     for r in records:
         small_rho2_dim3 = (
             r.anticanonical_map == "Small" and r.picard == 2 and r.dim == 3
         )
         if r.flop_partner is None:
             if small_rho2_dim3:
-                checks.append(
-                    _check(
-                        "flop-partner-present",
-                        r.id,
-                        "a flop partner",
-                        "none",
-                        "Lemma 3.1",
-                        reason="small contractions at Picard rank 2 always flop",
-                    )
+                yield _check(
+                    "flop-partner-present",
+                    r.id,
+                    "a flop partner",
+                    "none",
+                    "Lemma 3.1",
+                    reason="small contractions at Picard rank 2 always flop",
                 )
             continue
-        partner = _resolve(
-            checks, "flop", "partner", r, r.flop_partner, by_id, r.citation
-        )
+        partner = by_id.get(r.flop_partner)
         if partner is None:
+            yield _unresolved("flop", "partner", r, r.flop_partner, r.citation)
             continue
         rows = (
             ("flop-symmetry", r.id, partner.flop_partner),
@@ -226,31 +215,29 @@ def verify_flops(catalog=None) -> Report:
             ("flop-index", r.index, partner.index),
         )
         for name, expected, computed in rows:
-            checks.append(_check(name, r.id, expected, computed, r.citation))
+            yield _check(name, r.id, expected, computed, r.citation)
         if small_rho2_dim3 and r.degree <= 2:
-            checks.append(
-                _check(
-                    "flop-self-at-low-degree",
-                    r.id,
-                    r.id,
-                    r.flop_partner,
-                    "Lemma 3.1",
-                    reason="degree <= 2 forces the flop to return the same family",
-                )
+            yield _check(
+                "flop-self-at-low-degree",
+                r.id,
+                r.id,
+                r.flop_partner,
+                "Lemma 3.1",
+                reason="degree <= 2 forces the flop to return the same family",
             )
-    return Report(title="flops", checks=tuple(checks))
 
 
 def verify_smoothings(catalog=None) -> Report:
-    records, by_id = _indexed(catalog)
-    checks = []
+    return Report("smoothings", tuple(_smoothing_checks(*_indexed(catalog))))
+
+
+def _smoothing_checks(records, by_id):
     for r in records:
         if r.smoothing is None:
             continue
-        target = _resolve(
-            checks, "smoothing", "smoothing", r, r.smoothing, by_id, "Theorem 3.2"
-        )
+        target = by_id.get(r.smoothing)
         if target is None:
+            yield _unresolved("smoothing", "smoothing", r, r.smoothing, "Theorem 3.2")
             continue
         target_class = (
             "smooth-list record" if target.id.startswith("thm2.1-") else target.id
@@ -268,12 +255,10 @@ def verify_smoothings(catalog=None) -> Report:
             ),
         )
         for name, expected, computed, reason in rows:
-            checks.append(_check(name, r.id, expected, computed, "Theorem 3.2", reason))
+            yield _check(name, r.id, expected, computed, "Theorem 3.2", reason)
         if r.anticanonical_map == "Small":
-            checks.append(
-                _window("smoothing-window", r, "target degree in [1; 5]", target.degree)
-            )
-    return Report(title="smoothings", checks=tuple(checks))
+            expected = "target degree in [1; 5]"
+            yield _window("smoothing-window", r, expected, target.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +269,10 @@ def verify_smoothings(catalog=None) -> Report:
 def verify_constructions(catalog=None) -> Report:
     """Replay the scroll constructions; they read no catalog, so `catalog`
     is accepted only to give every report the same call."""
-    checks = []
+    return Report("constructions", tuple(_construction_checks()))
+
+
+def _construction_checks():
     for key, claim in CONSTRUCTION_CLAIMS.items():
         subject, want_adj, want_deg, citation, reason = claim
         adj, deg = scroll(key)
@@ -293,8 +281,7 @@ def verify_constructions(catalog=None) -> Report:
             ("construction-degree", want_deg, deg),
         )
         for name, expected, computed in rows:
-            checks.append(_check(name, subject, expected, computed, citation, reason))
-    return Report(title="constructions", checks=tuple(checks))
+            yield _check(name, subject, expected, computed, citation, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +289,7 @@ def verify_constructions(catalog=None) -> Report:
 # ---------------------------------------------------------------------------
 
 
-# per-pair rows (suffix, expected, computed, reason) of `match`: record r
+# per-pair rows (suffix, expected, computed, reason) of `_match`: record r
 # against the candidate emitted for it
 def _degree_and_picard(r, c):
     return (("degree", r.degree, c.degree, ""), ("picard", r.picard, c.picard, ""))
@@ -329,82 +316,70 @@ def _quadric_pair(r, v):
     )
 
 
+def _match(by_id, name, prefix, search, citation, pair_rows=_degree_and_picard):
+    """Each record whose id starts with `prefix` (one string, or a tuple of
+    them as `str.startswith` takes) against its candidate among what
+    `search()` emits; a search that raises fails one check instead."""
+    try:
+        emitted = search()
+    except (ValueError, ArithmeticError, AssertionError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        yield _check(f"{name}-search", name, "a search", error, citation)
+        return
+    emitted_by_family = {}
+    for c in emitted:
+        if c.family in emitted_by_family:
+            expected, subject = "one candidate per family", c.family or "?"
+            yield _check(f"{name}-unique", subject, expected, "duplicate", citation)
+        emitted_by_family[c.family] = c
+    for fid in sorted(i for i in by_id if i.startswith(prefix)):
+        c = emitted_by_family.pop(fid, None)
+        if c is None:
+            expected = "an enumeration candidate"
+            yield _check(f"{name}-coverage", fid, expected, "missing", citation)
+            continue
+        for suffix, expected, computed, reason in pair_rows(by_id[fid], c):
+            yield _check(f"{name}-{suffix}", fid, expected, computed, citation, reason)
+    for fid in sorted(emitted_by_family, key=str):
+        expected, computed = "a catalog record", "candidate without record"
+        yield _check(f"{name}-surplus", str(fid), expected, computed, citation)
+
+
+def _small_quadrics():
+    return [v for v in enumerate_quadric_fibrations() if v.verdict == "Small"]
+
+
+def _candidates(search, *args):
+    return lambda: search(*args).candidates
+
+
+def _highdim_quadrics():
+    emitted = (c for n in (4, 5) for c in enumerate_highdim(n).candidates)
+    return [c for c in emitted if c.kind == "quadric-bundle-highdim"]
+
+
 def verify_enumeration_matches_catalog(catalog=None) -> Report:
     _, by_id = _indexed(catalog)
-    checks = []
-
-    def match(name, prefix, search, citation, pair_rows=_degree_and_picard):
-        """Each record whose id starts with `prefix` (one string, or a tuple
-        of them as `str.startswith` takes) against its candidate among what
-        `search()` emits; a search that raises fails one check instead."""
-        try:
-            emitted = search()
-        except (ValueError, ArithmeticError, AssertionError) as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            checks.append(_check(f"{name}-search", name, "a search", error, citation))
-            return
-        emitted_by_family = {}
-        for c in emitted:
-            if c.family in emitted_by_family:
-                checks.append(
-                    _check(
-                        f"{name}-unique",
-                        c.family or "?",
-                        "one candidate per family",
-                        "duplicate",
-                        citation,
-                    )
-                )
-            emitted_by_family[c.family] = c
-        for fid in sorted(i for i in by_id if i.startswith(prefix)):
-            c = emitted_by_family.pop(fid, None)
-            if c is None:
-                checks.append(
-                    _check(
-                        f"{name}-coverage",
-                        fid,
-                        "an enumeration candidate",
-                        "missing",
-                        citation,
-                    )
-                )
-                continue
-            for suffix, expected, computed, reason in pair_rows(by_id[fid], c):
-                label = f"{name}-{suffix}"
-                checks.append(_check(label, fid, expected, computed, citation, reason))
-        for fid in sorted(emitted_by_family, key=str):
-            checks.append(
-                _check(
-                    f"{name}-surplus",
-                    str(fid),
-                    "a catalog record",
-                    "candidate without record",
-                    citation,
-                )
+    # each search group (name, id prefix, search, citation[, pair rows]),
+    # in report order; built per call, so each search is the function
+    # this module's name holds at the time (a wrapper bound there sees it)
+    groups = (
+        ("quadric", "thm3.4-", _small_quadrics, "Theorem 3.4", _quadric_pair),
+        ("p2bundle", "thm3.5-", _candidates(enumerate_p2_bundles), "Theorem 3.5"),
+        ("blowup", "thm3.6-", _candidates(enumerate_point_blowups), "Theorem 3.6"),
+        *(
+            (
+                f"rho3-{tag}",
+                f"thm4.1-{tag}-",
+                _candidates(enumerate_rho3, tag),
+                "Theorem 4.1(2)",
             )
-
-    def smalls():
-        return [v for v in enumerate_quadric_fibrations() if v.verdict == "Small"]
-
-    def candidates(search, *args):
-        return lambda: search(*args).candidates
-
-    def highdim():
-        emitted = (c for n in (4, 5) for c in enumerate_highdim(n).candidates)
-        return [c for c in emitted if c.kind == "quadric-bundle-highdim"]
-
-    match("quadric", "thm3.4-", smalls, "Theorem 3.4", _quadric_pair)
-    match("p2bundle", "thm3.5-", candidates(enumerate_p2_bundles), "Theorem 3.5")
-    match("blowup", "thm3.6-", candidates(enumerate_point_blowups), "Theorem 3.6")
-    for tag in RHO3_SURFACES:
-        match(
-            f"rho3-{tag}",
-            f"thm4.1-{tag}-",
-            candidates(enumerate_rho3, tag),
-            "Theorem 4.1(2)",
-        )
-    match("highdim-quadric", ("thm5.8-2", "thm5.8-3"), highdim, "Theorem 5.8")
-    return Report(title="enumeration", checks=tuple(checks))
+            for tag in RHO3_SURFACES
+        ),
+        ("highdim-quadric", ("thm5.8-2", "thm5.8-3"), _highdim_quadrics, "Theorem 5.8"),
+    )
+    checks = (c for group in groups for c in _match(by_id, *group))
+    return Report("enumeration", tuple(checks))
 
 
 # every report by name, in the fixed order of `verify_all`

@@ -1,5 +1,6 @@
 """Command line behaviour: golden bytes, exit codes, determinism."""
 
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -209,7 +210,7 @@ def test_json_format_parses():
 def test_quadric_json_lists_all_verdicts():
     proc = run_cli("enumerate", "--case", "quadric", "--format", "json")
     payload = json.loads(proc.stdout.decode("utf-8"))
-    assert len(payload) == 31
+    assert len(payload) == 38
     smalls = [row for row in payload if row["verdict"] == "Small"]
     assert len(smalls) == 6
 
@@ -270,12 +271,17 @@ REPRODUCED_GOLDEN = {
 }
 
 
-def _reproduce_tables():
-    script = Path(__file__).parents[1] / "scripts" / "reproduce_tables.py"
-    spec = importlib.util.spec_from_file_location("reproduce_tables", script)
+def _script(name):
+    """The module of `scripts/<name>.py`, loaded from this checkout."""
+    script = Path(__file__).parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _reproduce_tables():
+    return _script("reproduce_tables")
 
 
 def test_reproduce_tables_writes_the_golden_outputs(tmp_path):
@@ -297,3 +303,27 @@ def test_reproduce_tables_unwritable_out_exits_two(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"reproduce_tables: error: cannot write {out}: ")
+
+
+# ---------------------------------------------------------------------------
+# scripts/cli_digest.py, in-process
+# ---------------------------------------------------------------------------
+
+# sha256 over the argv, exit code, stdout and stderr of every argv of
+# `scripts/cli_digest.runs()`, run in-process through `cli.run`
+CLI_OUTPUT_SHA256 = "53b85076f92c326cd73fe6c697c3e55bc3145df79e652e471036aebcd385aad0"
+
+
+def test_every_cli_output_is_pinned(tmp_path, monkeypatch, capsys):
+    # an empty working directory, so the relative `--out` names a missing
+    # directory and nothing is written
+    monkeypatch.chdir(tmp_path)
+    argvs = _script("cli_digest").runs()
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code = cli.run(argv)
+        out, err = capsys.readouterr()
+        digest.update(repr((argv, code, out, err)).encode())
+    assert len(argvs) == 99
+    assert list(tmp_path.iterdir()) == []
+    assert digest.hexdigest() == CLI_OUTPUT_SHA256

@@ -49,7 +49,7 @@ SMALL_TABLE = [
 
 def test_quadric_table_composition():
     table = enumerate_quadric_fibrations()
-    assert len(table) == 31
+    assert len(table) == 38
     counts = {}
     for v in table:
         counts[v.verdict] = counts.get(v.verdict, 0) + 1
@@ -57,7 +57,7 @@ def test_quadric_table_composition():
         "Small": 6,
         "Divisorial": 3,
         "RejectedRange": 4,
-        "RejectedGeometric": 18,
+        "RejectedGeometric": 25,
     }
 
 

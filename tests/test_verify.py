@@ -256,6 +256,18 @@ def test_unresolvable_partner_is_flagged():
     assert not rep.ok
     assert any(c.name == "flop-referential-integrity" for c in rep.checks
                if c.status == "fail")
+    # the record's only check is the failing one; no flop row follows it
+    assert [c for c in rep.checks if c.subject == "thm3.4-2"] == [
+        CheckResult(
+            "flop-referential-integrity",
+            "thm3.4-2",
+            "resolvable partner id",
+            "unknown id thm9.9-9",
+            "fail",
+            "",
+            lookup("thm3.4-2").citation,
+        )
+    ]
 
 
 def test_missing_partner_on_small_family_is_flagged():
@@ -297,6 +309,18 @@ def test_unresolvable_smoothing_is_flagged():
         c.name == "smoothing-referential-integrity" and c.status == "fail"
         for c in rep.checks
     )
+    # the record's only check is the failing one; no smoothing row follows it
+    assert [c for c in rep.checks if c.subject == "thm3.5-1"] == [
+        CheckResult(
+            "smoothing-referential-integrity",
+            "thm3.5-1",
+            "resolvable smoothing id",
+            "unknown id thm9.9-9",
+            "fail",
+            "",
+            "Theorem 3.2",
+        )
+    ]
 
 
 @pytest.mark.parametrize("rid", MODELED_IDS)
