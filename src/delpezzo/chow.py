@@ -23,20 +23,22 @@ Dimension, top monomial, rewrite rules and K_B are derived from the row.
 The left side of every rewrite rule is a pure power of one generator
 (h^3, C0^2, z^r, ...), so the rules are indexed by generator: a monomial
 is in normal form exactly when each exponent is below its generator's
-cap.  Each ambient memoizes the normal form of every monomial it has
-met as an element of its ring, a normal monomial as itself, so the cap
-scan runs once per distinct monomial and ambient.  Rewritten forms are
+cap.  Each ambient memoizes normal forms as elements of its ring, each
+normal monomial as itself from construction on and every other one once
+met, so a memo miss is always a monomial to rewrite.  Rewritten forms are
 filled from the rules' right sides without recursion, a zero rule
 (gen^cap = 0) first, so a monomial that one divides is zero in one step.
 
 The memo is the one source of unit monomials: `gen`, `one`, `point`,
 `zeta`, a one-term `from_terms` with coefficient 1, a pulled-back unit
 monomial and a product of two unit monomials all hand out the memo's
-element itself, which carries its exponent vector as `mono`.  A product
-takes one of two paths.  Two such elements of one ambient, the common
-case in pairing tables, cost one exponent sum and one lookup.  Anything
-else costs one pass over its raw terms and `_reduce`, one memo lookup
-per raw monomial, which `from_terms` also uses for the sum it was given.
+element itself, which carries its exponent vector as `mono`; `gen` only
+rewrites a generator whose cap is 1, so all four are lookups on every
+supported base.  A product takes one of two paths.  Two such elements
+of one ambient, the common case in pairing tables, cost one exponent
+sum and one lookup.  Anything else costs one pass over its raw terms
+and `_reduce`, one memo lookup per raw monomial, which `from_terms`
+also uses for the sum it was given.
 
 The memo lives and dies with its ambient; its elements point back at
 the ambient, so a dropped ring is freed by the cyclic garbage collector.
@@ -60,7 +62,8 @@ nothing writes to the `terms` of an element once it is built.
 from __future__ import annotations
 
 from functools import cache
-from operator import add, lt
+from itertools import product
+from operator import add
 from typing import Sequence
 
 # one row per base kind: its generators, the exponent cap of each (its
@@ -351,9 +354,10 @@ class Ambient:
             rhss += (tuple(rhs),)
         self._caps = caps
         self._rhss = rhss
-        # every monomial met -> its normal form, an element shared by
-        # every caller that `_monomial` or a unit product hands it to
-        self._memo = {}
+        # monomial -> its normal form, an element shared by whoever gets
+        # it: each normal monomial as itself from the start, others once met
+        fill = product(*map(range, caps))
+        self._memo = {m: ChowElement(self, {m: 1}, sum(m), m) for m in fill}
 
     # -- structure ---------------------------------------------------
 
@@ -391,7 +395,7 @@ class Ambient:
         return ChowElement(self, {}, None)
 
     def one(self) -> ChowElement:
-        return self._monomial((0,) * self.nvars)
+        return self._memo[(0,) * self.nvars]
 
     def gen(self, name: str) -> ChowElement:
         names = self.gen_names
@@ -410,7 +414,7 @@ class Ambient:
         expo = self.base.top_monomial
         if self.is_tower:
             expo = expo + (0,)
-        return self._monomial(expo)
+        return self._memo[expo]
 
     def from_terms(self, terms: dict) -> ChowElement:
         """Build an element from raw exponent->coefficient data (normalized here).
@@ -420,8 +424,9 @@ class Ambient:
         int vector.  Length and sign are checked on a memo miss only, since
         every memo key is a valid exponent vector of this ambient.  A single
         term with coefficient 1 returns the memo's element itself, after
-        those checks.  Terms with coefficient zero are dropped; the rest
-        must share one degree.  `_reduce` then sums the normal forms.
+        those checks, rewritten only if it is not normal.  Terms with
+        coefficient zero are dropped; the rest must share one degree.
+        `_reduce` then sums the normal forms.
         """
         memo = self._memo
         single = len(terms) == 1
@@ -475,18 +480,17 @@ class Ambient:
     def _normal_form(self, expo: tuple) -> ChowElement:
         """Normal form of a monomial not yet in the memo, as a memoized element.
 
-        The element has degree sum(expo), or None when the form is zero,
-        and is shared by whoever the memo hands it to: values are never
-        mutated.  Each monomial on an explicit stack, this one first, is
-        tested against the caps once.  One below every cap is its own
-        normal form, and carries itself as `mono`.  One at or over the cap
-        of a generator whose rule is gen^cap = 0 is zero, with nothing
+        The memo holds every normal monomial from construction, so this
+        one, and every monomial on the explicit stack below it, is at or
+        over the cap of some generator.  The element has degree sum(expo),
+        or None when the form is zero, and is shared by whoever the memo
+        hands it to: values are never mutated.  A monomial at or over the
+        cap of a generator whose rule is gen^cap = 0 is zero, with nothing
         rewritten, so which monomials the memo holds does not depend on
         the order they were met in.  Otherwise the first generator at or
         over its cap is rewritten, and the rewritten monomials still
         unknown wait on the stack, so a deep rewriting chain (z^5000, say)
-        never recurses; every monomial met is memoized on the way, normal
-        or not.
+        never recurses; every monomial met is memoized on the way.
         """
         caps, rhss = self._caps, self._rhss
         memo = self._memo
@@ -494,10 +498,6 @@ class Ambient:
         while stack:
             m = stack[-1]
             if m in memo:
-                stack.pop()
-                continue
-            if all(map(lt, m, caps)):
-                memo[m] = ChowElement(self, {m: 1}, sum(m), m)
                 stack.pop()
                 continue
             # a zero rule gen^cap = 0 that divides m goes first: m then

@@ -242,7 +242,8 @@ def test_monomials_over_a_zero_rule_are_zero_at_once():
     A = make_tower(Fe(3), [B.gen("C0"), 0])
     x = A.from_terms({(2, 2, 0): 1})
     assert x.is_zero() and x.degree is None and x.mono is None
-    assert list(A._memo) == [(2, 2, 0)]
+    normal = set(normal_monomials(A))
+    assert [m for m in A._memo if m not in normal] == [(2, 2, 0)]
     # every rule of a trivial P2 tower is zero, z^3 = 0 included
     T = make_tower(P2(), [0, 0, 0])
     h, z = T.from_terms({(1, 0): 1}), T.from_terms({(0, 1): 1})
@@ -379,7 +380,7 @@ def test_shared_monomial_products_match_oracle(data):
 
 
 def rebuild(A):
-    """A fresh ambient equal to A, with an empty memo."""
+    """A fresh ambient equal to A, whose memo holds only the normal monomials."""
     if A.twists:
         return make_tower(A.base, A.twists)
     return chern_tower(A.base, A.rank, A.cherns)
@@ -429,6 +430,78 @@ def test_memo_monomials_carry_their_exponent(data):
     assert hinted >= A.nvars
 
 
+# -- the memo is filled at construction ---------------------------------------
+
+
+def fresh_fill(A):
+    """A's memo on a fresh A: exactly its normal monomials, each as itself.
+
+    Handing out a unit monomial, by `gen`, `one`, `point`, `zeta` or a
+    one-term `from_terms` of a normal monomial, adds nothing to it.
+    """
+    caps = A.base.caps + ((A.rank,) if A.is_tower else ())
+    fill = list(itertools.product(*map(range, caps)))
+    assert list(A._memo) == fill
+    for m, nf in A._memo.items():
+        assert nf.mono == m and nf.terms == {m: 1} and nf.degree == sum(m)
+        assert nf.ambient is A
+    handed = [A.gen(g) for g in A.gen_names] + [A.one(), A.point()]
+    handed += [A.zeta] if A.is_tower else []
+    handed += [A.from_terms({m: 1}) for m in fill]
+    assert len(A._memo) == len(fill)
+    assert all(x is A._memo[x.mono] for x in handed)
+    return dict(A._memo)
+
+
+def assert_fill_kept(A, fill):
+    """The filled elements are still A's and unchanged, and every key
+    the memo gained since is a monomial at or over some cap."""
+    caps = A.base.caps + ((A.rank,) if A.is_tower else ())
+    assert all(A._memo[m] is nf and nf.terms == {m: 1} for m, nf in fill.items())
+    beyond = [m for m in A._memo if m not in fill]
+    for m in beyond:
+        assert not all(k < cap for k, cap in zip(m, caps))
+        assert A._memo[m].mono is None
+    return beyond
+
+
+@pytest.mark.parametrize("base", [P1(), P2(), P1xP1(), Fe(0), Fe(3), P1xP2()], ids=repr)
+def test_every_base_memo_is_filled_at_construction(base):
+    # `base_space` is one ambient per base and process, which other tests
+    # have used: the fresh ring is built past its cache
+    A = base_space.__wrapped__(base)
+    fill = fresh_fill(A)
+    rng = random.Random(repr(base))
+    for _ in range(40):
+        x, y = (
+            A.from_terms(
+                {random_monomial(rng, A.nvars, rng.randrange(A.dim + 2)): rng.choice([1, -2])}
+            )
+            for _ in range(2)
+        )
+        x * y
+    # the products met monomials beyond the fill, none of them normal
+    assert assert_fill_kept(A, fill)
+    shared = base_space(base)
+    assert_fill_kept(shared, {m: shared._memo[m] for m in fill})
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_every_tower_memo_is_filled_at_construction(data):
+    A = data.draw(random_towers())
+    fill = fresh_fill(A)
+    classes = [A.from_terms(data.draw(raw_classes(A))) for _ in range(3)]
+    for x in classes:
+        for y in classes:
+            x * y
+            for m1 in list(x.terms)[:3]:
+                for m2 in list(y.terms)[:3]:
+                    A.from_terms({m1: 1}) * A.from_terms({m2: 1})
+                    A.from_terms({m1: 1}) * A.from_terms({m2: -2})
+    assert_fill_kept(A, fill)
+
+
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_memo_fill_order_does_not_change_normal_forms(data):
@@ -438,7 +511,8 @@ def test_memo_fill_order_does_not_change_normal_forms(data):
     mons = [m for _ in range(rounds) for m in data.draw(raw_classes(A))]
     seed = data.draw(st.integers(0, 999))
     first, second = rebuild(A), rebuild(A)
-    assert first == second == A and first._memo == second._memo == {}
+    assert first == second == A and first._memo == second._memo
+    assert list(first._memo) == list(second._memo) == normal_monomials(A)
     forward = [first.from_terms({m: 1}).terms for m in mons]
     backward = [second.from_terms({m: 1}).terms for m in reversed(mons)][::-1]
     assert forward == backward

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 from delpezzo import enumeration
 from delpezzo.bundles import SplitBundle
 from delpezzo.catalog import builtin_catalog, construction_models
-from delpezzo.chow import Fe, P1xP1
+from delpezzo.chow import Fe, P1xP1, base_space, canonical_base_class, integrate
 from delpezzo.enumeration import (
     FUJITA_RANK1_DEGREES,
     MODEL_KINDS,
@@ -273,6 +273,29 @@ def test_rho3_rejects_other_surfaces():
         enumerate_rho3("p2")
     with pytest.raises(ValueError, match="P1 x P1 and F2"):
         enumerate_rho3("f1")
+
+
+def anticanonical_degrees(surface):
+    """-K_S . g on the engine for each curve generator g of the surface.
+
+    The generators span the cone of curves of every supported surface
+    (h on P2, the two rulings on P1 x P1, C0 and f on F_e), so -K_S is
+    nef exactly when none of these is negative.
+    """
+    B = base_space(surface)
+    minus_k = -canonical_base_class(surface)
+    return [integrate(minus_k * B.gen(g)) for g in B.gen_names]
+
+
+def test_anticanonical_class_of_every_surface_is_nef():
+    # -K . C0 = 2 - e on F_e, so F2 sits on the almost del Pezzo boundary:
+    # -K is nef and big but not ample
+    got = {name: anticanonical_degrees(S) for name, S in enumeration.SURFACES.items()}
+    assert got == {"P2": [3], "P1xP1": [2, 2], "F2": [0, 2]}
+    assert all(min(d) >= 0 for d in got.values())
+    # a planted F3 in place of F2 has -K . C0 = -1: not nef
+    planted = anticanonical_degrees(Fe(3))
+    assert planted == [-1, 2] and min(planted) < 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 a private module-level name it never reads, none writes into the
 `terms` of a Chow element, none sets the `mono` hint of one outside
 its constructor, none passes that hint to the constructor outside
-the memo's `Ambient._normal_form`, and none builds a `CheckResult`
+the memo's fill in `Ambient.__init__`, and none builds a `CheckResult`
 outside `verify`'s `_check`, `_skip` and `_window`.
 
 There is no linter in the toolchain, so this walks each module's syntax
@@ -223,14 +223,15 @@ def test_no_module_sets_mono_outside_the_constructor(path):
 
 def mono_constructions(source: str) -> list[int]:
     """Lines that call `ChowElement(...)` with a `mono` hint outside
-    `Ambient._normal_form`.
+    `Ambient.__init__`.
 
     A fourth positional argument, a `mono=` keyword, or a starred or
     `**` argument that could carry either counts.  Only the memo makes
-    elements that are its own normal monomials, so only it may say so.
+    elements that are its own normal monomials, all of them when it is
+    filled at construction, so only that fill may say so.
     """
     tree = ast.parse(source)
-    exempt = _function_nodes(tree, "Ambient", "_normal_form")
+    exempt = _function_nodes(tree, "Ambient", "__init__")
     lines = []
     for node in ast.walk(tree):
         if id(node) in exempt or not isinstance(node, ast.Call):
@@ -251,10 +252,12 @@ def mono_constructions(source: str) -> list[int]:
 def test_mono_constructions_are_detected():
     source = (
         "class Ambient:\n"
-        "    def _normal_form(self, m):\n"
-        "        return ChowElement(self, {m: 1}, sum(m), m)\n"
+        "    def __init__(self, ms):\n"
+        "        self._memo = {m: ChowElement(self, {m: 1}, sum(m), m) for m in ms}\n"
         "    def gen(self, m):\n"
         "        return ChowElement(self, {m: 1}, 1, m)\n"
+        "    def _normal_form(self, m):\n"
+        "        return ChowElement(self, {m: 1}, sum(m), m)\n"
         "def f(A, m, args, kw):\n"
         "    ChowElement(A, {m: 1}, 1, mono=m)\n"
         "    chow.ChowElement(A, {m: 1}, 1, m)\n"
@@ -263,10 +266,10 @@ def test_mono_constructions_are_detected():
         "    ChowElement(A, {}, None), ChowElement(A, {m: 1}, degree=1)\n"
         "    return Other(A, {m: 1}, 1, m), A.ChowElement\n"
         "class Other:\n"
-        "    def _normal_form(self, m):\n"
-        "        return ChowElement(self, {m: 1}, 1, m)\n"
+        "    def __init__(self, m):\n"
+        "        self.one = ChowElement(self, {m: 1}, 1, m)\n"
     )
-    assert mono_constructions(source) == [5, 7, 8, 9, 10, 15]
+    assert mono_constructions(source) == [5, 7, 9, 10, 11, 12, 17]
 
 
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
