@@ -25,9 +25,13 @@ The left side of every rewrite rule is a pure power of one generator
 is in normal form exactly when each exponent is below its generator's
 cap.  Each ambient memoizes normal forms as elements of its ring, each
 normal monomial as itself from construction on and every other one once
-met, so a memo miss is always a monomial to rewrite.  Rewritten forms are
-filled from the rules' right sides without recursion, a zero rule
-(gen^cap = 0) first, so a monomial that one divides is zero in one step.
+met, so a memo miss is always a monomial to rewrite.  The unit terms
+{m: 1} and degrees of the normal monomials depend only on the caps, so
+they are built once per shape and process (`_unit_monomials`) and shared
+by every ambient of that shape, each wrapping them in its own elements.
+Rewritten forms are filled from the rules' right sides without
+recursion, a zero rule (gen^cap = 0) first, so a monomial that one
+divides is zero in one step.
 
 The memo is the one source of unit monomials: `gen`, `one`, `point`,
 `zeta`, a one-term `from_terms` with coefficient 1, a pulled-back unit
@@ -40,14 +44,16 @@ sum and one lookup.  Anything else costs one pass over its raw terms
 and `_reduce`, one memo lookup per raw monomial, which `from_terms`
 also uses for the sum it was given.
 
-The memo lives and dies with its ambient; its elements point back at
-the ambient, so a dropped ring is freed by the cyclic garbage collector.
+The memo lives and dies with its ambient; its elements point back at the
+ambient, so a dropped ring is freed by the cyclic garbage collector.
 Every tower is built anew, but each base has one plain ambient per
 process (`base_space` is memoized by the base), so base classes built
 anywhere find their common ring by identity.  A split tower of rank r
-over B is built from e_1 .. e_dim(B) of its twists only, O(r * dim B)
-base products, since the higher elementary symmetric classes vanish on
-the base.
+over B takes c(V) = prod (1 + L_j) truncated at dim(B), since the higher
+elementary symmetric classes vanish on the base: the product is expanded
+on the twists' raw terms and each c_i reduced once at the end, which is
+exact because the normal form is a ring map, so the build runs no class
+product or sum.
 
 Two ambients are equal when they present the same ring: the same base,
 rank and Chern classes c_1 .. c_dim(B).  Twists are kept for display
@@ -55,8 +61,9 @@ only, so a split tower and a Chern-data tower with the same c(V) are
 one ring and their classes mix.
 
 Values are immutable after construction and all operations are pure
-(the memo only caches), so one element may be handed out many times:
-nothing writes to the `terms` of an element once it is built.
+(the memo only caches), so one element may be handed out many times,
+and one unit terms dict to every ambient of its shape: nothing writes to
+the `terms` of an element once it is built.
 """
 
 from __future__ import annotations
@@ -356,8 +363,8 @@ class Ambient:
         self._rhss = rhss
         # monomial -> its normal form, an element shared by whoever gets
         # it: each normal monomial as itself from the start, others once met
-        fill = product(*map(range, caps))
-        self._memo = {m: ChowElement(self, {m: 1}, sum(m), m) for m in fill}
+        fill = _unit_monomials(caps)
+        self._memo = {m: ChowElement(self, t, d, m) for m, t, d in fill}
 
     # -- structure ---------------------------------------------------
 
@@ -537,6 +544,14 @@ class Ambient:
 
 
 @cache
+def _unit_monomials(caps: tuple) -> tuple:
+    """(m, {m: 1}, sum(m)) for every normal monomial under these caps, in
+    product order: one per shape and process, shared by every ambient of
+    that shape, which wraps each in its own element."""
+    return tuple((m, {m: 1}, sum(m)) for m in product(*map(range, caps)))
+
+
+@cache
 def base_space(base: Base) -> Ambient:
     """The base itself, as a rank-1 ambient without tautological class.
 
@@ -579,14 +594,21 @@ def make_tower(base: Base, twists: Sequence) -> Ambient:
     if len(coerced) < 2:
         raise ValueError("a tower needs rank >= 2")
     rank = len(coerced)
-    # e_1 .. e_d of the twists; e_i has degree i, so it vanishes on the
-    # base for i > dim(B) and the classes beyond d are zero padding
+    # e_1 .. e_d of the twists, expanded on their raw terms and reduced
+    # once per degree at the end (the normal form is a ring map); e_i has
+    # degree i, so it vanishes on the base for i > dim(B) and the classes
+    # beyond d are zero padding
     d = min(rank, base.dim)
-    es = [B.one()] + [B.zero()] * d
+    expo_sum = B._expo_sum
+    es = [{(0,) * B.nvars: 1}] + [{} for _ in range(d)]
     for j, L in enumerate(coerced, start=1):
         for i in range(min(j, d), 0, -1):
-            es[i] = es[i] + es[i - 1] * L
-    cherns = tuple(es[1:]) + (B.zero(),) * (rank - d)
+            ei = es[i]
+            for m1, c1 in es[i - 1].items():
+                for m2, c2 in L.terms.items():
+                    m = expo_sum(m1, m2)
+                    ei[m] = ei.get(m, 0) + c1 * c2
+    cherns = tuple(map(B.from_terms, es[1:])) + (B.zero(),) * (rank - d)
     return Ambient(base, rank, coerced, cherns)
 
 

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delpezzo import (
@@ -25,6 +25,7 @@ from delpezzo import (
 )
 from delpezzo import chow
 from substitution_oracle import oracle_reduce
+from test_chow_oracle import random_towers
 
 coeffs = st.integers(min_value=-6, max_value=6)
 
@@ -378,20 +379,40 @@ def test_truncated_tower_build_matches_full_expansion(base):
 
 
 def test_tower_build_products_are_linear_in_rank(monkeypatch):
+    # the twists are expanded on their raw terms and reduced once per
+    # degree, so a build runs no class product or sum at all
     base = P1xP2()
     rank = 16
     twists = _seeded_twists(base, rank, seed=0)
-    calls = 0
-    mul = ChowElement.__mul__
+    calls = {"__mul__": 0, "__add__": 0}
 
-    def counting(self, other):
-        nonlocal calls
-        calls += 1
-        return mul(self, other)
+    def counting(name):
+        method = getattr(ChowElement, name)
 
-    monkeypatch.setattr(ChowElement, "__mul__", counting)
+        def counted(self, other):
+            calls[name] += 1
+            return method(self, other)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(ChowElement, name, counting(name))
     make_tower(base, twists)
-    assert 0 < calls <= rank * base.dim
+    assert calls == {"__mul__": 0, "__add__": 0}
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_split_tower_cherns_match_per_twist_recurrence(data):
+    # over every base, F_e up to e = 20: the one truncated expansion
+    # gives the classes the per-twist recurrence does, zero beyond dim B
+    A = data.draw(random_towers())
+    assume(A.twists)
+    d = A.base.dim
+    full = _full_elementary_symmetric(A.base, A.twists)
+    assert list(A.cherns[:d]) == full[:d]
+    assert all(c.is_zero() for c in A.cherns[d:] + tuple(full[d:]))
+    assert len(A.cherns) == len(full) == A.rank
 
 
 def test_tower_build_hashes_its_base_once(monkeypatch):

@@ -502,6 +502,34 @@ def test_every_tower_memo_is_filled_at_construction(data):
     assert_fill_kept(A, fill)
 
 
+def test_one_shape_shares_its_unit_terms_and_nothing_else():
+    # equal caps (2, 2, 4) from different twists, bases and builders: the
+    # unit terms dicts are the same objects, every element is the ring's own
+    B0, B7 = base_space(Fe(0)), base_space(Fe(7))
+    C0, f = B0.gen("C0"), B0.gen("f")
+    A = make_tower(Fe(0), [C0, f, C0 + 2 * f, 0])
+    A2 = chern_tower(Fe(7), 4, [B7.gen("f") - B7.gen("C0"), B7.point()])
+    assert A._caps == A2._caps and A != A2
+    fill, fill2 = fresh_fill(A), fresh_fill(A2)
+    for m, nf in fill.items():
+        nf2 = fill2[m]
+        assert nf.terms is nf2.terms and nf is not nf2
+        assert nf.ambient is A and nf2.ambient is A2
+    # products on one ring, rewritten or not, leave the other's memo as it was
+    x = A.zeta + A.pullback(C0)
+    for n in range(1, 9):
+        x**n * A.zeta
+        A.from_terms({(1, 1, 3): 1}) * A.from_terms({(0, 1, n): -2})
+    assert len(A._memo) > len(fill)
+    assert A2._memo == fill2 and list(A2._memo) == list(fill2)
+    assert all(A2._memo[m] is nf and nf.terms == {m: 1} for m, nf in fill2.items())
+    # a tower of another rank has other unit terms
+    A5 = make_tower(Fe(0), [C0, f, C0 + 2 * f, 0, 0])
+    fresh_fill(A5)
+    ours = {id(nf.terms) for nf in fill.values()}
+    assert not ours & {id(nf.terms) for nf in A5._memo.values()}
+
+
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_memo_fill_order_does_not_change_normal_forms(data):

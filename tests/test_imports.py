@@ -1,9 +1,10 @@
 """No module of the package imports a name it never uses, none defines
 a private module-level name it never reads, none writes into the
-`terms` of a Chow element, none sets the `mono` hint of one outside
-its constructor, none passes that hint to the constructor outside
-the memo's fill in `Ambient.__init__`, and none builds a `CheckResult`
-outside `verify`'s `_check`, `_skip` and `_window`.
+`terms` of a Chow element (nor does any test, script or benchmark
+file), none sets the `mono` hint of one outside its constructor, none
+passes that hint to the constructor outside the memo's fill in
+`Ambient.__init__`, and none builds a `CheckResult` outside `verify`'s
+`_check`, `_skip` and `_window`.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree with `ast`.  Only `__init__.py` is exempt from the import guard:
@@ -19,7 +20,8 @@ import pytest
 
 from checkout import child_env
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "delpezzo"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "delpezzo"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
@@ -141,7 +143,18 @@ def test_terms_mutations_are_detected():
     assert terms_mutations(source) == [2, 3, 4, 5, 6, 7, 8, 8, 8]
 
 
-@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+# the package by module name, then every script, test and benchmark file
+# by its path from the repository root: the memo shares each unit terms
+# dict with every ambient of its shape, so a write anywhere in the process
+# would corrupt them all
+TERMS_READERS = [pytest.param(p, id=p.name) for p in ALL_MODULES] + [
+    pytest.param(p, id=p.relative_to(ROOT).as_posix())
+    for d in ("tests", "scripts", "bench")
+    for p in sorted((ROOT / d).glob("*.py"))
+]
+
+
+@pytest.mark.parametrize("path", TERMS_READERS)
 def test_no_module_mutates_terms_in_place(path):
     assert terms_mutations(path.read_text(encoding="utf-8")) == []
 
