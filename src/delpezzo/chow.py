@@ -1,6 +1,6 @@
 """Exact Chow-ring arithmetic on projective bundles over small rational bases.
 
-The ambient spaces are towers P(V) -> B where B is one of P1, P2,
+The ambient spaces are towers P(V) -> B where B is the point, P1, P2,
 P1 x P1, a Hirzebruch surface F_e, or P1 x P2, and V is either a sum of
 line bundles or a bundle with prescribed Chern classes.  The ring is the
 quotient of Z[base generators, z] by the base relations and the
@@ -14,11 +14,11 @@ equality is dictionary equality and integration of a top-degree class
 reads off a single coefficient.  All coefficients are Python ints, hence
 exact at any size.
 
-Each base is stated once, as its row of `_BASES`: generators, the
-exponent cap of each, and the coefficients of K_B (Hartshorne, App. A;
-Fulton, Intersection Theory, 3.2).  Only F_e adds the two entries that
-depend on e, C0^2 = -e C0 f and the f coefficient -(e + 2) of K_B.
-Dimension, top monomial, rewrite rules and K_B are derived from the row.
+The point, with no generators, is the only base stated by hand.  Every
+other base is a tower over an earlier kind (Fulton, Intersection Theory,
+3.2): P1 and P2 over the point, and P1 x P1, F_e and P1 x P2 over P1.
+Its generators, their caps and rewrite rules, and K_B are read off that
+tower and `canonical_class`, once per kind and e.
 
 The left side of every rewrite rule is a pure power of one generator
 (h^3, C0^2, z^r, ...), so the rules are indexed by generator: a monomial
@@ -73,21 +73,26 @@ from itertools import product
 from operator import add
 from typing import Sequence
 
-# one row per base kind: its generators, the exponent cap of each (its
-# rewrite rule is gen^cap = 0) and the coefficients of K_B on them; the
-# F_e row is F_0, and `Base` adds the two entries that depend on e
-_BASES = {
-    "P1": (("F",), (2,), (-2,)),
-    "P2": (("h",), (3,), (-3,)),
-    "P1xP1": (("f1", "f2"), (2, 2), (-2, -2)),
-    "Fe": (("C0", "f"), (2, 2), (-2, -2)),
-    "P1xP2": (("p", "h"), (2, 3), (-2, -3)),
+# the point: no generators, hence no caps, rule right sides or K_B terms
+_BASES = {"pt": ((), (), (), ())}
+
+# every other base as a tower over an earlier kind: that kind, each
+# summand's twist as coefficients on 1, e, ... of F on P1 (0 over the
+# point), and the generator names in printed order, each with the tower
+# generator it names (on F_e, C0 = z and f = F)
+_BASE_TOWERS = {
+    "P1": ("pt", ((0,), (0,)), (("F", "z"),)),
+    "P2": ("pt", ((0,), (0,), (0,)), (("h", "z"),)),
+    "P1xP1": ("P1", ((0,), (0,)), (("f1", "F"), ("f2", "z"))),
+    "Fe": ("P1", ((0,), (0, -1)), (("C0", "z"), ("f", "F"))),
+    "P1xP2": ("P1", ((0,), (0,), (0,)), (("p", "F"), ("h", "z"))),
 }
 
-# exponent-vector sum per number of generators (a plain base has one or
+# exponent-vector sum per number of generators (a plain base has none to
 # two, a tower one more), unrolled: about a third of the cost of
 # tuple(map(add, a, b)) on the product hot path
 _EXPONENT_SUM = {
+    0: lambda a, b: (),
     1: lambda a, b: (a[0] + b[0],),
     2: lambda a, b: (a[0] + b[0], a[1] + b[1]),
     3: lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
@@ -95,15 +100,15 @@ _EXPONENT_SUM = {
 
 
 class Base:
-    """One of the supported base spaces, identified by kind (and e for F_e).
+    """The point or a base of `_BASE_TOWERS`, identified by kind (and e for F_e).
 
     The top monomial (each cap less one) integrates to 1; `dim` is its degree.
     """
 
-    __slots__ = ("kind", "e", "gens", "caps", "rhss", "dim", "top_monomial", "_canonical")
+    __slots__ = ("kind", "e", "gens", "caps", "rhss", "dim", "top_monomial")
 
     def __init__(self, kind: str, e: int = 0):
-        if kind not in _BASES:
+        if kind not in _BASES and kind not in _BASE_TOWERS:
             raise ValueError(f"unsupported base kind {kind!r}")
         if type(e) is not int:
             raise ValueError(f"parameter e must be an int, got {e!r}")
@@ -113,23 +118,9 @@ class Base:
             raise ValueError("Hirzebruch parameter e must be >= 0")
         self.kind = kind
         self.e = e
-        self.gens, self.caps, canonical = _BASES[kind]
-        self.rhss = ((),) * len(self.caps)
-        if kind == "Fe":
-            # C0^2 = -e C0 f, and K_B = -2 C0 - (e + 2) f
-            self.rhss = ((((1, 1), -e),), ())
-            canonical = (canonical[0], canonical[1] - e)
-        # relations keep degree in a graded ring; C0 -> C0 f would never stop
-        for cap, rhs in zip(self.caps, self.rhss):
-            if any(sum(m) != cap for m, _ in rhs):
-                raise ValueError(f"the relations of {kind} are not homogeneous")
-        self._canonical = canonical
+        self.gens, self.caps, self.rhss, _ = _presentation(kind, e)
         self.top_monomial = tuple(cap - 1 for cap in self.caps)
         self.dim = sum(self.top_monomial)
-
-    def canonical_coeffs(self) -> dict[str, int]:
-        """Coefficients of K_B on the degree-1 generators."""
-        return dict(zip(self.gens, self._canonical))
 
     def __eq__(self, other):
         return isinstance(other, Base) and self.kind == other.kind and self.e == other.e
@@ -141,6 +132,23 @@ class Base:
         if self.kind == "Fe":
             return f"F{self.e}"
         return self.kind
+
+
+@cache
+def _presentation(kind: str, e: int) -> tuple:
+    """Generators, caps, rule right sides and K_B terms of a base kind."""
+    if kind in _BASES:
+        return _BASES[kind]
+    over, twists, names = _BASE_TOWERS[kind]
+    A = make_tower(Base(over), [sum(c * e**k for k, c in enumerate(t)) for t in twists])
+    order = [A.gen_names.index(g) for _, g in names]
+
+    def printed(terms) -> tuple:
+        return tuple((tuple(m[i] for i in order), c) for m, c in terms)
+
+    rhss = tuple(printed(A._rhss[i]) for i in order)
+    canonical = printed(canonical_class(A).terms.items())
+    return tuple(name for name, _ in names), tuple(A._caps[i] for i in order), rhss, canonical
 
 
 def P1() -> Base:
@@ -286,15 +294,10 @@ class ChowElement:
         if not self.terms:
             return "0"
         names = self.ambient.gen_names
-        parts = []
+        out = ""
         for expo in sorted(self.terms, reverse=True):
             coeff = self.terms[expo]
-            factors = []
-            for name, k in zip(names, expo):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
+            factors = [name if k == 1 else f"{name}^{k}" for name, k in zip(names, expo) if k]
             mono = "*".join(factors)
             if not mono:
                 body = str(abs(coeff))
@@ -303,11 +306,10 @@ class ChowElement:
             else:
                 body = f"{abs(coeff)}*{mono}"
             sign = "-" if coeff < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
+            if out:
+                out += f" {sign} {body}"
+            else:  # the leading term shows its sign only when it is negative
+                out = body if coeff > 0 else f"-{body}"
         return out
 
     def __repr__(self):
@@ -625,16 +627,13 @@ def chern_tower(base: Base, rank: int, cherns: Sequence[ChowElement]) -> Ambient
     if len(cherns) > min(rank, base.dim):
         raise ValueError("too many Chern classes for this rank and base")
     B = base_space(base)
-    coerced = []
     for i, c in enumerate(cherns, start=1):
         if not isinstance(c, ChowElement) or c.ambient != B:
             raise ValueError(f"c{i} must be a class on the base")
         if not c.is_zero() and c.degree != i:
             raise ValueError(f"c{i} has degree {c.degree}, expected {i}")
-        coerced.append(c)
-    while len(coerced) < min(rank, base.dim):
-        coerced.append(B.zero())
-    return Ambient(base, rank, (), tuple(coerced))
+    padding = (B.zero(),) * (min(rank, base.dim) - len(cherns))
+    return Ambient(base, rank, (), tuple(cherns) + padding)
 
 
 def integrate(x: ChowElement) -> int:
@@ -654,16 +653,15 @@ def canonical_class(A: Ambient) -> ChowElement:
     if not A.is_tower:
         raise ValueError("canonical_class expects a genuine tower (rank >= 2)")
     k = canonical_base_class(A.base)
-    return (-A.rank) * A.zeta + A.pullback(k + A.cherns[0])
+    if A.cherns:  # a Chern-data tower over the point stores none: c1 = 0
+        k = k + A.cherns[0]
+    return (-A.rank) * A.zeta + A.pullback(k)
 
 
 def canonical_base_class(base: Base) -> ChowElement:
-    """K_B as a divisor class on the plain base."""
-    B = base_space(base)
-    k = B.zero()
-    for name, c in base.canonical_coeffs().items():
-        k = k + c * B.gen(name)
-    return k
+    """K_B as a divisor class on the plain base, as its tower gave it."""
+    *_, canonical = _presentation(base.kind, base.e)
+    return base_space(base).from_terms(dict(canonical))
 
 
 def adjunction(A: Ambient, X: ChowElement) -> ChowElement:

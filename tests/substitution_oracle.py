@@ -18,6 +18,7 @@ the shared relation data.
 import random
 
 _TOP = {
+    "pt": (),
     "P1": (1,),
     "P2": (2,),
     "P1xP1": (1, 1),

@@ -23,7 +23,6 @@ from delpezzo import (
     make_tower,
     polarized_degree,
 )
-from delpezzo import chow
 from substitution_oracle import oracle_reduce
 from test_chow_oracle import random_towers
 
@@ -69,9 +68,10 @@ def test_canonical_squared_on_other_surfaces():
 
 # -- the base table ------------------------------------------------------
 
-# every fact `Base` derives from its row, as literals, so an edit of the
-# table cannot change a ring unnoticed
+# every fact `Base` derives from its tower (the point's from its row), as
+# literals, so an edit of either table cannot change a ring unnoticed
 BASE_FACTS = [
+    (Base("pt"), (), 0, (), [], {}),
     (P1(), ("F",), 1, (1,), [((2,), [])], {"F": -2}),
     (P2(), ("h",), 2, (2,), [((3,), [])], {"h": -3}),
     (
@@ -80,7 +80,7 @@ BASE_FACTS = [
     ),
     (
         Fe(0), ("C0", "f"), 2, (1, 1),
-        [((2, 0), [((1, 1), 0)]), ((0, 2), [])], {"C0": -2, "f": -2},
+        [((2, 0), []), ((0, 2), [])], {"C0": -2, "f": -2},
     ),
     (
         Fe(1), ("C0", "f"), 2, (1, 1),
@@ -104,9 +104,38 @@ def test_base_facts_are_pinned(base, gens, dim, top, relations, canonical):
     assert base.gens == gens
     assert base.dim == dim
     assert base.top_monomial == top
-    assert base.canonical_coeffs() == canonical
-    # the base ring is presented by exactly these rewrite rules
-    assert base_space(base).relations() == relations
+    B = base_space(base)
+    K = sum((c * B.gen(name) for name, c in canonical.items()), B.zero())
+    assert canonical_base_class(base) == K
+    # the base ring is presented by exactly these rewrite rules, and F_0
+    # by zero rules, as P1 x P1 is: no stored term has coefficient 0
+    assert B.relations() == relations
+    assert all(c != 0 for _, rhs in B.relations() for _, c in rhs)
+
+
+# -- the point and towers over it ----------------------------------------
+
+
+@pytest.mark.parametrize("n,volume", [(3, 64), (4, 625), (10, 25937424601)])
+def test_projective_space_is_a_tower_over_the_point(n, volume):
+    # P^n = P(O^(n+1)) over the point, split or from its (empty) Chern
+    # data: one ring, with -K = (n + 1) z and (-K)^n = (n + 1)^n
+    split = make_tower(Base("pt"), [0] * (n + 1))
+    given_cherns = chern_tower(Base("pt"), n + 1, [])
+    assert split == given_cherns
+    for A in (split, given_cherns):
+        K = canonical_class(A)
+        assert K == -(n + 1) * A.zeta
+        assert integrate((-K) ** n) == volume
+
+
+def test_point_blowup_of_p3_is_a_tower_over_p2():
+    # Bl_p P3 = P(O + O(1)) over P2: -K = 2z + 2h, (-K)^3 = 56
+    h = base_space(P2()).gen("h")
+    A = make_tower(P2(), [0, h])
+    minus_k = -canonical_class(A)
+    assert minus_k == 2 * A.zeta + 2 * A.pullback(h)
+    assert integrate(minus_k**3) == 56
 
 
 @pytest.mark.parametrize("kind,e", [("Fe", 2.0), ("Fe", True), ("Fe", "2"), ("P1", 0.0)])
@@ -117,17 +146,6 @@ def test_base_parameter_must_be_an_int(kind, e):
         base_space(Base(kind, e))
     assert str(base_space(Fe(2)).gen("C0") ** 2) == "-2*C0*f"
     assert repr(base_space(Fe(1))) == "F1"
-
-
-@pytest.mark.parametrize("delta", [1, -1])
-def test_base_rules_must_keep_degree(monkeypatch, delta):
-    # C0^2 = -e C0 f with the cap of C0 moved: at cap 1 the rule would
-    # rewrite C0 -> C0 f forever
-    gens, caps, canonical = chow._BASES["Fe"]
-    edited = (gens, (caps[0] + delta, caps[1]), canonical)
-    monkeypatch.setitem(chow._BASES, "Fe", edited)
-    with pytest.raises(ValueError, match="Fe are not homogeneous"):
-        Fe(1)
 
 
 # -- degrees of the rank-4 quadric fibration models ----------------------

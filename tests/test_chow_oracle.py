@@ -53,6 +53,8 @@ def build_zoo():
         base_space(P2()),
         base_space(Fe(3)),
         base_space(P1xP2()),
+        make_tower(Base("pt"), [0, 0, 0, 0]),
+        chern_tower(Base("pt"), 3, []),
     ]
 
 
@@ -340,6 +342,8 @@ def raw_classes(draw, A):
 @settings(max_examples=100, deadline=None)
 def test_random_towers_match_oracle(data):
     A = data.draw(random_towers())
+    # no stored rule carries a term with coefficient 0
+    assert all(c != 0 for _, rhs in A.relations() for _, c in rhs)
     raw_x = data.draw(raw_classes(A))
     raw_y = data.draw(raw_classes(A))
     seed = data.draw(st.integers(0, 999))

@@ -677,11 +677,14 @@ def test_every_underivable_model_edit_fails_a_check(monkeypatch):
 # planted errors in the engine's own data
 # ---------------------------------------------------------------------------
 
-# runs in a child interpreter: for each (base kind, row part, entry,
-# delta) on stdin, a fresh package whose `chow._BASES` row has that entry
-# moved by delta, and one line out: "fail <failed checks>" or
-# "raise <exception type>"; an edit with no outcome within 20 s (a
-# rewriting loop) ends in "raise TimeoutError", so the next edit still runs
+# runs in a child interpreter: for each edit on stdin, a fresh package
+# whose `chow._BASE_TOWERS` row has it, and one line out: "fail <failed
+# checks>" or "raise <exception type>".  An edit is "<kind> <summand>
+# <coefficient> <delta>", which moves that coefficient of that summand's
+# twist by delta, or "<kind> rank <delta>", which appends delta trivial
+# summands or drops -delta from the end.  An edit with no outcome within
+# 20 s (a rewriting loop) ends in "raise TimeoutError", so the next edit
+# still runs
 _BASES_SWEEP = """
 import importlib, signal, sys
 
@@ -691,13 +694,19 @@ def hung(signum, frame):
 signal.signal(signal.SIGALRM, hung)
 for line in sys.stdin:
     signal.alarm(20)
-    kind, part, entry, delta = line.split()
+    kind, *where, delta = line.split()
+    delta = int(delta)
     for name in [m for m in sys.modules if m.split(".")[0] == "delpezzo"]:
         del sys.modules[name]
     chow = importlib.import_module("delpezzo.chow")
-    row = [list(values) for values in chow._BASES[kind]]
-    row[int(part)][int(entry)] += int(delta)
-    chow._BASES[kind] = tuple(map(tuple, row))
+    over, twists, names = chow._BASE_TOWERS[kind]
+    twists = [list(t) for t in twists]
+    if where == ["rank"]:
+        twists = twists[: len(twists) + delta] + [[0]] * delta
+    else:
+        summand, coefficient = map(int, where)
+        twists[summand][coefficient] += delta
+    chow._BASE_TOWERS[kind] = (over, tuple(map(tuple, twists)), names)
     try:
         reports = importlib.import_module("delpezzo.verify").verify_all()
         print("fail", sum(rep.failed for rep in reports), flush=True)
@@ -708,16 +717,17 @@ for line in sys.stdin:
 
 
 def _bases_edits(deltas):
-    """(kind, part, entry, delta) for every cap (part 1) and K_B
-    coefficient (part 2) of every `chow._BASES` row."""
-    from delpezzo.chow import _BASES
+    """(kind, "rank", delta) and (kind, summand, coefficient, delta) for
+    the rank and every twist coefficient of every `chow._BASE_TOWERS` row."""
+    from delpezzo.chow import _BASE_TOWERS
 
     return [
-        (kind, part, entry, delta)
-        for kind, row in _BASES.items()
-        for part in (1, 2)
-        for entry in range(len(row[part]))
+        edit
+        for kind, (_, twists, _) in _BASE_TOWERS.items()
         for delta in deltas
+        for edit in [(kind, "rank", delta)] + [
+            (kind, i, k, delta) for i, t in enumerate(twists) for k in range(len(t))
+        ]
     ]
 
 
@@ -726,7 +736,7 @@ def test_every_planted_base_data_error_fails_or_raises():
     # must pass: a fault of the harness itself cannot count as "raised"
     control = _bases_edits((0,))
     edits = _bases_edits((1, -1))
-    assert len(edits) == 32
+    assert len(edits) == 36
     lines = "".join(" ".join(map(str, e)) + "\n" for e in control + edits)
     proc = subprocess.run(
         [sys.executable, "-c", _BASES_SWEEP],
@@ -739,16 +749,21 @@ def test_every_planted_base_data_error_fails_or_raises():
     outcomes = proc.stdout.decode().splitlines()
     assert outcomes[: len(control)] == ["fail 0"] * len(control)
     caught = dict(zip(edits, outcomes[len(control):], strict=True))
-    # `Base` refuses the two edits of the F_e cap of C0 at import, since
-    # C0^2 = -e C0 f then changes degree; every other edit reaches the
-    # reports, and at least one check fails instead of a report raising
-    refused = {e: out for e, out in caught.items() if e[:3] == ("Fe", 1, 0)}
+    # a tower of rank 1, and a nonzero twist over the point, are refused
+    # when the base is first built; every other edit reaches the reports,
+    # and at least one check fails instead of a report raising
+    refused = {e: out for e, out in caught.items() if out.startswith("raise ")}
     assert refused == {
-        ("Fe", 1, 0, 1): "raise ValueError",
-        ("Fe", 1, 0, -1): "raise ValueError",
+        **{(kind, "rank", -1): "raise ValueError" for kind in ("P1", "P1xP1", "Fe")},
+        **{
+            (kind, i, 0, delta): "raise ValueError"
+            for kind, rank in (("P1", 2), ("P2", 3))
+            for i in range(rank)
+            for delta in (1, -1)
+        },
     }
     reported = {e: out for e, out in caught.items() if e not in refused}
-    assert len(reported) == 30
+    assert len(reported) == 23
     assert {
         e: out
         for e, out in reported.items()
