@@ -56,9 +56,11 @@ exact because the normal form is a ring map, so the build runs no class
 product or sum.
 
 Two ambients are equal when they present the same ring: the same base,
-rank and Chern classes c_1 .. c_dim(B).  Twists are kept for display
-only, so a split tower and a Chern-data tower with the same c(V) are
-one ring and their classes mix.
+rank and Chern classes.  Both constructors store c_1 .. c_d of V with
+d = min(rank, dim B), the classes that need not vanish on the base, so
+equality compares them as stored.  Twists are kept for display only, so
+a split tower and a Chern-data tower with the same c(V) are one ring and
+their classes mix.
 
 Values are immutable after construction and all operations are pure
 (the memo only caches), so one element may be handed out many times,
@@ -370,12 +372,6 @@ class Ambient:
 
     # -- structure ---------------------------------------------------
 
-    def _chern_terms(self) -> list[dict]:
-        """c_1 .. c_dim(B) of V; the higher classes vanish on the base."""
-        d = self.base.dim
-        terms = [c.terms for c in self.cherns[:d]]
-        return terms + [{}] * (d - len(terms))
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -383,7 +379,7 @@ class Ambient:
             isinstance(other, Ambient)
             and self.base == other.base
             and self.rank == other.rank
-            and self._chern_terms() == other._chern_terms()
+            and self.cherns == other.cherns
         )
 
     def __hash__(self):
@@ -395,7 +391,9 @@ class Ambient:
         if self.twists:
             inner = ", ".join(str(t) for t in self.twists)
             return f"P({inner}) over {self.base!r}"
-        inner = ", ".join(f"c{i + 1}={c}" for i, c in enumerate(self.cherns))
+        # the stored classes do not fix the rank, so it is printed first
+        classes = (f"c{i}={c}" for i, c in enumerate(self.cherns, start=1))
+        inner = ", ".join((f"rank {self.rank}", *classes))
         return f"P({inner}) over {self.base!r}"
 
     # -- element construction ----------------------------------------
@@ -598,8 +596,7 @@ def make_tower(base: Base, twists: Sequence) -> Ambient:
     rank = len(coerced)
     # e_1 .. e_d of the twists, expanded on their raw terms and reduced
     # once per degree at the end (the normal form is a ring map); e_i has
-    # degree i, so it vanishes on the base for i > dim(B) and the classes
-    # beyond d are zero padding
+    # degree i, so it vanishes on the base for i > dim(B) and is not stored
     d = min(rank, base.dim)
     expo_sum = B._expo_sum
     es = [{(0,) * B.nvars: 1}] + [{} for _ in range(d)]
@@ -610,8 +607,7 @@ def make_tower(base: Base, twists: Sequence) -> Ambient:
                 for m2, c2 in L.terms.items():
                     m = expo_sum(m1, m2)
                     ei[m] = ei.get(m, 0) + c1 * c2
-    cherns = tuple(map(B.from_terms, es[1:])) + (B.zero(),) * (rank - d)
-    return Ambient(base, rank, coerced, cherns)
+    return Ambient(base, rank, coerced, tuple(map(B.from_terms, es[1:])))
 
 
 def chern_tower(base: Base, rank: int, cherns: Sequence[ChowElement]) -> Ambient:
@@ -653,7 +649,7 @@ def canonical_class(A: Ambient) -> ChowElement:
     if not A.is_tower:
         raise ValueError("canonical_class expects a genuine tower (rank >= 2)")
     k = canonical_base_class(A.base)
-    if A.cherns:  # a Chern-data tower over the point stores none: c1 = 0
+    if A.cherns:  # a tower over the point stores none: c1 = 0
         k = k + A.cherns[0]
     return (-A.rank) * A.zeta + A.pullback(k)
 

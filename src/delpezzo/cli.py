@@ -2,8 +2,11 @@
 
 All output is deterministic, so the rendered tables can be compared
 byte-for-byte against golden files.  Each search has its own table
-renderer, but its JSON comes from the one `_json`, which writes every
-dataclass of the result as the dict of its fields.
+renderer, which returns the output as blocks (a heading line, a table,
+the excluded section); `_cmd_enumerate` joins them with one blank line,
+the only place a blank line is written.  Its JSON comes from the one
+`_json`, which writes every dataclass of the result as the dict of its
+fields.
 
 Each command imports only the layers it runs, so a cold process pays
 for nothing else.  `show` and `export` load `catalog` alone; `enumerate`
@@ -42,12 +45,15 @@ def _render_table(headers, rows):
 
     lines = [fmt(cells[0]), "  " + "  ".join("-" * w for w in widths)]
     lines.extend(fmt(row) for row in cells[1:])
-    return lines
+    return "\n".join(lines)
 
 
-def _exclusion_lines(exclusions):
-    """The "excluded:" section of a search result; empty without exclusions."""
-    lines = ["", "excluded:"] if exclusions else []
+def _exclusion_blocks(exclusions):
+    """The "excluded:" section of a search result: one block, or none
+    without exclusions."""
+    if not exclusions:
+        return []
+    lines = ["excluded:"]
     for e in exclusions:
         data = " ".join(str(x) for x in e.data)
         line = f"  {e.kind} {data}: {e.reason}"
@@ -55,7 +61,7 @@ def _exclusion_lines(exclusions):
             nums = "; ".join(f"{k} = {v}" for k, v in e.computed)
             line += f" [{nums}]"
         lines.append(line)
-    return lines
+    return ["\n".join(lines)]
 
 
 def _partner_label(family_id):
@@ -65,82 +71,67 @@ def _partner_label(family_id):
     return "self" if r.flop_partner == family_id else r.flop_partner
 
 
-def _quadric_lines(table, args):
-    lines = [
-        "quadric fibrations over P1: X in |O(2) + alpha F| on the split "
-        "tower P(O(a1) + O(a2) + O(a3) + O(a4))",
-        "",
-        "families with small anticanonical map:",
-        "",
-    ]
+def _quadric_blocks(table, args):
     smalls = sorted(
         (v for v in table if v.verdict == "Small"), key=lambda v: v.family
     )
-    rows = [
+    small_rows = [
         [v.family, *v.a, v.alpha, v.degree, _partner_label(v.family)]
         for v in smalls
     ]
-    lines.extend(
-        _render_table(
-            ["family", "a1", "a2", "a3", "a4", "alpha", "d", "partner"], rows
-        )
-    )
-    lines.extend(["", "divisorial anticanonical map:", ""])
-    rows = [
+    divisorial_rows = [
         [*v.a, v.alpha, v.degree, "inferred" if v.inferred else "stated", v.reason]
         for v in table
         if v.verdict == "Divisorial"
     ]
-    lines.extend(
-        _render_table(
-            ["a1", "a2", "a3", "a4", "alpha", "d", "origin", "reason"], rows
-        )
-    )
-    lines.extend(["", "rejected split types:", ""])
-    rows = [
+    rejected_rows = [
         [*v.a, v.verdict, v.reason]
         for v in table
         if v.verdict.startswith("Rejected")
     ]
-    lines.extend(
-        _render_table(["a1", "a2", "a3", "a4", "verdict", "reason"], rows)
-    )
-    return lines
-
-
-def _p2bundle_lines(result, args):
-    lines = [
-        "rank-2 bundles F on P2 with c1 = -1: candidates P(F) with small "
-        "anticanonical map",
-        "",
+    return [
+        "quadric fibrations over P1: X in |O(2) + alpha F| on the split "
+        "tower P(O(a1) + O(a2) + O(a3) + O(a4))",
+        "families with small anticanonical map:",
+        _render_table(
+            ["family", "a1", "a2", "a3", "a4", "alpha", "d", "partner"], small_rows
+        ),
+        "divisorial anticanonical map:",
+        _render_table(
+            ["a1", "a2", "a3", "a4", "alpha", "d", "origin", "reason"], divisorial_rows
+        ),
+        "rejected split types:",
+        _render_table(["a1", "a2", "a3", "a4", "verdict", "reason"], rejected_rows),
     ]
+
+
+def _p2bundle_blocks(result, args):
     rows = [
         [c.data[0], c.degree + 2, c.degree, c.family, _partner_label(c.family)]
         for c in result.candidates
     ]
-    lines.extend(_render_table(["c2", "chi(F(2))", "d", "family", "partner"], rows))
-    lines.extend(_exclusion_lines(result.exclusions))
-    return lines
+    return [
+        "rank-2 bundles F on P2 with c1 = -1: candidates P(F) with small "
+        "anticanonical map",
+        _render_table(["c2", "chi(F(2))", "d", "family", "partner"], rows),
+        *_exclusion_blocks(result.exclusions),
+    ]
 
 
-def _blowup_lines(result, args):
-    lines = ["point blow-ups of rank-1 del Pezzo threefolds:", ""]
+def _blowup_blocks(result, args):
     rows = [
         [c.degree, c.data[0], c.family, _partner_label(c.family)]
         for c in result.candidates
     ]
-    lines.extend(_render_table(["d", "target", "family", "partner"], rows))
-    lines.extend(_exclusion_lines(result.exclusions))
-    return lines
-
-
-def _rho3_lines(result, args):
-    surface_name = RHO3_SURFACES[args.surface][1]
-    lines = [
-        f"rank-2 bundles F on {surface_name} with c1 = -K: candidates P(F) "
-        "at Picard number 3",
-        "",
+    return [
+        "point blow-ups of rank-1 del Pezzo threefolds:",
+        _render_table(["d", "target", "family", "partner"], rows),
+        *_exclusion_blocks(result.exclusions),
     ]
+
+
+def _rho3_blocks(result, args):
+    surface_name = RHO3_SURFACES[args.surface][1]
     rows = [
         [
             c.data[1],
@@ -151,45 +142,48 @@ def _rho3_lines(result, args):
         ]
         for c in result.candidates
     ]
-    lines.extend(_render_table(["c2", "d", "family", "psi", "notes"], rows))
-    lines.extend(_exclusion_lines(result.exclusions))
-    return lines
+    return [
+        f"rank-2 bundles F on {surface_name} with c1 = -K: candidates P(F) "
+        "at Picard number 3",
+        _render_table(["c2", "d", "family", "psi", "notes"], rows),
+        *_exclusion_blocks(result.exclusions),
+    ]
 
 
-def _highdim_lines(result, args):
+def _highdim_blocks(result, args):
     n = args.dim
-    lines = [f"candidates in dimension {n}:", ""]
     pn = [c for c in result.candidates if c.kind == "pn-bundle"]
-    lines.append(f"P^{n - 2}-bundles over a surface (rank-2 model extended "
-                 f"by O^{n - 3}):")
-    lines.append("")
     rows = [[c.data[3], c.data[1], c.data[2], c.degree, c.picard] for c in pn]
-    lines.extend(_render_table(["source", "surface", "c2", "d", "picard"], rows))
+    blocks = [
+        f"candidates in dimension {n}:",
+        f"P^{n - 2}-bundles over a surface (rank-2 model extended by O^{n - 3}):",
+        _render_table(["source", "surface", "c2", "d", "picard"], rows),
+    ]
     qb = [c for c in result.candidates if c.kind == "quadric-bundle-highdim"]
     if qb:
-        lines.extend(["", "quadric bundles over P1:", ""])
         rows = [
             [c.family, c.degree, c.picard, "; ".join(c.notes)] for c in qb
         ]
-        lines.extend(_render_table(["family", "d", "picard", "notes"], rows))
+        blocks += [
+            "quadric bundles over P1:",
+            _render_table(["family", "d", "picard", "notes"], rows),
+        ]
     chains = [c for c in result.candidates if c.kind == "point-blowup-chain"]
     longest = max((c.data[2] for c in chains), default=0)
-    lines.append("")
-    lines.append(
+    blocks.append(
         f"point blow-up chains: {len(chains)} further candidates (up to "
         f"{longest} successive general-point blow-ups)"
     )
-    lines.extend(_exclusion_lines(result.exclusions))
-    return lines
+    return blocks + _exclusion_blocks(result.exclusions)
 
 
 # --case -> (search on the `enumeration` module, table renderer)
 _ENUMERATIONS = {
-    "quadric": (lambda e, a: e.enumerate_quadric_fibrations(), _quadric_lines),
-    "p2bundle": (lambda e, a: e.enumerate_p2_bundles(), _p2bundle_lines),
-    "blowup": (lambda e, a: e.enumerate_point_blowups(), _blowup_lines),
-    "rho3": (lambda e, a: e.enumerate_rho3(a.surface), _rho3_lines),
-    "highdim": (lambda e, a: e.enumerate_highdim(a.dim), _highdim_lines),
+    "quadric": (lambda e, a: e.enumerate_quadric_fibrations(), _quadric_blocks),
+    "p2bundle": (lambda e, a: e.enumerate_p2_bundles(), _p2bundle_blocks),
+    "blowup": (lambda e, a: e.enumerate_point_blowups(), _blowup_blocks),
+    "rho3": (lambda e, a: e.enumerate_rho3(a.surface), _rho3_blocks),
+    "highdim": (lambda e, a: e.enumerate_highdim(a.dim), _highdim_blocks),
 }
 
 
@@ -204,7 +198,7 @@ def _json(result):
 def _cmd_enumerate(args):
     from . import enumeration
 
-    search, to_lines = _ENUMERATIONS[args.case]
+    search, to_blocks = _ENUMERATIONS[args.case]
     try:
         result = search(enumeration, args)
     except ValueError as exc:
@@ -212,7 +206,8 @@ def _cmd_enumerate(args):
     if args.format == "json":
         _emit(_json(result))
     else:
-        _emit("\n".join(to_lines(result, args)))
+        # the one place a blank line is written: between two blocks
+        _emit("\n\n".join(to_blocks(result, args)))
     return 0
 
 

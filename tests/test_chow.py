@@ -346,6 +346,20 @@ def test_split_and_chern_data_towers_are_one_ring():
     assert A != chern_tower(P2(), 2, [h, B2.point()])
 
 
+def test_tower_repr_shows_what_fixes_the_ring():
+    # Chern data does not fix the rank, so a Chern-data tower prints it;
+    # a split tower's twists do, and it prints them alone
+    h = base_space(P2()).gen("h")
+    pt = Base("pt")
+    assert repr(chern_tower(P2(), 2, [h])) == "P(rank 2, c1=h, c2=0) over P2"
+    assert repr(chern_tower(P2(), 4, [h])) == "P(rank 4, c1=h, c2=0) over P2"
+    assert repr(chern_tower(pt, 3, [])) == "P(rank 3) over pt"
+    assert repr(chern_tower(pt, 5, [])) == "P(rank 5) over pt"
+    assert repr(make_tower(P2(), [h, 0, 0, 0])) == "P(h, 0, 0, 0) over P2"
+    assert repr(make_tower(pt, [0, 0, 0])) == "P(0, 0, 0) over pt"
+    assert repr(p1_tower(-1, 2)) == "P(-F, 2*F) over P1"
+
+
 def test_one_base_ring_per_base():
     B = base_space(Fe(3))
     assert base_space(Fe(3)) is B and base_space(Fe(4)) is not B
@@ -390,10 +404,11 @@ def test_truncated_tower_build_matches_full_expansion(base):
         twists = _seeded_twists(base, rank, seed=rank)
         A = make_tower(base, twists)
         full = _full_elementary_symmetric(base, twists)
-        assert len(A.cherns) == rank
-        assert list(A.cherns) == full
-        assert all(c.is_zero() for c in A.cherns[d:])
-        assert A == chern_tower(base, rank, list(A.cherns[: min(rank, d)]))
+        # only c_1 .. c_min(r, dim B) are stored: the rest vanish on B
+        assert len(A.cherns) == min(rank, d)
+        assert list(A.cherns) == full[:d]
+        assert all(c.is_zero() for c in full[d:])
+        assert A == chern_tower(base, rank, list(A.cherns))
 
 
 def test_tower_build_products_are_linear_in_rank(monkeypatch):
@@ -428,9 +443,9 @@ def test_split_tower_cherns_match_per_twist_recurrence(data):
     assume(A.twists)
     d = A.base.dim
     full = _full_elementary_symmetric(A.base, A.twists)
-    assert list(A.cherns[:d]) == full[:d]
-    assert all(c.is_zero() for c in A.cherns[d:] + tuple(full[d:]))
-    assert len(A.cherns) == len(full) == A.rank
+    assert list(A.cherns) == full[:d]
+    assert all(c.is_zero() for c in full[d:])
+    assert len(A.cherns) == min(A.rank, d) and len(full) == A.rank
 
 
 def test_tower_build_hashes_its_base_once(monkeypatch):

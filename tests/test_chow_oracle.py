@@ -383,6 +383,21 @@ def test_shared_monomial_products_match_oracle(data):
     assert [(x.terms, x.degree) for x in handed] == before
 
 
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_ring_identity_does_not_depend_on_the_constructor(data):
+    # every tower stores c_1 .. c_min(r, dim B), whichever constructor
+    # built it, so its Chern data rebuilds the same ring with one hash
+    A = data.draw(random_towers())
+    assert len(A.cherns) == min(A.rank, A.base.dim)
+    given_cherns = chern_tower(A.base, A.rank, A.cherns)
+    assert given_cherns == A and A == given_cherns
+    assert hash(given_cherns) == hash(A)
+    # over the point nothing is stored, split or from empty Chern data
+    pt = Base("pt")
+    assert make_tower(pt, [0] * A.rank).cherns == () == chern_tower(pt, A.rank, []).cherns
+
+
 def rebuild(A):
     """A fresh ambient equal to A, whose memo holds only the normal monomials."""
     if A.twists:

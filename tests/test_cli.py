@@ -224,6 +224,19 @@ def test_rho3_surface_flag(capsys):
     assert "mirrored" not in default_out  # default base is P1 x P1
 
 
+@pytest.mark.parametrize("case", list(cli._ENUMERATIONS))
+def test_renderers_leave_blank_lines_to_the_join(case):
+    # `_cmd_enumerate` joins a renderer's blocks with one blank line, the
+    # only place one is written: no block holds an empty line of its own
+    from delpezzo import enumeration
+
+    search, to_blocks = cli._ENUMERATIONS[case]
+    args = cli._build_parser().parse_args(["enumerate", "--case", case])
+    blocks = to_blocks(search(enumeration, args), args)
+    assert len(blocks) >= 2
+    assert all("" not in block.split("\n") for block in blocks)
+
+
 def test_verify_only_unknown_name_exits_two(capsys):
     assert cli.run(["verify", "--only", "nosuch"]) == 2
     captured = capsys.readouterr()
