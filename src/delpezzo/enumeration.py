@@ -28,8 +28,6 @@ from itertools import combinations_with_replacement
 from typing import NamedTuple, Optional
 
 from .bundles import (
-    Rank2Data,
-    SplitBundle,
     blowup_chain,
     blowup_degree,
     chi_rank2,
@@ -121,11 +119,12 @@ class EnumerationResult:
 # quadric fibrations over P1
 # ---------------------------------------------------------------------------
 
-def classify_tuple(E: SplitBundle) -> TupleVerdict:
-    """Verdict for X in |O(2) + alpha F| on the split rank-4 tower over P1."""
-    if E.rank != 4:
-        raise ValueError(f"quadric fibrations need rank 4, got rank {E.rank}")
-    a = E.a
+def classify_tuple(a: tuple[int, ...]) -> TupleVerdict:
+    """Verdict for X in |O(2) + alpha F| on the split rank-4 tower over P1,
+    whose split type is given in any order and read sorted."""
+    a = tuple(sorted(a))
+    if len(a) != 4:
+        raise ValueError(f"quadric fibrations need rank 4, got rank {len(a)}")
     total = sum(a)
     alpha = 2 - total
     degree = total + 2
@@ -136,7 +135,7 @@ def classify_tuple(E: SplitBundle) -> TupleVerdict:
     if a[0] <= -2:
         return verdict(
             "RejectedRange",
-            reason=f"h1 of the bundle is {h1_split(E)} > 0; vanishing forces a1 >= -1",
+            reason=f"h1 of the bundle is {h1_split(a)} > 0; vanishing forces a1 >= -1",
         )
     if not -1 <= total <= 3:
         return verdict(
@@ -169,7 +168,7 @@ def enumerate_quadric_fibrations() -> tuple[TupleVerdict, ...]:
     """Classify each non-decreasing 4-tuple with a1 >= -1 and sum <= 3,
     which bound a4 by 6."""
     table = [
-        classify_tuple(SplitBundle(a))
+        classify_tuple(a)
         for a in combinations_with_replacement(range(-1, 7), 4)
         if sum(a) <= 3
     ]
@@ -193,20 +192,20 @@ def quadric_model_degree(a: tuple[int, ...], alpha: int) -> tuple[ChowElement, i
 def enumerate_p2_bundles() -> EnumerationResult:
     """Rank-2 bundles on P2: normalize c1, bound c2 by section counts."""
     B = base_space(P2())
-    h = B.gen("h")
+    h, pt = B.gen("h"), B.point()
     # -K = 2 eta + (3 - c1) L is divisible by 2 only for odd c1
     chosen = [c1 for c1 in (0, -1) if (3 - c1) % 2 == 0]
     assert chosen == [-1]
     c1 = chosen[0]
     candidates, exclusions = [], []
     for c2 in range(-2, 12):
-        D = Rank2Data(P2(), c1 * h, c2)
-        twisted = twist_rank2(D, 2 * h)  # c1 = 3h, c2 shifted by 2
+        F = chern_tower(P2(), 2, [c1 * h, c2 * pt])
+        twisted = twist_rank2(F, 2 * h)  # c1 = 3h, c2 shifted by 2
         chi = chi_rank2(twisted)
         assert chi == 9 - c2
         if not 3 <= chi <= 7:
             continue  # outside the section-count window of the smooth list
-        d = twisted.degree  # = 7 - c2
+        d = integrate(twisted.zeta**3)  # c1^2 - c2 = 7 - c2
         if d < 2:
             exclusions.append(
                 ExclusionRecord(
@@ -295,7 +294,8 @@ def enumerate_rho3(tag: str) -> EnumerationResult:
         raise ValueError(
             f"the Picard-3 classification covers P1 x P1 and F2 only, got {tag!r}"
         )
-    surface = SURFACES[RHO3_SURFACES[tag][0]]
+    kind = RHO3_SURFACES[tag][0]
+    surface = SURFACES[kind]
     B = base_space(surface)
     c1 = -1 * canonical_base_class(surface)
     c1sq = integrate(c1 * c1)
@@ -306,10 +306,10 @@ def enumerate_rho3(tag: str) -> EnumerationResult:
     mirrored = tag != next(iter(RHO3_SURFACES))
     candidates, exclusions = [], []
     for c2 in range(0, c1sq):  # bigness: degree c1^2 - c2 stays positive
-        D = Rank2Data(surface, c1, c2)
-        d = D.degree
+        A = surface_scroll(kind, 2, c2)
+        d = integrate(A.zeta**3)  # c1^2 - c2
         if c2 == 1:
-            twisted = twist_rank2(D, ruling_twist)
+            twisted_c2 = integrate(twist_rank2(A, ruling_twist).cherns[1])
             exclusions.append(
                 ExclusionRecord(
                     kind="rho3-bundle",
@@ -317,9 +317,9 @@ def enumerate_rho3(tag: str) -> EnumerationResult:
                     reason=(
                         "c2 = 1 admits no locally free extension in the "
                         "required position: the normalized twist has "
-                        f"c2 = {twisted.c2} < 0"
+                        f"c2 = {twisted_c2} < 0"
                     ),
-                    computed=(("c2_twisted", twisted.c2), ("degree", d)),
+                    computed=(("c2_twisted", twisted_c2), ("degree", d)),
                 )
             )
             continue
@@ -396,7 +396,7 @@ def enumerate_highdim(n: int) -> EnumerationResult:
 
     # (i) P^(n-2)-bundles over a surface: F is an extension of a rank-2
     # model F' by the trivial bundle O^(n-3), so the degree K^2 - c2 is
-    # read off the rank-2 models of the built-in catalog, sorted by id
+    # the model value of each rank-2 model of the built-in catalog, by id
     sources = sorted(
         (r.id, *data)
         for r in builtin_catalog()
@@ -404,9 +404,8 @@ def enumerate_highdim(n: int) -> EnumerationResult:
         if kind == "rank2"
     )
     for source_id, surface_kind, c2 in sources:
-        S = SURFACES[surface_kind]
-        d = Rank2Data(S, -1 * canonical_base_class(S), c2).degree
-        picard = len(S.gens) + 1
+        d = model_values("rank2", (surface_kind, c2)).degree
+        picard = len(SURFACES[surface_kind].gens) + 1
         notes = [
             f"extension 0 -> O^{n - 3} -> F -> F' -> 0 with F' the rank-2 "
             f"model of {source_id}"
@@ -526,13 +525,13 @@ class ModelValues(NamedTuple):
 def _quadric_values(a: tuple[int, ...], alpha: int) -> ModelValues:
     adj, degree = quadric_model_degree(a, alpha)
     residual = str(adj + 2 * adj.ambient.zeta)
-    return ModelValues(degree, residual, h0_split(SplitBundle(a)))
+    return ModelValues(degree, residual, h0_split(a))
 
 
 def _scroll_values(tag: str, rank: int, c2: int) -> ModelValues:
     """P(F) over a surface, polarized by z; h0 is chi, for rank 2 only."""
     A = surface_scroll(tag, rank, c2)
-    h0 = chi_rank2(Rank2Data(SURFACES[tag], A.cherns[0], c2)) if rank == 2 else None
+    h0 = chi_rank2(A) if rank == 2 else None
     residual = str(canonical_class(A) + rank * A.zeta)
     return ModelValues(integrate(A.zeta ** (rank + 1)), residual, h0, rank == 2)
 

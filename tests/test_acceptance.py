@@ -12,8 +12,6 @@ import sys
 from pathlib import Path
 
 from delpezzo.bundles import (
-    Rank2Data,
-    SplitBundle,
     blowup_chain,
     blowup_degree,
     chi_rank2,
@@ -21,7 +19,7 @@ from delpezzo.bundles import (
     twist_rank2,
 )
 from delpezzo.catalog import builtin_catalog, construction_models, lookup
-from delpezzo.chow import P2, base_space, integrate
+from delpezzo.chow import P2, base_space, chern_tower, integrate
 from delpezzo.enumeration import (
     enumerate_p2_bundles,
     enumerate_quadric_fibrations,
@@ -77,12 +75,13 @@ def test_criterion_2_p2_bundle_window():
         (4, 3),
         (5, 2),
     ]
-    h = base_space(P2()).gen("h")
+    B = base_space(P2())
+    h = B.gen("h")
     for c in res.candidates:
         c2 = c.data[0]
-        twisted = twist_rank2(Rank2Data(P2(), -1 * h, c2), 2 * h)
+        twisted = twist_rank2(chern_tower(P2(), 2, [-1 * h, c2 * B.point()]), 2 * h)
         assert chi_rank2(twisted) == 9 - c2
-        assert twisted.degree == c.degree
+        assert integrate(twisted.zeta**3) == c.degree
     assert [e.data for e in res.exclusions] == [(6,)]
     _ok(2, "P2-bundle candidates c2 = 2..5 with chi(F(2)) = 9 - c2")
 
@@ -127,11 +126,12 @@ def test_criterion_5_section_counts():
     }
     for rid, a in quadric.items():
         d = lookup(rid).degree
-        assert h0_split(SplitBundle(a)) == d + 2
-    h = base_space(P2()).gen("h")
+        assert h0_split(a) == d + 2
+    B = base_space(P2())
+    h = B.gen("h")
     for k, c2 in ((1, 2), (2, 3), (3, 4), (4, 5)):
         d = lookup(f"thm3.5-{k}").degree
-        twisted = twist_rank2(Rank2Data(P2(), -1 * h, c2), 2 * h)
+        twisted = twist_rank2(chern_tower(P2(), 2, [-1 * h, c2 * B.point()]), 2 * h)
         assert chi_rank2(twisted) == d + 2
     _ok(5, "h0(X; H) = d + 2 across all ten small-map threefold families")
 

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from delpezzo import enumeration
-from delpezzo.bundles import SplitBundle
 from delpezzo.catalog import builtin_catalog, construction_models
 from delpezzo.chow import Fe, P1xP1, base_space, canonical_base_class, integrate
 from delpezzo.enumeration import (
@@ -117,7 +116,7 @@ def test_quadric_degree_three_ways():
     st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4)
 )
 def test_classify_alpha_is_never_free(entries):
-    v = classify_tuple(SplitBundle(entries))
+    v = classify_tuple(entries)
     assert v.alpha == 2 - sum(v.a)
     assert v.degree == sum(v.a) + 2
     if v.verdict == "Small":
@@ -128,7 +127,7 @@ def test_classify_alpha_is_never_free(entries):
 
 def test_classify_rejects_a1_below_minus_one():
     # off the search path, whose loops start at a1 = -1
-    v = classify_tuple(SplitBundle((-2, 0, 1, 1)))
+    v = classify_tuple((-2, 0, 1, 1))
     assert (v.verdict, v.reason) == (
         "RejectedRange",
         "h1 of the bundle is 1 > 0; vanishing forces a1 >= -1",
@@ -141,7 +140,7 @@ def test_classify_verdict_counts_over_a_wide_box():
     # entry above 3 that its loops do not reach
     counts = {}
     for a in itertools.combinations_with_replacement(range(-4, 8), 4):
-        v = classify_tuple(SplitBundle(a))
+        v = classify_tuple(a)
         key = (v.verdict, v.inferred)
         counts[key] = counts.get(key, 0) + 1
     assert counts == {
@@ -153,9 +152,19 @@ def test_classify_verdict_counts_over_a_wide_box():
     }
 
 
+def test_classify_reads_a_permuted_split_type_sorted():
+    # O(a_1) + ... + O(a_4) does not depend on the order of its summands,
+    # so every permutation of a searched split type gets its verdict
+    for v in enumerate_quadric_fibrations():
+        for permuted in itertools.permutations(v.a):
+            assert classify_tuple(permuted) == v
+    v = classify_tuple((1, 0, 0, 0))
+    assert (v.a, v.verdict, v.family) == ((0, 0, 0, 1), "Small", "thm3.4-2")
+
+
 def test_classify_needs_rank_four():
     with pytest.raises(ValueError, match="rank 4"):
-        classify_tuple(SplitBundle((0, 0, 0)))
+        classify_tuple((0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +445,10 @@ def test_tower_p13_is_p1_cubed_with_half_anticanonical_polarization():
     assert model_values("towerP13", ()) == ModelValues(6, "0")
 
 
-@pytest.mark.parametrize("c2", [2.5, True])
+@pytest.mark.parametrize("c2", [2.5, True, 1.0])
 def test_surface_scroll_rejects_non_int_c2(c2):
-    # 2.5 would end in a TypeError from scalar multiplication, True would act as 1
+    # 2.5 would end in a TypeError from scalar multiplication, True and 1.0
+    # would act as 1
     with pytest.raises(ValueError, match="c2 must be an int"):
         surface_scroll("P2", 2, c2)
 

@@ -342,13 +342,12 @@ def test_no_module_builds_a_check_outside_its_builders(path):
     assert check_constructions(path.read_text(encoding="utf-8")) == []
 
 
-def test_chow_loads_no_dataclasses_and_no_other_layer():
-    # the engine is imported by every command and benchmark: it stays a
-    # plain module, so its import pays for neither `dataclasses` nor the
-    # layers above it
+def loaded_by(module: str) -> list[str]:
+    """`dataclasses` and the package modules, if loaded, after a fresh
+    interpreter imports `module`."""
     code = (
         "import sys\n"
-        "import delpezzo.chow\n"
+        f"import {module}\n"
         "print(*sorted(m for m in sys.modules\n"
         "              if m == 'dataclasses' or m.split('.')[0] == 'delpezzo'))\n"
     )
@@ -359,7 +358,22 @@ def test_chow_loads_no_dataclasses_and_no_other_layer():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode().split() == ["delpezzo", "delpezzo.chow"]
+    return proc.stdout.decode().split()
+
+
+def test_chow_loads_no_dataclasses_and_no_other_layer():
+    # the engine is imported by every command and benchmark: it stays a
+    # plain module, so its import pays for neither `dataclasses` nor the
+    # layers above it
+    assert loaded_by("delpezzo.chow") == ["delpezzo", "delpezzo.chow"]
+
+
+def test_bundles_loads_no_dataclasses_and_only_chow():
+    # the bundle formulas define no type: a split bundle is its tuple and
+    # a rank-2 bundle its tower, so the module needs the engine alone
+    assert loaded_by("delpezzo.bundles") == [
+        "delpezzo", "delpezzo.bundles", "delpezzo.chow"
+    ]
 
 
 def test_package_root_resolves_only_chow_and_its_names():

@@ -14,7 +14,7 @@ from delpezzo import (
     make_tower,
     polarized_degree,
 )
-from delpezzo.bundles import Rank2Data, twist_rank2
+from delpezzo.bundles import twist_rank2
 from delpezzo.enumeration import FamilyCandidate, model_values
 
 h = base_space(P2()).gen("h")
@@ -58,7 +58,7 @@ REJECTIONS = {
         "needs divisor classes",
     ),
     "twist-of-degree-2": (
-        lambda: twist_rank2(Rank2Data(P2(), -1 * h, 0), h * h),
+        lambda: twist_rank2(chern_tower(P2(), 2, [-1 * h]), h * h),
         ValueError,
         "twist divisor has degree 2, expected 1",
     ),
