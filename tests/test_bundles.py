@@ -92,6 +92,15 @@ def test_rank2_degree_is_c1sq_minus_c2():
             assert integrate(rank2(surface, minus_k, c2).zeta ** 3) == 8 - c2
 
 
+@pytest.mark.parametrize("c2", [2.5, True, 1.0])
+def test_rank2_data_rejects_non_int_c2(c2):
+    # c2 enters a tower as c2 points, and a class takes only int multiples:
+    # 2.5 would give degree 6.5 on P2 with c1 = 3h, and True would act as 1
+    h = base_space(P2()).gen("h")
+    with pytest.raises(TypeError):
+        rank2(P2(), 3 * h, c2)
+
+
 def test_rank2_formulas_refuse_other_ambients():
     # a rank-3 tower over a surface also stores two Chern classes, and
     # would otherwise get a wrong chi without a word
