@@ -23,7 +23,7 @@ no quoting.
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 CONTRACTIONS = frozenset(
@@ -371,7 +371,8 @@ def construction_models(id: str) -> tuple[tuple[str, tuple], ...]:
 
 
 def _record_dict(r: FamilyRecord) -> dict:
-    return {k: v for k, v in asdict(r).items() if v is not None}
+    values = ((k, getattr(r, k)) for k in _FIELDS)
+    return {k: v for k, v in values if v is not None}
 
 
 def export(format: str) -> bytes:
@@ -385,7 +386,8 @@ def export(format: str) -> bytes:
     if format == "csv":
         lines = [",".join(_FIELDS)]
         for r in records:
-            cells = ("" if v is None else str(v) for v in astuple(r))
+            values = (getattr(r, k) for k in _FIELDS)
+            cells = ("" if v is None else str(v) for v in values)
             lines.append(",".join(cells))
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unsupported export format {format!r}")

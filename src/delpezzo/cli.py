@@ -5,8 +5,8 @@ byte-for-byte against golden files.  Each search has its own table
 renderer, which returns the output as blocks (a heading line, a table,
 the excluded section); `_cmd_enumerate` joins them with one blank line,
 the only place a blank line is written.  Its JSON comes from the one
-`_json`, which writes every dataclass of the result as the dict of its
-fields.
+`_json`, which writes every named tuple of the result as the dict of
+its fields.
 
 Each command imports only the layers it runs, so a cold process pays
 for nothing else.  `show` and `export` load `catalog` alone; `enumerate`
@@ -187,12 +187,22 @@ _ENUMERATIONS = {
 }
 
 
+def _plain(value):
+    """`value` with every named tuple in it, at any depth, as the dict of
+    its fields; any other tuple stays a sequence."""
+    if hasattr(value, "_asdict"):
+        return {k: _plain(v) for k, v in value._asdict().items()}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
 def _json(result):
     """A search result, or the quadric search's tuple of verdicts, as JSON:
-    every dataclass in it becomes the dict of its fields."""
+    every named tuple in it becomes the dict of its fields."""
     import json
 
-    return json.dumps(result, default=dataclasses.asdict, indent=2)
+    return json.dumps(_plain(result), indent=2)
 
 
 def _cmd_enumerate(args):

@@ -14,15 +14,14 @@ search reads only the rank-2 models of the frozen built-in records, and
 a blow-up model's data is its target's degree, read by the caller).
 Each is memoized per process, keyed by its arguments; `model_values` is
 the one cache of the models, so builders such as `quadric_model_degree`
-keep none.  Every cached value is immutable (a tuple, a frozen dataclass
-of tuples, a named tuple, a string or an int), so no caller can change
-what the next one receives.
+keep none.  Every cached value is immutable (a tuple, a named tuple of
+tuples, a string or an int), so no caller can change what the next one
+receives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations_with_replacement
 from typing import NamedTuple, Optional
@@ -60,8 +59,7 @@ from .chow import (
 )
 
 
-@dataclass(frozen=True)
-class TupleVerdict:
+class TupleVerdict(NamedTuple):
     """Outcome of the quadric-fibration test for one split type."""
 
     a: tuple[int, ...]  # split type of the rank-4 tower
@@ -73,10 +71,7 @@ class TupleVerdict:
     inferred: bool = False
 
 
-@dataclass(frozen=True)
-class FamilyCandidate:
-    """A family emitted by an enumeration, with recomputable data."""
-
+class _CandidateFields(NamedTuple):
     kind: str
     dim: int
     degree: int
@@ -84,23 +79,36 @@ class FamilyCandidate:
     data: tuple
     family: Optional[str] = None
     notes: tuple[str, ...] = ()
-    # False when |H| has the degree-1 base point
-    spanned: bool = field(init=False)
+    spanned: bool = True  # False when |H| has the degree-1 base point
 
-    def __post_init__(self):
-        for fname in ("dim", "degree", "picard"):
-            value = getattr(self, fname)
+
+class FamilyCandidate(_CandidateFields):
+    """A family emitted by an enumeration, with recomputable data.
+
+    `spanned` is derived, degree > 1, and never an argument: the
+    constructor, `_replace` and copying all recompute it."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, dim, degree, picard, data, family=None, notes=()):
+        for fname, value in (("dim", dim), ("degree", degree), ("picard", picard)):
             if type(value) is not int:
                 raise ValueError(f"candidate {fname} must be an int, got {value!r}")
-        if self.degree < 1:
-            raise ValueError(f"candidate degree must be >= 1, got {self.degree}")
-        if self.dim < 3:
-            raise ValueError(f"candidate dimension must be >= 3, got {self.dim}")
-        object.__setattr__(self, "spanned", self.degree > 1)
+        if degree < 1:
+            raise ValueError(f"candidate degree must be >= 1, got {degree}")
+        if dim < 3:
+            raise ValueError(f"candidate dimension must be >= 3, got {dim}")
+        fields = (kind, dim, degree, picard, data, family, notes, degree > 1)
+        return tuple.__new__(cls, fields)
+
+    def __getnewargs__(self):
+        return tuple(self)[:-1]
+
+    def _replace(self, **changes):
+        return FamilyCandidate(**dict(zip(self._fields[:-1], self), **changes))
 
 
-@dataclass(frozen=True)
-class ExclusionRecord:
+class ExclusionRecord(NamedTuple):
     """A non-candidate outcome with its reason and the numbers behind it."""
 
     kind: str
@@ -109,8 +117,7 @@ class ExclusionRecord:
     computed: tuple = ()
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     candidates: tuple[FamilyCandidate, ...]
     exclusions: tuple[ExclusionRecord, ...]
 

@@ -23,7 +23,6 @@ builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .catalog import (
@@ -47,7 +46,7 @@ from .enumeration import (
 
 class CheckResult(NamedTuple):
     """One check, as a row; `_check`, `_skip` and `_window` build them all,
-    positionally, which costs half what a frozen dataclass does."""
+    positionally."""
 
     name: str
     subject: str
@@ -58,8 +57,9 @@ class CheckResult(NamedTuple):
     citation: str = ""
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
+    """The checks of one report, counted by status."""
+
     title: str
     checks: tuple[CheckResult, ...]
 

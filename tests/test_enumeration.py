@@ -6,7 +6,9 @@ second way so a regression in either route shows up as a disagreement.
 """
 
 import ast
+import copy
 import itertools
+import pickle
 from pathlib import Path
 
 import pytest
@@ -409,6 +411,21 @@ def test_candidate_rejects_non_int_numbers(fields):
     with pytest.raises(ValueError, match="must be an int"):
         FamilyCandidate(kind="x", data=(), **fields)
     assert FamilyCandidate(kind="x", dim=4, degree=2, picard=1, data=()).spanned
+
+
+def test_candidate_derives_spanned_last():
+    # `spanned` is degree > 1, never an argument, and the last field, so
+    # the enumerate JSON keeps its "spanned" key last
+    with pytest.raises(TypeError):
+        FamilyCandidate(kind="x", dim=4, degree=2, picard=1, data=(), spanned=False)
+    c = FamilyCandidate(kind="x", dim=4, degree=1, picard=1, data=())
+    assert list(c._asdict())[-1] == "spanned" and c.spanned is False
+    assert c._replace(degree=2).spanned is True
+    with pytest.raises(TypeError):
+        c._replace(spanned=True)
+    with pytest.raises(ValueError, match="must be an int"):
+        c._replace(dim=4.0)
+    assert copy.copy(c) == c and pickle.loads(pickle.dumps(c)) == c
 
 
 # ---------------------------------------------------------------------------

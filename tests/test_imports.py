@@ -3,8 +3,9 @@ a private module-level name it never reads, none writes into the
 `terms` of a Chow element (nor does any test, script or benchmark
 file), none sets the `mono` hint of one outside its constructor, none
 passes that hint to the constructor outside the memo's fill in
-`Ambient.__init__`, and none builds a `CheckResult` outside `verify`'s
-`_check`, `_skip` and `_window`.
+`Ambient.__init__`, none builds a `CheckResult` outside `verify`'s
+`_check`, `_skip` and `_window`, and only `catalog.FamilyRecord` is a
+dataclass.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree with `ast`.  Only `__init__.py` is exempt from the import guard:
@@ -340,6 +341,52 @@ def test_check_constructions_are_detected():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_module_builds_a_check_outside_its_builders(path):
     assert check_constructions(path.read_text(encoding="utf-8")) == []
+
+
+def dataclass_names(source: str) -> list[str]:
+    """Classes decorated with `dataclass`, bare, called or as an attribute."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+                names.append(node.name)
+    return sorted(names)
+
+
+def test_dataclasses_are_detected():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class A: pass\n"
+        "@dataclass(frozen=True)\n"
+        "class B: pass\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class C: pass\n"
+        "class D(NamedTuple): pass\n"
+        "@cache\n"
+        "class E: pass\n"
+    )
+    assert dataclass_names(source) == ["A", "B", "C"]
+
+
+def test_only_family_record_is_a_dataclass():
+    # each `@dataclass` execs its generated methods when its module is
+    # imported, a cost bytecode does not remove, so every result type is a
+    # named tuple
+    found = [
+        (path.name, name)
+        for path in ALL_MODULES
+        for name in dataclass_names(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [("catalog.py", "FamilyRecord")], (
+        "only catalog.FamilyRecord may be a dataclass: the planted-error "
+        "sweeps derive their catalogs with dataclasses.replace on it; make "
+        "any other type a typing.NamedTuple"
+    )
 
 
 def loaded_by(module: str) -> list[str]:
