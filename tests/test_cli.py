@@ -1,5 +1,6 @@
 """Command line behaviour: golden bytes, exit codes, determinism."""
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from delpezzo import cli
+from delpezzo import cli, render
 from delpezzo.catalog import export
 from delpezzo.verify import REPORTS, CheckResult, Report
 
@@ -142,6 +143,7 @@ EVERY_LAYER = {
     "delpezzo.chow",
     "delpezzo.cli",
     "delpezzo.enumeration",
+    "delpezzo.render",
     "delpezzo.verify",
 }
 
@@ -179,12 +181,16 @@ def test_cold_commands_import_only_their_layers():
     catalog_only = {"delpezzo", "delpezzo.catalog", "delpezzo.cli"}
     assert loaded_layers(["show", "thm3.5-1"]) == catalog_only
     assert loaded_layers(["export", "--format", "csv"]) == catalog_only
+    # `enumerate` loads `render` to print its result, as a table or as
+    # JSON; no other command loads it
     engine = EVERY_LAYER - {"delpezzo.verify"}
     assert loaded_layers(["enumerate", "--case", "quadric"]) == engine
     json_argv = ["enumerate", "--case", "quadric", "--format", "json"]
     assert loaded_layers(json_argv) == engine | {"json"}
     # text output leaves `json` unloaded, so the set is the package alone
-    assert loaded_layers(["verify", "--only", "flops"]) == EVERY_LAYER
+    assert loaded_layers(["verify", "--only", "flops"]) == EVERY_LAYER - {
+        "delpezzo.render"
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +230,26 @@ def test_rho3_surface_flag(capsys):
     assert "mirrored" not in default_out  # default base is P1 x P1
 
 
-@pytest.mark.parametrize("case", list(cli._ENUMERATIONS))
+def test_searches_and_renderers_name_the_same_cases():
+    # the `--case` choices come from `cli._ENUMERATIONS`, and each case
+    # needs its renderer in `render.BLOCKS`: one list of names, one order
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (case,) = [a for a in sub.choices["enumerate"]._actions if a.dest == "case"]
+    cases = ["quadric", "p2bundle", "blowup", "rho3", "highdim"]
+    assert list(case.choices) == cases
+    assert list(cli._ENUMERATIONS) == cases
+    assert list(render.BLOCKS) == cases
+
+
+@pytest.mark.parametrize("case", list(render.BLOCKS))
 def test_renderers_leave_blank_lines_to_the_join(case):
     # `_cmd_enumerate` joins a renderer's blocks with one blank line, the
     # only place one is written: no block holds an empty line of its own
     from delpezzo import enumeration
 
-    search, to_blocks = cli._ENUMERATIONS[case]
     args = cli._build_parser().parse_args(["enumerate", "--case", case])
-    blocks = to_blocks(search(enumeration, args), args)
+    blocks = render.BLOCKS[case](cli._ENUMERATIONS[case](enumeration, args), args)
     assert len(blocks) >= 2
     assert all("" not in block.split("\n") for block in blocks)
 
