@@ -19,12 +19,10 @@ __all__ = [
     "P1xP2",
     "Ambient",
     "ChowElement",
-    "base_space",
     "make_tower",
     "chern_tower",
     "integrate",
     "canonical_class",
-    "canonical_base_class",
     "adjunction",
     "polarized_degree",
 ]

@@ -9,8 +9,7 @@ from __future__ import annotations
 from .chow import (
     Ambient,
     ChowElement,
-    base_space,
-    canonical_base_class,
+    canonical_class,
     chern_tower,
     integrate,
 )
@@ -42,7 +41,7 @@ def chi_rank2(A: Ambient) -> int:
     """chi(F) = 2 + (c1^2 - c1.K_S)/2 - c2 on a rational surface, A = P(F)."""
     c1, c2 = _rank2_cherns(A)
     c1sq = integrate(c1 * c1)
-    c1k = integrate(c1 * canonical_base_class(A.base))
+    c1k = integrate(c1 * canonical_class(A.base))
     if (c1sq - c1k) % 2 != 0:
         raise ArithmeticError(
             f"parity violation in Riemann-Roch: c1^2 - c1.K = {c1sq - c1k} is odd"
@@ -53,7 +52,7 @@ def chi_rank2(A: Ambient) -> int:
 def twist_rank2(A: Ambient, M: ChowElement) -> Ambient:
     """P(F(M)) for A = P(F): F tensor O(M) has c1 + 2M and c2 + c1.M + M^2."""
     c1, c2 = _rank2_cherns(A)
-    if not isinstance(M, ChowElement) or M.ambient != base_space(A.base):
+    if not isinstance(M, ChowElement) or M.ambient != A.base:
         raise ValueError("twist divisor must live on the same surface")
     if not M.is_zero() and M.degree != 1:
         raise ValueError(f"twist divisor has degree {M.degree}, expected 1")

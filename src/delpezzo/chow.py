@@ -1,10 +1,10 @@
-"""Exact Chow-ring arithmetic on projective bundles over small rational bases.
+"""Exact Chow-ring arithmetic on towers of projective bundles.
 
-The ambient spaces are towers P(V) -> B where B is the point, P1, P2,
-P1 x P1, a Hirzebruch surface F_e, or P1 x P2, and V is either a sum of
-line bundles or a bundle with prescribed Chern classes.  The ring is the
-quotient of Z[base generators, z] by the base relations and the
-Grothendieck relation
+An ambient is the point or a projective bundle P(V) -> B over any
+ambient B, where V is either a sum of line bundles or a bundle with
+prescribed Chern classes.  The ring of a tower is the quotient of
+Z[base generators, z] by the base relations and the Grothendieck
+relation
 
     z^r = sum_{i >= 1} (-1)^(i+1) c_i(V) z^(r-i),
 
@@ -14,11 +14,16 @@ equality is dictionary equality and integration of a top-degree class
 reads off a single coefficient.  All coefficients are Python ints, hence
 exact at any size.
 
-The point, with no generators, is the only base stated by hand.  Every
-other base is a tower over an earlier kind (Fulton, Intersection Theory,
-3.2): P1 and P2 over the point, and P1 x P1, F_e and P1 x P2 over P1.
-Its generators, their caps and rewrite rules, and K_B are read off that
-tower and `canonical_class`, once per kind and e.
+The point, with no generators, is the only ring stated by hand.  The
+named bases are towers over an earlier kind, one row of `_BASE_TOWERS`
+each (Fulton, Intersection Theory, 3.2): P1 and P2 over the point, and
+P1 x P1, F_e and P1 x P2 over P1.  `Base(kind, e)` checks its arguments
+and builds each once per process; the ring prints the generator names
+of its row, in the row's order, so F_e's tautological class C0 comes
+before f.  Over any other ambient the tautological class is z, the last
+generator, and a z below it is renamed z1, z2, ... by level from the
+bottom, so the names of a stack stay unique.  `base_space` is the
+identity: a base is its own ring.
 
 The left side of every rewrite rule is a pure power of one generator
 (h^3, C0^2, z^r, ...), so the rules are indexed by generator: a monomial
@@ -46,21 +51,22 @@ also uses for the sum it was given.
 
 The memo lives and dies with its ambient; its elements point back at the
 ambient, so a dropped ring is freed by the cyclic garbage collector.
-Every tower is built anew, but each base has one plain ambient per
-process (`base_space` is memoized by the base), so base classes built
-anywhere find their common ring by identity.  A split tower of rank r
-over B takes c(V) = prod (1 + L_j) truncated at dim(B), since the higher
-elementary symmetric classes vanish on the base: the product is expanded
-on the twists' raw terms and each c_i reduced once at the end, which is
-exact because the normal form is a ring map, so the build runs no class
-product or sum.
+Every tower is built anew, but each named base once per process, so its
+classes built anywhere find their common ring by identity.  A split
+tower of rank r over B takes c(V) = prod (1 + L_j) truncated at dim(B),
+since the higher elementary symmetric classes vanish on the base: the
+product is expanded on the twists' raw terms and each c_i reduced once
+at the end, which is exact because the normal form is a ring map, so
+the build runs no class product or sum.
 
-Two ambients are equal when they present the same ring: the same base,
-rank and Chern classes.  Both constructors store c_1 .. c_d of V with
-d = min(rank, dim B), the classes that need not vanish on the base, so
-equality compares them as stored.  Twists are kept for display only, so
-a split tower and a Chern-data tower with the same c(V) are one ring and
-their classes mix.
+Two ambients are equal when they present the same ring in the same
+layout: the same generator names, rank, base and Chern classes.  Both
+constructors store c_1 .. c_d of V with d = min(rank, dim B), the
+classes that need not vanish on the base, so equality compares them as
+stored.  Twists are kept for display only, so a split tower and a
+Chern-data tower with the same c(V) are one ring and their classes mix.
+F_0 and P1 x P1 are both P(O + O) over P1, but name their generators
+apart, so they are two rings and their classes do not mix.
 
 Values are immutable after construction and all operations are pure
 (the memo only caches), so one element may be handed out many times,
@@ -75,13 +81,10 @@ from itertools import product
 from operator import add
 from typing import Sequence
 
-# the point: no generators, hence no caps, rule right sides or K_B terms
-_BASES = {"pt": ((), (), (), ())}
-
-# every other base as a tower over an earlier kind: that kind, each
-# summand's twist as coefficients on 1, e, ... of F on P1 (0 over the
-# point), and the generator names in printed order, each with the tower
-# generator it names (on F_e, C0 = z and f = F)
+# every named base but the point as a tower over an earlier kind: that
+# kind, each summand's twist as coefficients on 1, e, ... of F on P1 (0
+# over the point), and the generator names in printed order, each with
+# the tower generator it names (on F_e, C0 = z and f = F)
 _BASE_TOWERS = {
     "P1": ("pt", ((0,), (0,)), (("F", "z"),)),
     "P2": ("pt", ((0,), (0,), (0,)), (("h", "z"),)),
@@ -90,9 +93,9 @@ _BASE_TOWERS = {
     "P1xP2": ("P1", ((0,), (0,), (0,)), (("p", "F"), ("h", "z"))),
 }
 
-# exponent-vector sum per number of generators (a plain base has none to
-# two, a tower one more), unrolled: about a third of the cost of
-# tuple(map(add, a, b)) on the product hot path
+# exponent-vector sum per number of generators, unrolled up to three:
+# about a third of the cost of tuple(map(add, a, b)) on the product hot
+# path, which only a stack of towers with more generators takes
 _EXPONENT_SUM = {
     0: lambda a, b: (),
     1: lambda a, b: (a[0] + b[0],),
@@ -101,75 +104,58 @@ _EXPONENT_SUM = {
 }
 
 
-class Base:
-    """The point or a base of `_BASE_TOWERS`, identified by kind (and e for F_e).
+def _exponent_sum(a: tuple, b: tuple) -> tuple:
+    return tuple(map(add, a, b))
 
-    The top monomial (each cap less one) integrates to 1; `dim` is its degree.
+
+def Base(kind: str, e: int = 0) -> Ambient:
+    """The point or a named base of `_BASE_TOWERS`, by kind (and e for F_e).
+
+    One ring per kind, e and process, built on first use.
     """
-
-    __slots__ = ("kind", "e", "gens", "caps", "rhss", "dim", "top_monomial")
-
-    def __init__(self, kind: str, e: int = 0):
-        if kind not in _BASES and kind not in _BASE_TOWERS:
-            raise ValueError(f"unsupported base kind {kind!r}")
-        if type(e) is not int:
-            raise ValueError(f"parameter e must be an int, got {e!r}")
-        if kind != "Fe" and e != 0:
-            raise ValueError("parameter e only applies to Hirzebruch surfaces")
-        if kind == "Fe" and e < 0:
-            raise ValueError("Hirzebruch parameter e must be >= 0")
-        self.kind = kind
-        self.e = e
-        self.gens, self.caps, self.rhss, _ = _presentation(kind, e)
-        self.top_monomial = tuple(cap - 1 for cap in self.caps)
-        self.dim = sum(self.top_monomial)
-
-    def __eq__(self, other):
-        return isinstance(other, Base) and self.kind == other.kind and self.e == other.e
-
-    def __hash__(self):
-        return hash((self.kind, self.e))
-
-    def __repr__(self):
-        if self.kind == "Fe":
-            return f"F{self.e}"
-        return self.kind
+    if kind != "pt" and kind not in _BASE_TOWERS:
+        raise ValueError(f"unsupported base kind {kind!r}")
+    if type(e) is not int:
+        raise ValueError(f"parameter e must be an int, got {e!r}")
+    if kind != "Fe" and e != 0:
+        raise ValueError("parameter e only applies to Hirzebruch surfaces")
+    if kind == "Fe" and e < 0:
+        raise ValueError("Hirzebruch parameter e must be >= 0")
+    return _named(kind, e)
 
 
 @cache
-def _presentation(kind: str, e: int) -> tuple:
-    """Generators, caps, rule right sides and K_B terms of a base kind."""
-    if kind in _BASES:
-        return _BASES[kind]
+def _named(kind: str, e: int) -> Ambient:
+    """The ring of a checked `Base(kind, e)`: its row's tower, renamed."""
+    if kind == "pt":
+        return Ambient(None, 1, (), (), (kind, e, ()))
     over, twists, names = _BASE_TOWERS[kind]
     A = make_tower(Base(over), [sum(c * e**k for k, c in enumerate(t)) for t in twists])
-    order = [A.gen_names.index(g) for _, g in names]
-
-    def printed(terms) -> tuple:
-        return tuple((tuple(m[i] for i in order), c) for m, c in terms)
-
-    rhss = tuple(printed(A._rhss[i]) for i in order)
-    canonical = printed(canonical_class(A).terms.items())
-    return tuple(name for name, _ in names), tuple(A._caps[i] for i in order), rhss, canonical
+    return Ambient(A.base, A.rank, A.twists, A.cherns, (kind, e, names))
 
 
-def P1() -> Base:
+def base_space(base: Ambient) -> Ambient:
+    """The base itself: a base is its own ring."""
+    return base
+
+
+def P1() -> Ambient:
     return Base("P1")
 
 
-def P2() -> Base:
+def P2() -> Ambient:
     return Base("P2")
 
 
-def P1xP1() -> Base:
+def P1xP1() -> Ambient:
     return Base("P1xP1")
 
 
-def Fe(e: int) -> Base:
+def Fe(e: int) -> Ambient:
     return Base("Fe", e)
 
 
-def P1xP2() -> Base:
+def P1xP2() -> Ambient:
     return Base("P1xP2")
 
 
@@ -319,56 +305,74 @@ class ChowElement:
 
 
 class Ambient:
-    """A projective bundle P(V) -> B, or the plain base B itself.
+    """The point, or a projective bundle P(V) -> B over an ambient B.
 
-    Towers have rank >= 2 and carry the tautological class z; a plain
-    base is modelled with rank 1 and no z.  The Grothendieck relation is
-    stored with the Chern classes of V truncated at dim(B): relations()
-    exposes every stored rewrite rule.
+    A tower has rank >= 2 and a tautological class: z, the last
+    generator, or on a named base the generator its row names z, at its
+    printed place.  The point has no base and no generators, and rank 1.
+    The Grothendieck relation is stored with the Chern classes of V
+    truncated at dim(B): relations() exposes every stored rewrite rule.
+    `named` is (kind, e, the row's names) for the point and a named base,
+    which keep `kind` and `e` for display; every other tower has kind
+    None and e 0.
 
-    The shape is fixed at construction: `is_tower`, `dim`, `gen_names`,
-    `nvars`, the top monomial that `integrate` reads, and the exponent
-    cap and rule right side of every generator (the base's, then z^rank)
-    are computed once in `__init__`, so products, `from_terms`, `gen`
-    and `integrate` read plain attributes.
+    The shape is fixed at construction: `dim`, `gen_names`, `nvars`, the
+    top monomial that `integrate` reads, and the exponent cap and rule
+    right side of every generator (the base's, with z^rank at the place
+    of z) are computed once in `__init__`, so products, `from_terms`,
+    `gen` and `integrate` read plain attributes.
     """
 
     __slots__ = (
-        "base", "rank", "twists", "cherns",
-        "is_tower", "dim", "gen_names", "nvars", "top_monomial",
-        "_expo_sum", "_caps", "_rhss", "_memo",
+        "base", "rank", "twists", "cherns", "kind", "e",
+        "dim", "gen_names", "nvars", "top_monomial",
+        "_zpos", "_expo_sum", "_caps", "_rhss", "_memo",
     )
 
-    def __init__(self, base: Base, rank: int, twists, cherns):
+    def __init__(self, base: Ambient | None, rank: int, twists, cherns, named=(None, 0, None)):
         self.base = base
         self.rank = rank
         self.twists = twists
         self.cherns = cherns
-        self.is_tower = rank >= 2
-        self.dim = base.dim + rank - 1
-        pad = (0,) if self.is_tower else ()
-        self.gen_names = base.gens + (("z",) if self.is_tower else ())
+        self.kind, self.e, names = named
+        if base is None:  # the point
+            self.dim, self._zpos = 0, 0
+            self.gen_names, caps, rhss, self.top_monomial = (), (), (), ()
+        else:
+            self.dim = base.dim + rank - 1
+            if names is None:  # z last; each z below is named by its level
+                below = base.gen_names
+                level = 1 + sum(g[:1] == "z" and g[1:].isdigit() for g in below)
+                self.gen_names = tuple(f"z{level}" if g == "z" else g for g in below) + ("z",)
+                self._zpos = len(below)
+            else:
+                self.gen_names = tuple(name for name, _ in names)
+                self._zpos = [g for _, g in names].index("z")
+            lift = self._lift
+            # every generator has one rule, which rewrites its pure power
+            # gen^cap: the base's rules, and the Grothendieck relation for z
+            rhs = tuple(
+                (lift(bexpo, rank - i), (1 if i % 2 == 1 else -1) * bcoeff)
+                for i, ci in enumerate(cherns, start=1)
+                for bexpo, bcoeff in ci.terms.items()
+            )
+            caps = lift(base._caps, rank)
+            padded = tuple(tuple((lift(e, 0), c) for e, c in r) for r in base._rhss)
+            rhss = lift(padded, rhs)
+            self.top_monomial = lift(base.top_monomial, rank - 1)
         self.nvars = len(self.gen_names)
-        self.top_monomial = base.top_monomial + ((rank - 1,) if self.is_tower else ())
-        self._expo_sum = _EXPONENT_SUM[self.nvars]
-        # every generator has one rule, which rewrites its pure power
-        # gen^cap: the base's rules, then the Grothendieck relation for z
-        caps = base.caps
-        rhss = tuple(tuple((e + pad, c) for e, c in rhs) for rhs in base.rhss)
-        if self.is_tower:
-            rhs = []
-            for i, ci in enumerate(cherns, start=1):
-                sign = 1 if i % 2 == 1 else -1
-                for bexpo, bcoeff in ci.terms.items():
-                    rhs.append((bexpo + (rank - i,), sign * bcoeff))
-            caps += (rank,)
-            rhss += (tuple(rhs),)
+        self._expo_sum = _EXPONENT_SUM.get(self.nvars, _exponent_sum)
         self._caps = caps
         self._rhss = rhss
         # monomial -> its normal form, an element shared by whoever gets
         # it: each normal monomial as itself from the start, others once met
         fill = _unit_monomials(caps)
         self._memo = {m: ChowElement(self, t, d, m) for m, t, d in fill}
+
+    def _lift(self, base_entries: tuple, z_entry) -> tuple:
+        """Per-generator data of the base with z's entry put at z's place."""
+        p = self._zpos
+        return base_entries[:p] + (z_entry,) + base_entries[p:]
 
     # -- structure ---------------------------------------------------
 
@@ -377,17 +381,18 @@ class Ambient:
             return True
         return (
             isinstance(other, Ambient)
-            and self.base == other.base
+            and self.gen_names == other.gen_names
             and self.rank == other.rank
+            and self.base == other.base
             and self.cherns == other.cherns
         )
 
     def __hash__(self):
-        return hash((self.base, self.rank))
+        return hash((self.gen_names, self.rank))
 
     def __repr__(self):
-        if not self.is_tower:
-            return f"{self.base!r}"
+        if self.kind is not None:
+            return f"F{self.e}" if self.kind == "Fe" else self.kind
         if self.twists:
             inner = ", ".join(str(t) for t in self.twists)
             return f"P({inner}) over {self.base!r}"
@@ -412,16 +417,18 @@ class Ambient:
 
     @property
     def zeta(self) -> ChowElement:
-        if not self.is_tower:
-            raise ValueError("plain base carries no tautological class")
+        if "z" not in self.gen_names:
+            raise ValueError(f"{self!r} carries no tautological class named z")
         return self.gen("z")
 
     def point(self) -> ChowElement:
-        """The class of a point of the base (degree dim(B))."""
-        expo = self.base.top_monomial
-        if self.is_tower:
-            expo = expo + (0,)
-        return self._memo[expo]
+        """The class of a point of the base, pulled back (degree dim(B)).
+
+        On a tower over the point, P1 and P2 among them, it is the unit.
+        """
+        if self.base is None:
+            raise ValueError("the point has no base to take a point of")
+        return self._memo[self._lift(self.base.top_monomial, 0)]
 
     def from_terms(self, terms: dict) -> ChowElement:
         """Build an element from raw exponent->coefficient data (normalized here).
@@ -461,12 +468,10 @@ class Ambient:
         return ChowElement(self, out, degree if out else None)
 
     def pullback(self, x: ChowElement) -> ChowElement:
-        """Pull a base class back to the tower."""
-        if x.ambient.base != self.base or x.ambient.is_tower:
+        """Pull a class of the base back to the tower."""
+        if x.ambient is not self.base and x.ambient != self.base:
             raise ValueError("pullback expects a class on this tower's base")
-        if not self.is_tower:
-            return x
-        return self.from_terms({e + (0,): c for e, c in x.terms.items()})
+        return self.from_terms({self._lift(e, 0): c for e, c in x.terms.items()})
 
     # -- rewriting ---------------------------------------------------
 
@@ -551,46 +556,34 @@ def _unit_monomials(caps: tuple) -> tuple:
     return tuple((m, {m: 1}, sum(m)) for m in product(*map(range, caps)))
 
 
-@cache
-def base_space(base: Base) -> Ambient:
-    """The base itself, as a rank-1 ambient without tautological class.
-
-    One ambient per base and process, so that sums and products of base
-    classes from different callers find the same ring by identity.
-    """
-    return Ambient(base, 1, (), ())
-
-
 def _coerce_twist(B: Ambient, t) -> ChowElement:
-    """t as a divisor class on B, the plain ambient of the tower's base."""
-    base = B.base
+    """t as a divisor class on B, the tower's base."""
     if type(t) is int:
         if t == 0:
             return B.zero()
-        if base.kind == "P1":
+        if B.kind == "P1":
             return t * B.gen("F")
         raise ValueError(
             f"integer twist {t} is only meaningful over P1; pass a divisor class"
         )
     if not isinstance(t, ChowElement):
         raise ValueError(f"twist must be a divisor class or 0, got {t!r}")
-    if t.ambient is not B and (t.ambient.is_tower or t.ambient.base != base):
-        raise ValueError(f"twist {t} does not live on the base {base!r}")
+    if t.ambient is not B and t.ambient != B:
+        raise ValueError(f"twist {t} does not live on the base {B!r}")
     if not t.is_zero() and t.degree != 1:
         raise ValueError(f"twist {t} is not a divisor class")
     return t
 
 
-def make_tower(base: Base, twists: Sequence) -> Ambient:
-    """P(O(L_1) + ... + O(L_r)) over base, r >= 2.
+def make_tower(base: Ambient, twists: Sequence) -> Ambient:
+    """P(O(L_1) + ... + O(L_r)) over any ambient, r >= 2.
 
     Twists are divisor classes on the base; 0 denotes a trivial summand,
     and over P1 a plain integer n denotes O(n).
     """
     if not twists:
         raise ValueError("empty twist list: a tower needs at least two summands")
-    B = base_space(base)
-    coerced = tuple(_coerce_twist(B, t) for t in twists)
+    coerced = tuple(_coerce_twist(base, t) for t in twists)
     if len(coerced) < 2:
         raise ValueError("a tower needs rank >= 2")
     rank = len(coerced)
@@ -598,8 +591,8 @@ def make_tower(base: Base, twists: Sequence) -> Ambient:
     # once per degree at the end (the normal form is a ring map); e_i has
     # degree i, so it vanishes on the base for i > dim(B) and is not stored
     d = min(rank, base.dim)
-    expo_sum = B._expo_sum
-    es = [{(0,) * B.nvars: 1}] + [{} for _ in range(d)]
+    expo_sum = base._expo_sum
+    es = [{(0,) * base.nvars: 1}] + [{} for _ in range(d)]
     for j, L in enumerate(coerced, start=1):
         for i in range(min(j, d), 0, -1):
             ei = es[i]
@@ -607,11 +600,11 @@ def make_tower(base: Base, twists: Sequence) -> Ambient:
                 for m2, c2 in L.terms.items():
                     m = expo_sum(m1, m2)
                     ei[m] = ei.get(m, 0) + c1 * c2
-    return Ambient(base, rank, coerced, tuple(map(B.from_terms, es[1:])))
+    return Ambient(base, rank, coerced, tuple(map(base.from_terms, es[1:])))
 
 
-def chern_tower(base: Base, rank: int, cherns: Sequence[ChowElement]) -> Ambient:
-    """P(V) over base for V of the given rank with prescribed c_1, c_2, ...
+def chern_tower(base: Ambient, rank: int, cherns: Sequence[ChowElement]) -> Ambient:
+    """P(V) over any ambient for V of the given rank with prescribed c_1, c_2, ...
 
     cherns[i] must be a class of degree i+1 on the base (or zero); classes
     beyond dim(base) are identically zero and must not be supplied.
@@ -622,13 +615,12 @@ def chern_tower(base: Base, rank: int, cherns: Sequence[ChowElement]) -> Ambient
         raise ValueError("a tower needs rank >= 2")
     if len(cherns) > min(rank, base.dim):
         raise ValueError("too many Chern classes for this rank and base")
-    B = base_space(base)
     for i, c in enumerate(cherns, start=1):
-        if not isinstance(c, ChowElement) or c.ambient != B:
+        if not isinstance(c, ChowElement) or (c.ambient is not base and c.ambient != base):
             raise ValueError(f"c{i} must be a class on the base")
         if not c.is_zero() and c.degree != i:
             raise ValueError(f"c{i} has degree {c.degree}, expected {i}")
-    padding = (B.zero(),) * (min(rank, base.dim) - len(cherns))
+    padding = (base.zero(),) * (min(rank, base.dim) - len(cherns))
     return Ambient(base, rank, (), tuple(cherns) + padding)
 
 
@@ -645,19 +637,15 @@ def integrate(x: ChowElement) -> int:
 
 
 def canonical_class(A: Ambient) -> ChowElement:
-    """K_A = -rank * z + pullback(K_base + c1(V))."""
-    if not A.is_tower:
-        raise ValueError("canonical_class expects a genuine tower (rank >= 2)")
-    k = canonical_base_class(A.base)
+    """K_A = -rank * z + pullback(K_B + c1(V)), with K_B = 0 on the point."""
+    B = A.base
+    if B is None:
+        raise ValueError("the point has no canonical class: a tower has rank >= 2")
+    k = B.zero() if B.base is None else canonical_class(B)
     if A.cherns:  # a tower over the point stores none: c1 = 0
         k = k + A.cherns[0]
-    return (-A.rank) * A.zeta + A.pullback(k)
-
-
-def canonical_base_class(base: Base) -> ChowElement:
-    """K_B as a divisor class on the plain base, as its tower gave it."""
-    *_, canonical = _presentation(base.kind, base.e)
-    return base_space(base).from_terms(dict(canonical))
+    z = A._memo[A._lift((0,) * B.nvars, 1)]
+    return (-A.rank) * z + A.pullback(k)
 
 
 def adjunction(A: Ambient, X: ChowElement) -> ChowElement:

@@ -48,8 +48,6 @@ from .chow import (
     P1xP1,
     P1xP2,
     P2,
-    base_space,
-    canonical_base_class,
     canonical_class,
     chern_tower,
     integrate,
@@ -186,7 +184,7 @@ def enumerate_quadric_fibrations() -> tuple[TupleVerdict, ...]:
 def quadric_model_degree(a: tuple[int, ...], alpha: int) -> tuple[ChowElement, int]:
     """Adjunction class and degree of X in |O(2) + alpha F| on the split tower."""
     T = make_tower(P1(), list(a))
-    F = T.pullback(base_space(P1()).gen("F"))
+    F = T.pullback(P1().gen("F"))
     X = 2 * T.zeta + alpha * F
     return adjunction(T, X), polarized_degree(T, X, T.zeta)
 
@@ -198,8 +196,8 @@ def quadric_model_degree(a: tuple[int, ...], alpha: int) -> tuple[ChowElement, i
 @cache
 def enumerate_p2_bundles() -> EnumerationResult:
     """Rank-2 bundles on P2: normalize c1, bound c2 by section counts."""
-    B = base_space(P2())
-    h, pt = B.gen("h"), B.point()
+    B = P2()
+    h, pt = B.gen("h"), B.from_terms({B.top_monomial: 1})
     # -K = 2 eta + (3 - c1) L is divisible by 2 only for odd c1
     chosen = [c1 for c1 in (0, -1) if (3 - c1) % 2 == 0]
     assert chosen == [-1]
@@ -303,12 +301,11 @@ def enumerate_rho3(tag: str) -> EnumerationResult:
         )
     kind = RHO3_SURFACES[tag][0]
     surface = SURFACES[kind]
-    B = base_space(surface)
-    c1 = -1 * canonical_base_class(surface)
+    c1 = -1 * canonical_class(surface)
     c1sq = integrate(c1 * c1)
     assert c1sq == 8, f"c1sq = {c1sq}, not 8"
     # O(-1;-2) on P1 x P1, O(-C0 - 2f) on F2
-    g1, g2 = (B.gen(g) for g in surface.gens)
+    g1, g2 = map(surface.gen, surface.gen_names)
     ruling_twist = -1 * g1 - 2 * g2
     mirrored = tag != next(iter(RHO3_SURFACES))
     candidates, exclusions = [], []
@@ -368,8 +365,8 @@ def surface_scroll(tag: str, rank: int, c2: int) -> Ambient:
     if type(c2) is not int:
         raise ValueError(f"c2 must be an int, got {c2!r}")
     surface = SURFACES[tag]
-    c1 = -1 * canonical_base_class(surface)
-    return chern_tower(surface, rank, [c1, c2 * base_space(surface).point()])
+    c1 = -1 * canonical_class(surface)
+    return chern_tower(surface, rank, [c1, c2 * surface.from_terms({surface.top_monomial: 1})])
 
 
 # Proposition 5.5 and Theorems 5.6-5.7: each scroll X in |z + D| inside
@@ -385,8 +382,7 @@ SCROLLS = {
 def scroll(key: str) -> tuple[str, int]:
     """Adjunction class and degree of the scroll `SCROLLS[key]`."""
     base, divisors = SCROLLS[key]
-    B = base_space(base)
-    L, D = divisors(*map(B.gen, base.gens))
+    L, D = divisors(*map(base.gen, base.gen_names))
     W = make_tower(base, [L, 0, 0, 0])
     X = W.zeta + W.pullback(D)
     return str(adjunction(W, X)), polarized_degree(W, X, W.zeta)
@@ -412,7 +408,7 @@ def enumerate_highdim(n: int) -> EnumerationResult:
     )
     for source_id, surface_kind, c2 in sources:
         d = model_values("rank2", (surface_kind, c2)).degree
-        picard = len(SURFACES[surface_kind].gens) + 1
+        picard = len(SURFACES[surface_kind].gen_names) + 1
         notes = [
             f"extension 0 -> O^{n - 3} -> F -> F' -> 0 with F' the rank-2 "
             f"model of {source_id}"
@@ -545,8 +541,8 @@ def _scroll_values(tag: str, rank: int, c2: int) -> ModelValues:
 
 def _tower_p13_values() -> ModelValues:
     """(P1)^3 as P(O + O) over P1 x P1, polarized by H = z + f1 + f2."""
-    B = base_space(P1xP1())
-    T = make_tower(P1xP1(), [0, 0])
+    B = P1xP1()
+    T = make_tower(B, [0, 0])
     H = T.zeta + T.pullback(B.gen("f1") + B.gen("f2"))
     return ModelValues(integrate(H**3), str(canonical_class(T) + 2 * H))
 

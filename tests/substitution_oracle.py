@@ -70,10 +70,14 @@ def oracle_mul(ambient, terms_a, terms_b, seed=0):
     return oracle_reduce(ambient, raw, seed)
 
 
+def _top(ambient):
+    """The table's top monomial of a named kind; over any other base, the
+    base's top with z^(rank - 1), walking down to a named kind."""
+    if ambient.kind in _TOP:
+        return _TOP[ambient.kind]
+    return _top(ambient.base) + (ambient.rank - 1,)
+
+
 def oracle_integrate(ambient, raw_terms, seed=0):
     """Integral of a top-degree class given as raw terms."""
-    reduced = oracle_reduce(ambient, raw_terms, seed)
-    top = _TOP[ambient.base.kind]
-    if ambient.is_tower:
-        top = top + (ambient.rank - 1,)
-    return reduced.get(top, 0)
+    return oracle_reduce(ambient, raw_terms, seed).get(_top(ambient), 0)

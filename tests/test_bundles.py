@@ -17,7 +17,6 @@ from delpezzo import (
     P1xP1,
     P1xP2,
     P2,
-    base_space,
     chern_tower,
     integrate,
     make_tower,
@@ -37,16 +36,15 @@ SURFACES = [P2(), P1xP1(), Fe(0), Fe(1), Fe(2)]
 
 
 def divisor(surface, cs):
-    B = base_space(surface)
-    out = B.zero()
-    for c, name in zip(cs, surface.gens):
-        out = out + c * B.gen(name)
+    out = surface.zero()
+    for c, name in zip(cs, surface.gen_names):
+        out = out + c * surface.gen(name)
     return out
 
 
 def rank2(surface, c1, c2):
     """P(F) for F of rank 2 on the surface with these c1 and c2 points."""
-    return chern_tower(surface, 2, [c1, c2 * base_space(surface).point()])
+    return chern_tower(surface, 2, [c1, c2 * surface.from_terms({surface.top_monomial: 1})])
 
 
 # -- split bundles on P1 ---------------------------------------------------
@@ -72,7 +70,7 @@ def test_riemann_roch_on_p1(a):
 
 
 def test_chi_rank2_frozen_values():
-    B = base_space(P2())
+    B = P2()
     h = B.gen("h")
     assert chi_rank2(rank2(P2(), B.zero(), 0)) == 2
     for k in range(2, 6):
@@ -83,7 +81,7 @@ def test_chi_rank2_frozen_values():
 
 def test_rank2_degree_is_c1sq_minus_c2():
     # c1^2 - c2 is the oracle for the tower's degree z^3
-    A = rank2(P2(), 3 * base_space(P2()).gen("h"), 4)
+    A = rank2(P2(), 3 * P2().gen("h"), 4)
     assert integrate(A.zeta**3) == 5
     for surface in [P1xP1(), Fe(2)]:
         minus_k = divisor(surface, (2, 2) if surface.kind == "P1xP1" else (2, 4))
@@ -96,7 +94,7 @@ def test_rank2_degree_is_c1sq_minus_c2():
 def test_rank2_data_rejects_non_int_c2(c2):
     # c2 enters a tower as c2 points, and a class takes only int multiples:
     # 2.5 would give degree 6.5 on P2 with c1 = 3h, and True would act as 1
-    h = base_space(P2()).gen("h")
+    h = P2().gen("h")
     with pytest.raises(TypeError):
         rank2(P2(), 3 * h, c2)
 
@@ -104,12 +102,12 @@ def test_rank2_data_rejects_non_int_c2(c2):
 def test_rank2_formulas_refuse_other_ambients():
     # a rank-3 tower over a surface also stores two Chern classes, and
     # would otherwise get a wrong chi without a word
-    h = base_space(P2()).gen("h")
+    h = P2().gen("h")
     others = [
         chern_tower(P2(), 3, [3 * h]),
         chern_tower(P1xP2(), 2, []),
         make_tower(P1(), [0, 1]),
-        base_space(P2()),
+        P2(),
     ]
     for A in others:
         for formula in (chi_rank2, lambda A: twist_rank2(A, h)):
@@ -121,14 +119,14 @@ def test_rank2_formulas_refuse_other_ambients():
 
 
 def test_twist_frozen_values():
-    Bq = base_space(P1xP1())
+    Bq = P1xP1()
     f1, f2 = Bq.gen("f1"), Bq.gen("f2")
     Am = twist_rank2(rank2(P1xP1(), 2 * f1 + 2 * f2, 1), -1 * f1 - 2 * f2)
     c1, c2 = Am.cherns
     assert integrate(c2) == -1
     assert str(c1) == "-2*f2"
 
-    B2 = base_space(P2())
+    B2 = P2()
     h = B2.gen("h")
     for k in range(2, 6):
         At = twist_rank2(rank2(P2(), -1 * h, k), 2 * h)
@@ -138,14 +136,14 @@ def test_twist_frozen_values():
 
 
 def test_twist_by_zero_is_identity():
-    B = base_space(Fe(1))
+    B = Fe(1)
     A = rank2(Fe(1), 2 * B.gen("C0") + 3 * B.gen("f"), 5)
     assert twist_rank2(A, B.zero()) == A
 
 
 def test_twist_rejects_wrong_surface():
-    B2 = base_space(P2())
-    Bq = base_space(P1xP1())
+    B2 = P2()
+    Bq = P1xP1()
     A = rank2(P2(), 3 * B2.gen("h"), 1)
     with pytest.raises(ValueError, match="same surface"):
         twist_rank2(A, Bq.gen("f1"))
@@ -182,7 +180,7 @@ def test_twist_composes_additively(surface, c, c2, m1, m2):
 @settings(max_examples=60, deadline=None)
 def test_chi_commutes_with_twist_substitution(c, c2):
     # chi of F(2) computed directly equals chi applied to the twisted data
-    h = base_space(P2()).gen("h")
+    h = P2().gen("h")
     A = rank2(P2(), divisor(P2(), c), c2)
     twisted = twist_rank2(A, 2 * h)
     assert chi_rank2(twisted) == chi_rank2(

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delpezzo import (
+    Ambient,
     Base,
     ChowElement,
     P1,
@@ -15,14 +16,13 @@ from delpezzo import (
     Fe,
     P1xP2,
     adjunction,
-    base_space,
-    canonical_base_class,
     canonical_class,
     chern_tower,
     integrate,
     make_tower,
     polarized_degree,
 )
+from delpezzo.enumeration import model_values
 from substitution_oracle import oracle_reduce
 from test_chow_oracle import random_towers
 
@@ -34,7 +34,7 @@ def p1_tower(*a):
 
 
 def tower_F(T):
-    return T.pullback(base_space(P1()).gen("F"))
+    return T.pullback(P1().gen("F"))
 
 
 # -- canonical classes and adjunction ------------------------------------
@@ -48,30 +48,31 @@ def test_canonical_class_on_split_p1_tower():
 
 
 def test_canonical_class_base_constants():
-    assert str(canonical_base_class(P1())) == "-2*F"
-    assert str(canonical_base_class(P2())) == "-3*h"
-    assert str(canonical_base_class(P1xP1())) == "-2*f1 - 2*f2"
-    assert str(canonical_base_class(Fe(3))) == "-2*C0 - 5*f"
-    assert str(canonical_base_class(P1xP2())) == "-2*p - 3*h"
+    assert str(canonical_class(P1())) == "-2*F"
+    assert str(canonical_class(P2())) == "-3*h"
+    assert str(canonical_class(P1xP1())) == "-2*f1 - 2*f2"
+    assert str(canonical_class(Fe(3))) == "-2*C0 - 5*f"
+    assert str(canonical_class(P1xP2())) == "-2*p - 3*h"
 
 
 @pytest.mark.parametrize("e", [0, 1, 2, 3, 7])
 def test_canonical_squared_is_8_on_hirzebruch(e):
-    K = canonical_base_class(Fe(e))
+    K = canonical_class(Fe(e))
     assert integrate(K * K) == 8
 
 
 def test_canonical_squared_on_other_surfaces():
-    assert integrate(canonical_base_class(P2()) ** 2) == 9
-    assert integrate(canonical_base_class(P1xP1()) ** 2) == 8
+    assert integrate(canonical_class(P2()) ** 2) == 9
+    assert integrate(canonical_class(P1xP1()) ** 2) == 8
 
 
 # -- the base table ------------------------------------------------------
 
-# every fact `Base` derives from its tower (the point's from its row), as
-# literals, so an edit of either table cannot change a ring unnoticed
+# every fact of a named base, read off its tower, as literals, so an edit
+# of `_BASE_TOWERS` cannot change a ring unnoticed; the point, stated by
+# hand, has no canonical class (None)
 BASE_FACTS = [
-    (Base("pt"), (), 0, (), [], {}),
+    (Base("pt"), (), 0, (), [], None),
     (P1(), ("F",), 1, (1,), [((2,), [])], {"F": -2}),
     (P2(), ("h",), 2, (2,), [((3,), [])], {"h": -3}),
     (
@@ -101,16 +102,19 @@ BASE_FACTS = [
     "base,gens,dim,top,relations,canonical", BASE_FACTS, ids=[repr(f[0]) for f in BASE_FACTS]
 )
 def test_base_facts_are_pinned(base, gens, dim, top, relations, canonical):
-    assert base.gens == gens
+    assert base.gen_names == gens
     assert base.dim == dim
     assert base.top_monomial == top
-    B = base_space(base)
-    K = sum((c * B.gen(name) for name, c in canonical.items()), B.zero())
-    assert canonical_base_class(base) == K
+    if canonical is None:
+        with pytest.raises(ValueError, match="the point has no canonical class"):
+            canonical_class(base)
+    else:
+        K = sum((c * base.gen(name) for name, c in canonical.items()), base.zero())
+        assert canonical_class(base) == K
     # the base ring is presented by exactly these rewrite rules, and F_0
     # by zero rules, as P1 x P1 is: no stored term has coefficient 0
-    assert B.relations() == relations
-    assert all(c != 0 for _, rhs in B.relations() for _, c in rhs)
+    assert base.relations() == relations
+    assert all(c != 0 for _, rhs in base.relations() for _, c in rhs)
 
 
 # -- the point and towers over it ----------------------------------------
@@ -131,11 +135,67 @@ def test_projective_space_is_a_tower_over_the_point(n, volume):
 
 def test_point_blowup_of_p3_is_a_tower_over_p2():
     # Bl_p P3 = P(O + O(1)) over P2: -K = 2z + 2h, (-K)^3 = 56
-    h = base_space(P2()).gen("h")
+    h = P2().gen("h")
     A = make_tower(P2(), [0, h])
     minus_k = -canonical_class(A)
     assert minus_k == 2 * A.zeta + 2 * A.pullback(h)
     assert integrate(minus_k**3) == 56
+
+
+# -- stacked towers ------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_point_blowup_of_projective_space_stacks_over_the_point(n):
+    # Bl_p P^n = P(O + O(1)) over P^(n-1), and P^(n-1) over the point:
+    # (-K)^n = (n + 1)^n - (n - 1)^n, and E = z - h has E^n = (-1)^(n-1)
+    below = make_tower(Base("pt"), [0] * n)
+    h = below.zeta
+    A = make_tower(below, [0, h])
+    assert A.gen_names == ("z1", "z")
+    assert integrate((-canonical_class(A)) ** n) == (n + 1) ** n - (n - 1) ** n
+    E = A.zeta - A.pullback(h)
+    assert integrate(E**n) == (-1) ** (n - 1)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_flag_tower_of_the_grassmannian(n):
+    # P(V) over P^(n-1) with c(V) = 1/(1 + h) and rank n - 1 is the flag
+    # tower over G(2, n), with sigma_1 = z + h
+    below = chern_tower(Base("pt"), n, [])
+    h = below.zeta
+    F = chern_tower(below, n - 1, [(-h) ** i for i in range(1, n)])
+    H = F.pullback(h)
+    sigma = F.zeta + H
+    assert integrate(H * sigma ** (2 * n - 4)) == model_values("grass", (2, n)).degree
+    assert canonical_class(F) == -n * sigma - 2 * H + sigma
+
+
+def test_p1_to_the_fourth_as_three_stacked_towers():
+    # each level's z is renamed by its level, so the names stay unique and
+    # the exponent sum takes more than three generators
+    A = P1()
+    for _ in range(3):
+        A = make_tower(A, [0, 0])
+    assert A.gen_names == ("F", "z1", "z2", "z")
+    total = sum((A.gen(g) for g in A.gen_names), A.zero())
+    assert integrate(total**4) == 24
+    assert integrate(A.from_terms({(1, 1, 1, 1): 1})) == 1
+
+
+def test_named_layouts_are_rings_of_their_own():
+    # each pair stores the same classes over P1 and differs only in the
+    # names and order of its generators: their classes must not mix
+    pairs = [
+        (Fe(0), P1xP1()),
+        (make_tower(P1(), [0, 0]), P1xP1()),
+        (make_tower(P1(), [0, 0, 0]), P1xP2()),
+    ]
+    for A, B in pairs:
+        assert A.base is B.base and A.rank == B.rank and A.cherns == B.cherns
+        assert A != B and B != A
+        with pytest.raises(ValueError, match="different ambients"):
+            A.gen(A.gen_names[0]) + B.gen(B.gen_names[0])
 
 
 @pytest.mark.parametrize("kind,e", [("Fe", 2.0), ("Fe", True), ("Fe", "2"), ("P1", 0.0)])
@@ -143,9 +203,9 @@ def test_base_parameter_must_be_an_int(kind, e):
     # an e equal to an int would share that int's memoized ring and
     # render it with its own value (-2.0*C0*f, FTrue)
     with pytest.raises(ValueError, match="must be an int"):
-        base_space(Base(kind, e))
-    assert str(base_space(Fe(2)).gen("C0") ** 2) == "-2*C0*f"
-    assert repr(base_space(Fe(1))) == "F1"
+        Base(kind, e)
+    assert str(Fe(2).gen("C0") ** 2) == "-2*C0*f"
+    assert repr(Fe(1)) == "F1"
 
 
 # -- degrees of the rank-4 quadric fibration models ----------------------
@@ -174,7 +234,7 @@ def test_quadric_fibration_degrees(a, expected):
 
 
 def test_scroll_over_p2():
-    B = base_space(P2())
+    B = P2()
     h = B.gen("h")
     W = make_tower(P2(), [2 * h, 0, 0, 0])
     z = W.zeta
@@ -187,7 +247,7 @@ def test_scroll_over_p2():
 
 
 def test_scroll_over_p1_x_p2():
-    B = base_space(P1xP2())
+    B = P1xP2()
     p, h = B.gen("p"), B.gen("h")
     W = make_tower(P1xP2(), [p + h, 0, 0, 0])
     z = W.zeta
@@ -200,7 +260,7 @@ def test_scroll_over_p1_x_p2():
 
 
 def test_scroll_over_f1():
-    B = base_space(Fe(1))
+    B = Fe(1)
     tau = B.gen("C0") + 2 * B.gen("f")
     assert integrate(tau * tau) == 3
     W = make_tower(Fe(1), [tau, 0, 0, 0])
@@ -222,16 +282,16 @@ def test_scroll_over_f1():
 def test_segre_identity_over_surfaces(surface, rank, c2):
     # integral of z^(rank+1) equals c1^2 - c2 for rank 2 and rank 3 alike
     if surface == "P2":
-        B, base = base_space(P2()), P2()
+        B = P2()
         c1, c1c1 = 3 * B.gen("h"), 9
     elif surface == "P1xP1":
-        B, base = base_space(P1xP1()), P1xP1()
+        B = P1xP1()
         c1, c1c1 = 2 * B.gen("f1") + 2 * B.gen("f2"), 8
     else:
-        B, base = base_space(Fe(1)), Fe(1)
+        B = Fe(1)
         c1, c1c1 = 2 * B.gen("C0") + 3 * B.gen("f"), 8
     assert integrate(c1 * c1) == c1c1
-    A = chern_tower(base, rank, [c1, c2 * B.point()])
+    A = chern_tower(B, rank, [c1, c2 * B.from_terms({B.top_monomial: 1})])
     assert integrate(A.zeta ** (rank + 1)) == c1c1 - c2
 
 
@@ -239,9 +299,8 @@ def test_segre_identity_over_surfaces(surface, rank, c2):
 @pytest.mark.parametrize("surface", [P1xP1(), Fe(2)])
 def test_degenerate_conic_bundle_degree(surface, c2):
     # rank-2 bundle with c1 = -K_S: the tower has -K = 2z and degree 8 - c2
-    B = base_space(surface)
-    c1 = -1 * canonical_base_class(surface)
-    A = chern_tower(surface, 2, [c1, c2 * B.point()])
+    c1 = -1 * canonical_class(surface)
+    A = chern_tower(surface, 2, [c1, c2 * surface.from_terms({surface.top_monomial: 1})])
     assert str(canonical_class(A)) == "-2*z"
     assert polarized_degree(A, -1 * canonical_class(A), A.zeta) == 2 * (8 - c2)
     assert integrate(A.zeta**3) == 8 - c2
@@ -254,9 +313,9 @@ def test_degenerate_conic_bundle_degree(surface, c2):
     "A",
     [
         make_tower(P1(), [0, 1, 1, 2]),
-        make_tower(P2(), [0, base_space(P2()).gen("h")]),
-        make_tower(Fe(2), [0, 0, base_space(Fe(2)).gen("f")]),
-        chern_tower(P1xP2(), 2, [base_space(P1xP2()).gen("p")]),
+        make_tower(P2(), [0, P2().gen("h")]),
+        make_tower(Fe(2), [0, 0, Fe(2).gen("f")]),
+        chern_tower(P1xP2(), 2, [P1xP2().gen("p")]),
     ],
     ids=repr,
 )
@@ -266,18 +325,19 @@ def test_fiber_normalization(A):
 
 
 def test_grothendieck_relation_holds():
-    B = base_space(Fe(1))
+    B = Fe(1)
     c1 = 2 * B.gen("C0") + 3 * B.gen("f")
-    A = chern_tower(Fe(1), 3, [c1, 4 * B.point()])
+    pt = B.from_terms({B.top_monomial: 1})
+    A = chern_tower(Fe(1), 3, [c1, 4 * pt])
     z = A.zeta
     lhs = z**3
-    rhs = A.pullback(c1) * z**2 - A.pullback(4 * B.point()) * z
+    rhs = A.pullback(c1) * z**2 - A.pullback(4 * pt) * z
     assert lhs == rhs
     assert integrate(z**4) == 8 - 4
 
 
 def test_hirzebruch_intersection_table():
-    B = base_space(Fe(2))
+    B = Fe(2)
     C0, f = B.gen("C0"), B.gen("f")
     assert integrate(C0 * C0) == -2
     assert integrate(C0 * f) == 1
@@ -287,7 +347,7 @@ def test_hirzebruch_intersection_table():
 
 def test_rendering_is_deterministic_across_constructions():
     def build():
-        B = base_space(P1xP2())
+        B = P1xP2()
         W = make_tower(P1xP2(), [B.gen("p") + B.gen("h"), 0, 0, 0])
         return str(canonical_class(W)), str(W.zeta**4)
 
@@ -326,7 +386,7 @@ def test_ambient_mismatch_rejected():
 
 
 def test_split_and_chern_data_towers_are_one_ring():
-    B2 = base_space(P2())
+    B2 = P2()
     h = B2.gen("h")
     A = make_tower(P2(), [h, 0])
     C = chern_tower(P2(), 2, [h])
@@ -337,19 +397,19 @@ def test_split_and_chern_data_towers_are_one_ring():
     assert other.zeta.terms == A.zeta.terms
     assert len({A.zeta, C.zeta, other.zeta}) == 2
     # make_tower keeps rank Chern classes, chern_tower min(rank, dim B)
-    Bm = base_space(P1xP2())
+    Bm = P1xP2()
     assert make_tower(P1xP2(), [Bm.gen("p"), 0]) == chern_tower(P1xP2(), 2, [Bm.gen("p")])
-    F = base_space(P1()).gen("F")
+    F = P1().gen("F")
     assert p1_tower(1, 0, 0) == chern_tower(P1(), 3, [F])
     assert p1_tower(1, 0, 0) != chern_tower(P1(), 3, [2 * F])
     assert p1_tower(1, 0) != p1_tower(1, 0, 0)
-    assert A != chern_tower(P2(), 2, [h, B2.point()])
+    assert A != chern_tower(P2(), 2, [h, B2.from_terms({B2.top_monomial: 1})])
 
 
 def test_tower_repr_shows_what_fixes_the_ring():
     # Chern data does not fix the rank, so a Chern-data tower prints it;
     # a split tower's twists do, and it prints them alone
-    h = base_space(P2()).gen("h")
+    h = P2().gen("h")
     pt = Base("pt")
     assert repr(chern_tower(P2(), 2, [h])) == "P(rank 2, c1=h, c2=0) over P2"
     assert repr(chern_tower(P2(), 4, [h])) == "P(rank 4, c1=h, c2=0) over P2"
@@ -361,9 +421,9 @@ def test_tower_repr_shows_what_fixes_the_ring():
 
 
 def test_one_base_ring_per_base():
-    B = base_space(Fe(3))
-    assert base_space(Fe(3)) is B and base_space(Fe(4)) is not B
-    assert canonical_base_class(Fe(3)).ambient is B
+    B = Fe(3)
+    assert Fe(3) is B and Fe(4) is not B
+    assert canonical_class(Fe(3)).ambient is B
     W = make_tower(Fe(3), [B.gen("f"), 0])
     assert all(c.ambient is B for c in W.twists + W.cherns)
     assert all(c.ambient is B for c in chern_tower(Fe(3), 3, []).cherns)
@@ -375,7 +435,7 @@ BASES = [P1(), P2(), P1xP1(), Fe(3), P1xP2()]
 
 
 def _seeded_twists(base, rank, seed):
-    B = base_space(base)
+    B = base
     rng = random.Random(f"twists:{base!r}:{rank}:{seed}")
     twists = []
     for _ in range(rank):
@@ -388,7 +448,7 @@ def _seeded_twists(base, rank, seed):
 
 def _full_elementary_symmetric(base, twists):
     """e_1 .. e_r of the twists, every one accumulated: O(r^2) products."""
-    B = base_space(base)
+    B = base
     es = [B.one()]
     for L in twists:
         es.append(B.zero())
@@ -448,31 +508,32 @@ def test_split_tower_cherns_match_per_twist_recurrence(data):
     assert len(A.cherns) == min(A.rank, d) and len(full) == A.rank
 
 
-def test_tower_build_hashes_its_base_once(monkeypatch):
-    # one `base_space` lookup, whose cache compares the key once; the
-    # twists live on the ambient it returns, found by identity
+def test_tower_build_finds_its_base_by_identity(monkeypatch):
+    # the base is the ring its twists and Chern classes live on, so a
+    # build neither hashes nor compares an ambient
     base = P1xP2()
     twists = _seeded_twists(base, 16, seed=0)
     calls = {"hash": 0, "eq": 0}
-    base_hash, base_eq = Base.__hash__, Base.__eq__
+    ambient_hash, ambient_eq = Ambient.__hash__, Ambient.__eq__
 
     def counting_hash(self):
         calls["hash"] += 1
-        return base_hash(self)
+        return ambient_hash(self)
 
     def counting_eq(self, other):
         calls["eq"] += 1
-        return base_eq(self, other)
+        return ambient_eq(self, other)
 
-    monkeypatch.setattr(Base, "__hash__", counting_hash)
-    monkeypatch.setattr(Base, "__eq__", counting_eq)
-    make_tower(base, twists)
-    assert calls == {"hash": 1, "eq": 1}
+    monkeypatch.setattr(Ambient, "__hash__", counting_hash)
+    monkeypatch.setattr(Ambient, "__eq__", counting_eq)
+    A = make_tower(base, twists)
+    chern_tower(base, 16, list(A.cherns))
+    assert calls == {"hash": 0, "eq": 0}
 
 
 def test_pow_spends_no_product_on_the_unit(monkeypatch):
     A = make_tower(P1xP2(), [0, 0, 0, 0])
-    B = base_space(P1xP2())
+    B = P1xP2()
     x = A.zeta + A.pullback(B.gen("p") + 2 * B.gen("h"))
     naive = [A.one()]
     for _ in range(17):
@@ -501,15 +562,15 @@ def test_deep_exponents_reduce_without_recursion():
     assert T.from_terms({(0, 5000): 1}).is_zero()
     assert (T.zeta**5000).is_zero()
     # C0^k -> -e C0^(k-1) f rewrites C0 one step at a time
-    assert base_space(Fe(3)).from_terms({(5000, 0): 7}).is_zero()
-    B = base_space(Fe(3))
+    assert Fe(3).from_terms({(5000, 0): 7}).is_zero()
+    B = Fe(3)
     W = make_tower(Fe(3), [B.gen("C0"), B.gen("f"), 0])
     assert W.from_terms({(4000, 0, 3000): 1}).is_zero()
 
 
 def h_tower():
     """P(O(h) + O) over P2: generators (h, z), caps (3, 2), dimension 3."""
-    return make_tower(P2(), [base_space(P2()).gen("h"), 0])
+    return make_tower(P2(), [P2().gen("h"), 0])
 
 
 @pytest.mark.parametrize("expo", [(1,), (1, 0, 0), (-1, 2), (2, -1)])
@@ -626,7 +687,7 @@ def test_from_terms_rejects_non_int_data(terms):
 @pytest.mark.parametrize("scalar", [True, False, 2.0])
 def test_scalars_and_exponents_must_be_int(scalar):
     # True acted as 1: True * h printed h and h ** True was h
-    h = base_space(P2()).gen("h")
+    h = P2().gen("h")
     with pytest.raises(TypeError):
         scalar * h
     with pytest.raises(TypeError):
@@ -656,7 +717,7 @@ def test_make_tower_input_validation():
         make_tower(P1(), [1])
     with pytest.raises(ValueError, match="only meaningful over P1"):
         make_tower(P2(), [1, 0])
-    B = base_space(P2())
+    B = P2()
     with pytest.raises(ValueError, match="not a divisor"):
         make_tower(P2(), [B.gen("h") ** 2, 0])
 
@@ -669,7 +730,7 @@ def test_make_tower_rejects_non_int_integer_twist(twist):
 
 
 def test_chern_tower_input_validation():
-    B = base_space(P2())
+    B = P2()
     h = B.gen("h")
     with pytest.raises(ValueError, match="rank"):
         chern_tower(P2(), 1, [h])
@@ -682,7 +743,7 @@ def test_chern_tower_input_validation():
 @pytest.mark.parametrize("rank", [2.5, 2.0, True])
 def test_chern_tower_rejects_non_int_rank(rank):
     # 2.5 would build a ring of dimension 3.5, 2.0 one equal to rank 2
-    F = base_space(P1()).gen("F")
+    F = P1().gen("F")
     with pytest.raises(ValueError, match="rank must be an int"):
         chern_tower(P1(), rank, [F])
     with pytest.raises(ValueError, match="rank must be an int"):
@@ -690,8 +751,10 @@ def test_chern_tower_rejects_non_int_rank(rank):
 
 
 def test_canonical_class_needs_tower():
-    with pytest.raises(ValueError, match="rank"):
-        canonical_class(base_space(P2()))
+    # every named base is a tower with a canonical class; the point is not
+    assert str(canonical_class(P2())) == "-3*h"
+    with pytest.raises(ValueError, match="rank >= 2"):
+        canonical_class(Base("pt"))
 
 
 # -- algebraic laws under hypothesis ---------------------------------------
@@ -717,7 +780,7 @@ def test_integrate_is_multilinear(a, b, x, y):
 )
 @settings(max_examples=80, deadline=None)
 def test_product_commutes_and_associates(x, y, w):
-    B = base_space(Fe(1))
+    B = Fe(1)
     A = make_tower(Fe(1), [B.gen("C0") + 2 * B.gen("f"), 0])
     gens = [A.zeta, A.pullback(B.gen("C0")), A.pullback(B.gen("f"))]
 
@@ -735,7 +798,7 @@ def test_product_commutes_and_associates(x, y, w):
 @given(x=st.tuples(coeffs, coeffs), y=st.tuples(coeffs, coeffs))
 @settings(max_examples=80, deadline=None)
 def test_pullback_is_a_ring_map(x, y):
-    B = base_space(P1xP1())
+    B = P1xP1()
     A = make_tower(P1xP1(), [B.gen("f1"), 0, 0])
     bx = x[0] * B.gen("f1") + x[1] * B.gen("f2")
     by = y[0] * B.gen("f1") + y[1] * B.gen("f2")
@@ -743,21 +806,27 @@ def test_pullback_is_a_ring_map(x, y):
     assert A.pullback(bx + by) == A.pullback(bx) + A.pullback(by)
 
 
-def test_pullback_on_a_plain_base_is_the_identity():
-    h = base_space(P2()).gen("h")
-    assert base_space(P2()).pullback(h) is h
+def test_pullback_onto_a_named_base_follows_its_printed_layout():
+    # P1 x P1, F_e and P1 x P2 are towers over P1: F pulls back to the
+    # generator their row names F, wherever it is printed (f after C0)
+    F = P1().gen("F")
+    for S, name, expo in ((P1xP1(), "f1", (1, 0)), (Fe(2), "f", (0, 1)), (P1xP2(), "p", (1, 0))):
+        assert S.pullback(F) is S.gen(name) and S.gen(name).mono == expo
+    # a named base pulls back classes of its own base only
+    with pytest.raises(ValueError, match="class on this tower's base"):
+        Fe(2).pullback(Fe(2).gen("f"))
 
 
 def test_pullback_of_a_base_generator_is_the_memo_element():
     T = make_tower(P1(), [1, 0])
-    F = T.pullback(base_space(P1()).gen("F"))
+    F = T.pullback(P1().gen("F"))
     assert F is T.gen("F") and F.mono == (1, 0)
 
 
 @given(c=st.integers(min_value=-9, max_value=9))
 @settings(max_examples=40, deadline=None)
 def test_projection_formula_for_points(c):
-    B = base_space(P1xP2())
+    B = P1xP2()
     A = make_tower(P1xP2(), [B.gen("p"), 0, 0])
     top = c * B.gen("p") * B.gen("h") ** 2
     assert integrate(A.pullback(top) * A.zeta ** (A.rank - 1)) == integrate(top) == c

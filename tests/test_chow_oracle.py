@@ -19,25 +19,31 @@ from delpezzo import (
     P1xP1,
     Fe,
     P1xP2,
-    base_space,
     make_tower,
     chern_tower,
     integrate,
 )
+from delpezzo import chow
 from substitution_oracle import oracle_reduce, oracle_mul, oracle_integrate
 
 ORACLE_SEEDS = (0, 17)
 
 
 def build_zoo():
-    B2 = base_space(P2())
+    B2 = P2()
     h = B2.gen("h")
-    Bq = base_space(P1xP1())
+    Bq = P1xP1()
     f1, f2 = Bq.gen("f1"), Bq.gen("f2")
-    Bf1 = base_space(Fe(1))
-    Bf2 = base_space(Fe(2))
-    Bm = base_space(P1xP2())
+    Bf1 = Fe(1)
+    Bf2 = Fe(2)
+    Bm = P1xP2()
     p, hm = Bm.gen("p"), Bm.gen("h")
+    pt = Base("pt")
+    # stacks: Bl_p P3 over P2 built over the point, the flag tower of
+    # G(2, 4) over P3, and a tower over a tower over F2 (four generators)
+    plane, space = make_tower(pt, [0, 0, 0]), chern_tower(pt, 4, [])
+    w = space.zeta
+    W = make_tower(Fe(2), [Bf2.gen("f"), 0, 0])
     return [
         make_tower(P1(), [0, 0, 0, 0]),
         make_tower(P1(), [-1, 0, 0, 1]),
@@ -48,13 +54,19 @@ def build_zoo():
         make_tower(P1xP1(), [f1 + 2 * f2, 0]),
         make_tower(Fe(2), [Bf2.gen("C0") + 3 * Bf2.gen("f"), 0, 0]),
         make_tower(P1xP2(), [p + hm, 0, 0, 0]),
-        chern_tower(P1xP1(), 2, [2 * f1 + 2 * f2, 5 * Bq.point()]),
-        chern_tower(Fe(1), 3, [2 * Bf1.gen("C0") + 3 * Bf1.gen("f"), 4 * Bf1.point()]),
-        base_space(P2()),
-        base_space(Fe(3)),
-        base_space(P1xP2()),
-        make_tower(Base("pt"), [0, 0, 0, 0]),
-        chern_tower(Base("pt"), 3, []),
+        chern_tower(P1xP1(), 2, [2 * f1 + 2 * f2, 5 * Bq.from_terms({Bq.top_monomial: 1})]),
+        chern_tower(
+            Fe(1), 3,
+            [2 * Bf1.gen("C0") + 3 * Bf1.gen("f"), 4 * Bf1.from_terms({Bf1.top_monomial: 1})],
+        ),
+        P2(),
+        Fe(3),
+        P1xP2(),
+        make_tower(pt, [0, 0, 0, 0]),
+        chern_tower(pt, 3, []),
+        make_tower(plane, [0, plane.zeta]),
+        chern_tower(space, 3, [-w, w * w, -(w**3)]),
+        make_tower(W, [W.zeta, W.pullback(Bf2.gen("C0")), 0]),
     ]
 
 
@@ -99,11 +111,7 @@ def test_normal_form_matches_oracle(idx):
             assert engine == oracle_reduce(A, raw, seed=seed + 31 * j)
 
 
-@pytest.mark.parametrize(
-    "idx",
-    [i for i, a in enumerate(ZOO) if a.is_tower],
-    ids=[repr(a) for a in ZOO if a.is_tower],
-)
+@pytest.mark.parametrize("idx", range(len(ZOO)), ids=[repr(a) for a in ZOO])
 def test_products_match_oracle(idx):
     A = ZOO[idx]
     names = A.gen_names
@@ -123,10 +131,14 @@ def test_products_match_oracle(idx):
             assert prod == oracle_mul(A, raw_a, raw_b, seed=seed + j)
 
 
+def caps_of(A):
+    """The exponent cap of each generator, read off the left sides of A's rules."""
+    return [lhs[i] for lhs, _ in A.relations() for i, k in enumerate(lhs) if k]
+
+
 def normal_monomials(A):
     """Every exponent vector of A in normal form, i.e. below the caps."""
-    caps = [lhs[i] for lhs, _ in A.relations() for i, k in enumerate(lhs) if k]
-    return list(itertools.product(*(range(c) for c in caps)))
+    return list(itertools.product(*(range(c) for c in caps_of(A))))
 
 
 @pytest.mark.parametrize("idx", range(len(ZOO)), ids=[repr(a) for a in ZOO])
@@ -172,16 +184,19 @@ def test_monomial_product_edge_cases(idx):
 
 def _hinted_zoo():
     """Fresh towers over F_0, F_3, P1, P2, P1xP1 and rank 16 over P1xP2."""
-    F0, F3, B2, Bq, Bm = (base_space(b) for b in (Fe(0), Fe(3), P2(), P1xP1(), P1xP2()))
+    F0, F3, B2, Bq, Bm = Fe(0), Fe(3), P2(), P1xP1(), P1xP2()
     p, h = Bm.gen("p"), Bm.gen("h")
     return [
         make_tower(Fe(0), [F0.gen("C0") + 2 * F0.gen("f"), F0.gen("f"), 0]),
         make_tower(Fe(3), [F3.gen("C0"), 2 * F3.gen("f"), 0]),
-        chern_tower(Fe(3), 2, [F3.gen("C0") - F3.gen("f"), 5 * F3.point()]),
+        chern_tower(Fe(3), 2, [F3.gen("C0") - F3.gen("f"), 5 * F3.from_terms({F3.top_monomial: 1})]),
         make_tower(P1(), [3, -1, 0]),
         make_tower(P2(), [2 * B2.gen("h"), 0, 0, 0]),
         make_tower(P1xP1(), [Bq.gen("f1") - Bq.gen("f2"), 0]),
-        chern_tower(P1xP2(), 16, [2 * p + 3 * h, 5 * p * h - h * h, 7 * Bm.point()]),
+        chern_tower(
+            P1xP2(), 16,
+            [2 * p + 3 * h, 5 * p * h - h * h, 7 * Bm.from_terms({Bm.top_monomial: 1})],
+        ),
     ]
 
 
@@ -240,7 +255,7 @@ def test_hinted_monomial_products_match_the_general_path(idx):
 def test_monomials_over_a_zero_rule_are_zero_at_once():
     # f^2 = 0 divides C0^2 f^2 on F_3, though C0, the first generator over
     # its cap, has the nonzero rule C0^2 = -3 C0 f: nothing is rewritten
-    B = base_space(Fe(3))
+    B = Fe(3)
     A = make_tower(Fe(3), [B.gen("C0"), 0])
     x = A.from_terms({(2, 2, 0): 1})
     assert x.is_zero() and x.degree is None and x.mono is None
@@ -253,8 +268,9 @@ def test_monomials_over_a_zero_rule_are_zero_at_once():
         assert prod.is_zero() and prod.degree is None
     # C0^2 f^2 is zero by f^2 = 0 also where the rewriting of z^4 meets
     # it, so the memo does not depend on which of the two came first
-    F0 = base_space(Fe(0))
-    first, second = (chern_tower(Fe(0), 2, [F0.zero(), F0.point()]) for _ in range(2))
+    F0 = Fe(0)
+    pt = F0.from_terms({F0.top_monomial: 1})
+    first, second = (chern_tower(Fe(0), 2, [F0.zero(), pt]) for _ in range(2))
     for A, order in ((first, [(0, 0, 4), (2, 2, 0)]), (second, [(2, 2, 0), (0, 0, 4)])):
         for m in order:
             A.from_terms({m: 1})
@@ -265,20 +281,20 @@ def test_monomials_over_a_zero_rule_are_zero_at_once():
 def test_c0_squared_agrees_with_the_oracle(e):
     # F_0 states C0^2 = 0 C0 f, a rule with a right side, so its monomials
     # take the rewriting path; F_3's rule does not vanish
-    B = base_space(Fe(e))
+    B = Fe(e)
     A = make_tower(Fe(e), [B.gen("C0") + B.gen("f"), 0, 0])
     for expo in [(2, 0, 0), (2, 0, 1), (2, 1, 0), (3, 0, 2), (2, 0, 3), (4, 0, 1)]:
         x = A.from_terms({expo: 1})
         for seed in (0, 17):
             assert x.terms == oracle_reduce(A, [(expo, 1)], seed=seed)
-    assert base_space(Fe(0)).from_terms({(2, 0): 1}).is_zero()
+    assert Fe(0).from_terms({(2, 0): 1}).is_zero()
     assert (B.gen("C0") * B.gen("C0")).terms == ({(1, 1): -3} if e else {})
 
 
 def test_oracle_disagrees_with_a_wrong_relation():
     # sanity check that the oracle has teeth: mutate the Grothendieck rule
     # via a tower with a wrong Chern class and observe a different integral
-    B2 = base_space(P2())
+    B2 = P2()
     h = B2.gen("h")
     good = make_tower(P2(), [2 * h, h, 0, 0])  # c1 = 3h, c2 = 2h^2
     bad = chern_tower(P2(), 4, [3 * h, B2.zero()])  # same c1, c2 dropped
@@ -298,27 +314,36 @@ def _monomial(draw, nvars, degree):
     return tuple(expo)
 
 
-@st.composite
-def random_towers(draw):
-    kind = draw(st.sampled_from(["P1", "P2", "P1xP1", "Fe", "P1xP2"]))
-    base = Fe(draw(st.integers(0, 20))) if kind == "Fe" else Base(kind)
-    rank = draw(st.integers(2, 8))
-    B = base_space(base)
+def _tower_over(draw, B, rank):
+    """A split or a Chern-data tower of this rank over B, small coefficients."""
     small = st.integers(-5, 5)
     if draw(st.booleans()):
         units = [tuple(int(i == g) for i in range(B.nvars)) for g in range(B.nvars)]
         twists = [
             B.from_terms({u: draw(small) for u in units}) for _ in range(rank)
         ]
-        return make_tower(base, twists)
+        return make_tower(B, twists)
     cherns = []
-    for i in range(1, min(rank, base.dim) + 1):
+    for i in range(1, min(rank, B.dim) + 1):
         raw = {}
         for _ in range(draw(st.integers(0, 3))):
             mono = _monomial(draw, B.nvars, i)
             raw[mono] = raw.get(mono, 0) + draw(small)
         cherns.append(B.from_terms(raw))
-    return chern_tower(base, rank, cherns)
+    return chern_tower(B, rank, cherns)
+
+
+@st.composite
+def random_towers(draw):
+    """A tower of rank 2..8 over a named base (F_e up to e = 20), or over a
+    stack: a tower of rank 2 or 3 over the point or over P1."""
+    kind = draw(st.sampled_from(["P1", "P2", "P1xP1", "Fe", "P1xP2", "stack"]))
+    if kind == "stack":
+        below = draw(st.sampled_from([Base("pt"), P1()]))
+        base = _tower_over(draw, below, draw(st.integers(2, 3)))
+    else:
+        base = Fe(draw(st.integers(0, 20))) if kind == "Fe" else Base(kind)
+    return _tower_over(draw, base, draw(st.integers(2, 8)))
 
 
 @st.composite
@@ -419,7 +444,7 @@ def test_memo_holds_only_normal_forms(data):
             for m1 in list(x.terms)[:3]:
                 for m2 in list(y.terms)[:3]:
                     A.from_terms({m1: 1}) * A.from_terms({m2: -2})
-    caps = [lhs[i] for lhs, _ in A.relations() for i, k in enumerate(lhs) if k]
+    caps = caps_of(A)
     for nf in A._memo.values():
         for expo, coeff in nf.terms.items():
             assert all(k < cap for k, cap in zip(expo, caps)) and coeff != 0
@@ -437,7 +462,7 @@ def test_memo_monomials_carry_their_exponent(data):
     for m1 in mons:
         for m2 in mons:
             A.from_terms({m1: 1}) * A.from_terms({m2: 1})
-    caps = [lhs[i] for lhs, _ in A.relations() for i, k in enumerate(lhs) if k]
+    caps = caps_of(A)
     hinted = 0
     for expo, nf in A._memo.items():
         if all(k < cap for k, cap in zip(expo, caps)):
@@ -458,14 +483,13 @@ def fresh_fill(A):
     Handing out a unit monomial, by `gen`, `one`, `point`, `zeta` or a
     one-term `from_terms` of a normal monomial, adds nothing to it.
     """
-    caps = A.base.caps + ((A.rank,) if A.is_tower else ())
-    fill = list(itertools.product(*map(range, caps)))
+    fill = normal_monomials(A)
     assert list(A._memo) == fill
     for m, nf in A._memo.items():
         assert nf.mono == m and nf.terms == {m: 1} and nf.degree == sum(m)
         assert nf.ambient is A
     handed = [A.gen(g) for g in A.gen_names] + [A.one(), A.point()]
-    handed += [A.zeta] if A.is_tower else []
+    handed += [A.zeta] if "z" in A.gen_names else []
     handed += [A.from_terms({m: 1}) for m in fill]
     assert len(A._memo) == len(fill)
     assert all(x is A._memo[x.mono] for x in handed)
@@ -475,7 +499,7 @@ def fresh_fill(A):
 def assert_fill_kept(A, fill):
     """The filled elements are still A's and unchanged, and every key
     the memo gained since is a monomial at or over some cap."""
-    caps = A.base.caps + ((A.rank,) if A.is_tower else ())
+    caps = caps_of(A)
     assert all(A._memo[m] is nf and nf.terms == {m: 1} for m, nf in fill.items())
     beyond = [m for m in A._memo if m not in fill]
     for m in beyond:
@@ -486,9 +510,9 @@ def assert_fill_kept(A, fill):
 
 @pytest.mark.parametrize("base", [P1(), P2(), P1xP1(), Fe(0), Fe(3), P1xP2()], ids=repr)
 def test_every_base_memo_is_filled_at_construction(base):
-    # `base_space` is one ambient per base and process, which other tests
-    # have used: the fresh ring is built past its cache
-    A = base_space.__wrapped__(base)
+    # a named base is one ambient per kind, e and process, which other
+    # tests have used: the fresh ring is built past its cache
+    A = chow._named.__wrapped__(base.kind, base.e)
     fill = fresh_fill(A)
     rng = random.Random(repr(base))
     for _ in range(40):
@@ -501,8 +525,7 @@ def test_every_base_memo_is_filled_at_construction(base):
         x * y
     # the products met monomials beyond the fill, none of them normal
     assert assert_fill_kept(A, fill)
-    shared = base_space(base)
-    assert_fill_kept(shared, {m: shared._memo[m] for m in fill})
+    assert_fill_kept(base, {m: base._memo[m] for m in fill})
 
 
 @given(data=st.data())
@@ -524,10 +547,10 @@ def test_every_tower_memo_is_filled_at_construction(data):
 def test_one_shape_shares_its_unit_terms_and_nothing_else():
     # equal caps (2, 2, 4) from different twists, bases and builders: the
     # unit terms dicts are the same objects, every element is the ring's own
-    B0, B7 = base_space(Fe(0)), base_space(Fe(7))
+    B0, B7 = Fe(0), Fe(7)
     C0, f = B0.gen("C0"), B0.gen("f")
     A = make_tower(Fe(0), [C0, f, C0 + 2 * f, 0])
-    A2 = chern_tower(Fe(7), 4, [B7.gen("f") - B7.gen("C0"), B7.point()])
+    A2 = chern_tower(Fe(7), 4, [B7.gen("f") - B7.gen("C0"), B7.from_terms({B7.top_monomial: 1})])
     assert A._caps == A2._caps and A != A2
     fill, fill2 = fresh_fill(A), fresh_fill(A2)
     for m, nf in fill.items():

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from delpezzo import enumeration
 from delpezzo.catalog import builtin_catalog, construction_models
-from delpezzo.chow import Fe, P1xP1, base_space, canonical_base_class, integrate
+from delpezzo.chow import Fe, P1xP1, canonical_class, integrate
 from delpezzo.enumeration import (
     FUJITA_RANK1_DEGREES,
     MODEL_KINDS,
@@ -293,9 +293,8 @@ def anticanonical_degrees(surface):
     (h on P2, the two rulings on P1 x P1, C0 and f on F_e), so -K_S is
     nef exactly when none of these is negative.
     """
-    B = base_space(surface)
-    minus_k = -canonical_base_class(surface)
-    return [integrate(minus_k * B.gen(g)) for g in B.gen_names]
+    minus_k = -canonical_class(surface)
+    return [integrate(minus_k * surface.gen(g)) for g in surface.gen_names]
 
 
 def test_anticanonical_class_of_every_surface_is_nef():

@@ -9,7 +9,6 @@ from delpezzo import (
     P1,
     P2,
     adjunction,
-    base_space,
     chern_tower,
     make_tower,
     polarized_degree,
@@ -17,8 +16,8 @@ from delpezzo import (
 from delpezzo.bundles import twist_rank2
 from delpezzo.enumeration import FamilyCandidate, model_values
 
-h = base_space(P2()).gen("h")
-F = base_space(P1()).gen("F")  # a class on another base than P2
+h = P2().gen("h")
+F = P1().gen("F")  # a class on another base than P2
 T = make_tower(P2(), [h, 0])
 OTHER = make_tower(P2(), [0, 0])  # another ring over the same base
 
@@ -33,7 +32,10 @@ REJECTIONS = {
     "negative-e": (lambda: Fe(-1), ValueError, "must be >= 0"),
     "unknown-gen": (lambda: T.gen("w"), ValueError, "no generator 'w'"),
     "zeta-on-base": (
-        lambda: base_space(P2()).zeta, ValueError, "no tautological class"
+        lambda: P2().zeta, ValueError, "no tautological class"
+    ),
+    "point-of-the-point": (
+        lambda: Base("pt").point(), ValueError, "the point has no base"
     ),
     "pullback-other-base": (
         lambda: T.pullback(F), ValueError, "class on this tower's base"
