@@ -34,9 +34,16 @@ met, so a memo miss is always a monomial to rewrite.  The unit terms
 {m: 1} and degrees of the normal monomials depend only on the caps, so
 they are built once per shape and process (`_unit_monomials`) and shared
 by every ambient of that shape, each wrapping them in its own elements.
-Rewritten forms are filled from the rules' right sides without
-recursion, a zero rule (gen^cap = 0) first, so a monomial that one
-divides is zero in one step.
+
+A monomial b z^N is rewritten one level at a time: its base part b by
+the base's own memo, then z^N by the tower's z-power table, which holds
+z^N = sum_{j < r} a_(N,j) z^j, a_(N,j) on the base, for r <= N < r +
+dim B.  The table is built once per tower, on first use, from the stored
+Chern classes by the shift recursion of the Grothendieck relation
+(Fulton 3.1-3.2); beyond its last row z^N is zero.  So the memo of a
+tower holds the monomials met with their z-part, and the memo of its
+base every base monomial that a rewrite met; a named base is one ring
+per process, so its memo serves every tower over it.
 
 The memo is the one source of unit monomials: `gen`, `one`, `point`,
 `zeta`, a one-term `from_terms` with coefficient 1, a pulled-back unit
@@ -49,8 +56,10 @@ sum and one lookup.  Anything else costs one pass over its raw terms
 and `_reduce`, one memo lookup per raw monomial, which `from_terms`
 also uses for the sum it was given.
 
-The memo lives and dies with its ambient; its elements point back at the
-ambient, so a dropped ring is freed by the cyclic garbage collector.
+The memo lives and dies with its ambient, as do its z-power table and
+its canonical class (computed on the first `canonical_class` call); its
+elements point back at the ambient, so a dropped ring is freed by the
+cyclic garbage collector.
 Every tower is built anew, but each named base once per process, so its
 classes built anywhere find their common ring by identity.  A split
 tower of rank r over B takes c(V) = prod (1 + L_j) truncated at dim(B),
@@ -326,7 +335,7 @@ class Ambient:
     __slots__ = (
         "base", "rank", "twists", "cherns", "kind", "e",
         "dim", "gen_names", "nvars", "top_monomial",
-        "_zpos", "_expo_sum", "_caps", "_rhss", "_memo",
+        "_zpos", "_expo_sum", "_caps", "_rhss", "_zrows", "_memo", "_canonical",
     )
 
     def __init__(self, base: Ambient | None, rank: int, twists, cherns, named=(None, 0, None)):
@@ -368,6 +377,9 @@ class Ambient:
         # it: each normal monomial as itself from the start, others once met
         fill = _unit_monomials(caps)
         self._memo = {m: ChowElement(self, t, d, m) for m, t, d in fill}
+        # built on first use, so a build runs no class product or sum:
+        # the z-power table and K of this ambient
+        self._zrows = self._canonical = None
 
     def _lift(self, base_entries: tuple, z_entry) -> tuple:
         """Per-generator data of the base with z's entry put at z's place."""
@@ -492,45 +504,49 @@ class Ambient:
     def _normal_form(self, expo: tuple) -> ChowElement:
         """Normal form of a monomial not yet in the memo, as a memoized element.
 
-        The memo holds every normal monomial from construction, so this
-        one, and every monomial on the explicit stack below it, is at or
-        over the cap of some generator.  The element has degree sum(expo),
-        or None when the form is zero, and is shared by whoever the memo
-        hands it to: values are never mutated.  A monomial at or over the
-        cap of a generator whose rule is gen^cap = 0 is zero, with nothing
-        rewritten, so which monomials the memo holds does not depend on
-        the order they were met in.  Otherwise the first generator at or
-        over its cap is rewritten, and the rewritten monomials still
-        unknown wait on the stack, so a deep rewriting chain (z^5000, say)
-        never recurses; every monomial met is memoized on the way.
+        The monomial is b * z^N with b on the base, rewritten one level at
+        a time: the base's own `_monomial` gives the normal form of b, so
+        a named base, one ring per process, answers every base rewrite
+        after the first from its memo.
+          * N < rank: that form, lifted with z^N.
+          * N >= rank + dim B: zero, since z^N is.
+          * b not normal: each term e of its form times z^N, a monomial
+            of this ring memoized on its own.
+          * b normal: z^N = sum_j a_(N,j) z^j from the z-power table,
+            built on first use, and each term b * t of a_(N,j) is read
+            from the base's memo and lifted with z^j.
+        So a stack recurses a bounded number of times per level, never
+        once per exponent (z^5000 is zero at once), and this memo gains
+        the monomial asked for and the e * z^N met on the way.  The
+        element has degree sum(expo), or None when the form is zero, and
+        is shared by whoever the memo hands it to: values are never
+        mutated.
         """
-        caps, rhss = self._caps, self._rhss
-        memo = self._memo
-        stack = [expo]
-        while stack:
-            m = stack[-1]
-            if m in memo:
-                stack.pop()
-                continue
-            # a zero rule gen^cap = 0 that divides m goes first: m then
-            # has no images and is memoized as zero in this one pass
-            over = [i for i, (k, cap) in enumerate(zip(m, caps)) if k >= cap]
-            g = next((i for i in over if not rhss[i]), over[0])
-            rest = list(m)
-            rest[g] -= caps[g]
-            images = [(tuple(map(add, rest, rexpo)), c) for rexpo, c in rhss[g]]
-            waiting = [e for e, _ in images if e not in memo]
-            if waiting:
-                stack.extend(waiting)
-                continue
-            acc: dict = {}
-            for e, c in images:
-                for e2, c2 in memo[e].terms.items():
-                    acc[e2] = acc.get(e2, 0) + c * c2
-            terms = {e: c for e, c in acc.items() if c}
-            memo[m] = ChowElement(self, terms, sum(m) if terms else None)
-            stack.pop()
-        return memo[expo]
+        p, n = self._zpos, expo[self._zpos]
+        rank, base = self.rank, self.base
+        terms: dict = {}
+        if n < rank + base.dim:
+            b = expo[:p] + expo[p + 1:]
+            below = base._monomial(b)
+            if n < rank:
+                terms = {e[:p] + (n,) + e[p:]: c for e, c in below.terms.items()}
+            elif below.mono is None:
+                for e, c in below.terms.items():
+                    for e2, c2 in self._monomial(e[:p] + (n,) + e[p:]).terms.items():
+                        terms[e2] = terms.get(e2, 0) + c * c2
+            else:
+                if self._zrows is None:
+                    self._zrows = _z_powers(base, rank, self.cherns)
+                expo_sum = base._expo_sum
+                for j, a in self._zrows[n - rank]:
+                    for t, ct in a.terms.items():
+                        for e, c in base._monomial(expo_sum(b, t)).terms.items():
+                            e = e[:p] + (j,) + e[p:]
+                            terms[e] = terms.get(e, 0) + ct * c
+            if 0 in terms.values():
+                terms = {e: c for e, c in terms.items() if c}
+        nf = self._memo[expo] = ChowElement(self, terms, sum(expo) if terms else None)
+        return nf
 
     def _reduce(self, raw: dict) -> dict:
         """Normal form of exponent -> coefficient data, like terms merged."""
@@ -546,6 +562,26 @@ class Ambient:
         if 0 in out.values():
             out = {e: c for e, c in out.items() if c}
         return out
+
+
+def _z_powers(base: Ambient, rank: int, cherns: tuple) -> tuple:
+    """The z-power table of a tower: row k is z^(rank + k) = sum_j a_j z^j
+    as its nonzero (j, a_j), a_j a class on the base, for k < dim B.
+
+    Row 0 is the Grothendieck relation; each next row is z times the one
+    before with its z^rank term rewritten by row 0 (the Segre recursion,
+    Fulton 3.1-3.2).  a_j has degree rank + k - j, so every z^N with N >=
+    rank + dim B is zero and has no row.
+    """
+    zero = base.zero()
+    rule = [zero] * rank
+    for i, ci in enumerate(cherns, start=1):
+        rule[rank - i] = ci if i % 2 == 1 else -ci
+    rows = [rule]
+    while len(rows) < base.dim:
+        top, row = rows[-1][-1], [zero, *rows[-1][:-1]]
+        rows.append([a + top * g for a, g in zip(row, rule)] if top.terms else row)
+    return tuple(tuple((j, a) for j, a in enumerate(row) if a.terms) for row in rows)
 
 
 @cache
@@ -637,15 +673,22 @@ def integrate(x: ChowElement) -> int:
 
 
 def canonical_class(A: Ambient) -> ChowElement:
-    """K_A = -rank * z + pullback(K_B + c1(V)), with K_B = 0 on the point."""
-    B = A.base
-    if B is None:
-        raise ValueError("the point has no canonical class: a tower has rank >= 2")
-    k = B.zero() if B.base is None else canonical_class(B)
-    if A.cherns:  # a tower over the point stores none: c1 = 0
-        k = k + A.cherns[0]
-    z = A._memo[A._lift((0,) * B.nvars, 1)]
-    return (-A.rank) * z + A.pullback(k)
+    """K_A = -rank * z + pullback(K_B + c1(V)), with K_B = 0 on the point.
+
+    Computed on the first call and kept on the ambient, so it lives and
+    dies with its ring.
+    """
+    K = A._canonical
+    if K is None:
+        B = A.base
+        if B is None:
+            raise ValueError("the point has no canonical class: a tower has rank >= 2")
+        k = B.zero() if B.base is None else canonical_class(B)
+        if A.cherns:  # a tower over the point stores none: c1 = 0
+            k = k + A.cherns[0]
+        z = A._memo[A._lift((0,) * B.nvars, 1)]
+        K = A._canonical = (-A.rank) * z + A.pullback(k)
+    return K
 
 
 def adjunction(A: Ambient, X: ChowElement) -> ChowElement:

@@ -8,7 +8,11 @@ until nothing applies.  Only then are coefficients summed per monomial.
 A pair that a relation with zero right side applies to is dropped at
 once: that is one legal substitution order, and it keeps the
 Grothendieck relation from expanding terms that are already zero, which
-branches without bound on z-powers far above the rank.  No
+branches without bound on z-powers far above the rank.  For the same
+reason a pair of degree above the top monomial's (from the oracle's own
+table) is dropped before any substitution: every rule keeps the degree
+and no normal monomial lies above the top, so it reduces to nothing in
+any order, and on a stack of towers its expansion is exponential.  No
 normal-ordering strategy, no dict-based accumulation during the run, and
 an integration table of its own; agreement with the engine is then
 evidence for the engine's reduction order and bookkeeping, not just for
@@ -31,7 +35,8 @@ def oracle_reduce(ambient, raw_terms, seed=0):
     """Fully reduce a list of (exponent tuple, coeff) pairs; returns a dict."""
     rng = random.Random(seed)
     rules = list(ambient.relations())
-    pairs = [(tuple(e), int(c)) for e, c in raw_terms]
+    top = sum(_top(ambient))
+    pairs = [(tuple(e), int(c)) for e, c in raw_terms if sum(e) <= top]
     while True:
         rng.shuffle(rules)
         rules.sort(key=lambda rule: bool(rule[1]))  # stable: zero rules first

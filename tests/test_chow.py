@@ -1,5 +1,6 @@
 """Unit and property tests for the exact Chow-ring engine."""
 
+import gc
 import random
 
 import pytest
@@ -566,6 +567,14 @@ def test_deep_exponents_reduce_without_recursion():
     B = Fe(3)
     W = make_tower(Fe(3), [B.gen("C0"), B.gen("f"), 0])
     assert W.from_terms({(4000, 0, 3000): 1}).is_zero()
+    # on a three-level stack, z and z1 rewrite across levels
+    S = P1()
+    for _ in range(3):
+        S = make_tower(S, [S.gen(S.gen_names[-1]), 0])
+    assert S.gen_names == ("F", "z1", "z2", "z")
+    for expo in [(0, 0, 0, 5000), (0, 5000, 0, 0), (1, 5000, 1, 1)]:
+        assert S.from_terms({expo: 1}).is_zero()
+    assert (S.zeta**5000).is_zero() and (S.gen("z1") ** 5000).is_zero()
 
 
 def h_tower():
@@ -755,6 +764,25 @@ def test_canonical_class_needs_tower():
     assert str(canonical_class(P2())) == "-3*h"
     with pytest.raises(ValueError, match="rank >= 2"):
         canonical_class(Base("pt"))
+
+
+def test_canonical_class_is_kept_on_its_ambient_only():
+    # computed once per ambient, down to the point, and dropped with it:
+    # no process-wide cache keeps a dropped tower alive
+    def ambients():
+        gc.collect()
+        return sum(isinstance(o, Ambient) for o in gc.get_objects())
+
+    assert canonical_class(Fe(2)) is canonical_class(Fe(2))
+    before = ambients()
+    B = Fe(2)
+    A = make_tower(make_tower(Fe(2), [B.gen("C0"), 0]), [0, 0])
+    K = canonical_class(A)
+    assert canonical_class(A) is K and canonical_class(A.base) is A.base._canonical
+    assert K == -2 * A.zeta + A.pullback(canonical_class(A.base))
+    assert ambients() == before + 2
+    del A, K
+    assert ambients() == before
 
 
 # -- algebraic laws under hypothesis ---------------------------------------

@@ -303,6 +303,56 @@ def test_oracle_disagrees_with_a_wrong_relation():
     assert oracle_integrate(bad, [(mono, 1)]) == 9
 
 
+# -- powers of z against the Segre series ------------------------------------
+
+
+def segre_classes(A):
+    """s_0 .. s_dim(B) of V on A's base, from its stored Chern classes:
+    sum_k s_k t^k inverts 1 - c_1 t + c_2 t^2 - ..., term by term."""
+    B, c = A.base, A.cherns
+    s = [B.one()]
+    for k in range(1, B.dim + 1):
+        s_k = B.zero()
+        for i in range(1, min(k, len(c)) + 1):
+            term = c[i - 1] * s[k - i]
+            s_k = s_k + term if i % 2 == 1 else s_k - term
+        s.append(s_k)
+    return s
+
+
+def assert_z_powers_match_segre(A):
+    """pi_*(z^(r-1+k)) = s_k (Fulton 3.1): the integral of pi^*b z^(r-1+k)
+    is that of b s_k on the base, for every normal monomial b of
+    complementary degree; and every z^N with N >= r + dim B is zero."""
+    B, r = A.base, A.rank
+    z_at = A._zpos
+
+    def z_power(n):
+        return A.from_terms({tuple(n if i == z_at else 0 for i in range(A.nvars)): 1})
+
+    s = segre_classes(A)
+    for k in range(B.dim + 1):
+        zk = z_power(r - 1 + k)
+        for b in normal_monomials(B):
+            if sum(b) == B.dim - k:
+                bb = B.from_terms({b: 1})
+                assert integrate(A.pullback(bb) * zk) == integrate(bb * s[k])
+    for n in [*range(r + B.dim, r + B.dim + 4), 5000]:
+        assert z_power(n).is_zero()
+        assert (A.gen(A.gen_names[z_at]) ** n).is_zero()
+
+
+@pytest.mark.parametrize("idx", range(len(ZOO)), ids=[repr(a) for a in ZOO])
+def test_z_powers_match_the_segre_series(idx):
+    assert_z_powers_match_segre(ZOO[idx])
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_random_z_powers_match_the_segre_series(data):
+    assert_z_powers_match_segre(data.draw(random_towers()))
+
+
 # -- random towers under hypothesis ------------------------------------------
 
 
@@ -336,11 +386,12 @@ def _tower_over(draw, B, rank):
 @st.composite
 def random_towers(draw):
     """A tower of rank 2..8 over a named base (F_e up to e = 20), or over a
-    stack: a tower of rank 2 or 3 over the point or over P1."""
+    stack: one or two towers of rank 2 or 3 over the point or over P1."""
     kind = draw(st.sampled_from(["P1", "P2", "P1xP1", "Fe", "P1xP2", "stack"]))
     if kind == "stack":
-        below = draw(st.sampled_from([Base("pt"), P1()]))
-        base = _tower_over(draw, below, draw(st.integers(2, 3)))
+        base = draw(st.sampled_from([Base("pt"), P1()]))
+        for _ in range(draw(st.integers(1, 2))):
+            base = _tower_over(draw, base, draw(st.integers(2, 3)))
     else:
         base = Fe(draw(st.integers(0, 20))) if kind == "Fe" else Base(kind)
     return _tower_over(draw, base, draw(st.integers(2, 8)))
