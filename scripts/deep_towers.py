@@ -14,8 +14,10 @@ factor at a time: each D^(k+1), term by term from the engine's D^k, and
 the integral of the last product (not timed).  The brute-force oracle
 takes seconds per monomial on Fl(6), so it stops at Fl(5).
 
-It prints the time to build the stack and integrate D^N, and the number
-of entries in the memos of all the stack's levels.
+It prints the time to build the stack and integrate D^N, the number of
+entries in the memos of all the stack's levels, and the peak resident
+memory of the process so far (`ru_maxrss`, which never goes down, so
+each line bounds the runs before it too).
 
     python3 scripts/deep_towers.py [--max-n 8]
 
@@ -25,6 +27,7 @@ all on a 2-core x86-64 host, and Fl(8) about a minute.
 """
 
 import argparse
+import resource
 import sys
 import time
 from math import factorial
@@ -100,7 +103,11 @@ def main() -> int:
                 print(f"Fl({n}): the oracle's integral differs from {value}")
                 return 1
             check += " + oracle"
-        print(f"Fl({n})  dim {A.dim:2d}  {ms:9.1f} ms  memo {memo:7d}  {check} ok")
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        print(
+            f"Fl({n})  dim {A.dim:2d}  {ms:9.1f} ms  memo {memo:7d}"
+            f"  peak RSS {rss:6.1f} MiB  {check} ok"
+        )
     return 0
 
 

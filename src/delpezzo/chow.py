@@ -36,14 +36,14 @@ they are built once per shape and process (`_unit_monomials`) and shared
 by every ambient of that shape, each wrapping them in its own elements.
 
 A monomial b z^N is rewritten one level at a time: its base part b by
-the base's own memo, then z^N by the tower's z-power table, which holds
-z^N = sum_{j < r} a_(N,j) z^j, a_(N,j) on the base, for r <= N < r +
-dim B.  The table is built once per tower, on first use, from the stored
-Chern classes by the shift recursion of the Grothendieck relation
-(Fulton 3.1-3.2); beyond its last row z^N is zero.  So the memo of a
-tower holds the monomials met with their z-part, and the memo of its
-base every base monomial that a rewrite met; a named base is one ring
-per process, so its memo serves every tower over it.
+the base's own memo, then, for r <= N < r + dim B and b normal, by one
+step of the stored Grothendieck rule, b z^(N-r) times its right side;
+z^N is zero from N = r + dim B on.  The monomials a step yields are
+rewritten the same way on an explicit stack, not by recursion, since a
+chain of steps is as long as dim B.  So the memo of a tower holds the
+monomials met with their z-part, and the memo of its base every base
+monomial that a rewrite met; a named base is one ring per process, so
+its memo serves every tower over it.
 
 The memo is the one source of unit monomials: `gen`, `one`, `point`,
 `zeta`, a one-term `from_terms` with coefficient 1, a pulled-back unit
@@ -56,10 +56,10 @@ sum and one lookup.  Anything else costs one pass over its raw terms
 and `_reduce`, one memo lookup per raw monomial, which `from_terms`
 also uses for the sum it was given.
 
-The memo lives and dies with its ambient, as do its z-power table and
-its canonical class (computed on the first `canonical_class` call); its
-elements point back at the ambient, so a dropped ring is freed by the
-cyclic garbage collector.
+The memo lives and dies with its ambient, as does its canonical class
+(computed on the first `canonical_class` call); its elements point back
+at the ambient, so a dropped ring is freed by the cyclic garbage
+collector.
 Every tower is built anew, but each named base once per process, so its
 classes built anywhere find their common ring by identity.  A split
 tower of rank r over B takes c(V) = prod (1 + L_j) truncated at dim(B),
@@ -335,7 +335,7 @@ class Ambient:
     __slots__ = (
         "base", "rank", "twists", "cherns", "kind", "e",
         "dim", "gen_names", "nvars", "top_monomial",
-        "_zpos", "_expo_sum", "_caps", "_rhss", "_zrows", "_memo", "_canonical",
+        "_zpos", "_expo_sum", "_caps", "_rhss", "_memo", "_canonical",
     )
 
     def __init__(self, base: Ambient | None, rank: int, twists, cherns, named=(None, 0, None)):
@@ -377,9 +377,9 @@ class Ambient:
         # it: each normal monomial as itself from the start, others once met
         fill = _unit_monomials(caps)
         self._memo = {m: ChowElement(self, t, d, m) for m, t, d in fill}
-        # built on first use, so a build runs no class product or sum:
-        # the z-power table and K of this ambient
-        self._zrows = self._canonical = None
+        # K of this ambient, built on first use, so a build runs no class
+        # product or sum
+        self._canonical = None
 
     def _lift(self, base_entries: tuple, z_entry) -> tuple:
         """Per-generator data of the base with z's entry put at z's place."""
@@ -504,49 +504,64 @@ class Ambient:
     def _normal_form(self, expo: tuple) -> ChowElement:
         """Normal form of a monomial not yet in the memo, as a memoized element.
 
-        The monomial is b * z^N with b on the base, rewritten one level at
-        a time: the base's own `_monomial` gives the normal form of b, so
-        a named base, one ring per process, answers every base rewrite
+        A monomial b * z^N, b on the base, is rewritten one level at a
+        time: the base's own `_monomial` gives the normal form of b, so a
+        named base, one ring per process, answers every base rewrite
         after the first from its memo.
           * N < rank: that form, lifted with z^N.
           * N >= rank + dim B: zero, since z^N is.
-          * b not normal: each term e of its form times z^N, a monomial
-            of this ring memoized on its own.
-          * b normal: z^N = sum_j a_(N,j) z^j from the z-power table,
-            built on first use, and each term b * t of a_(N,j) is read
-            from the base's memo and lifted with z^j.
-        So a stack recurses a bounded number of times per level, never
-        once per exponent (z^5000 is zero at once), and this memo gains
-        the monomial asked for and the e * z^N met on the way.  The
-        element has degree sum(expo), or None when the form is zero, and
-        is shared by whoever the memo hands it to: values are never
-        mutated.
+          * b not normal: the images are e * z^N, one per term e of its
+            form.
+          * b normal: the images are one step of the stored Grothendieck
+            rule, b * z^(N - rank) times each term of its right side.
+        The images still unknown wait on an explicit stack, above the
+        monomial that needs them, which is memoized once all of them are.
+        A step lowers N or makes b normal, and a chain of steps can be as
+        long as dim B (z^(n+1) on P(O(1) + O) over P^n walks n steps), so
+        it must not recurse: a stack recurses once per level, never once
+        per exponent.  This memo gains the monomial asked for and every
+        image met on the way.  The element has degree sum(expo), or None
+        when the form is zero, and is shared by whoever the memo hands it
+        to: values are never mutated.
         """
-        p, n = self._zpos, expo[self._zpos]
-        rank, base = self.rank, self.base
-        terms: dict = {}
-        if n < rank + base.dim:
-            b = expo[:p] + expo[p + 1:]
-            below = base._monomial(b)
-            if n < rank:
-                terms = {e[:p] + (n,) + e[p:]: c for e, c in below.terms.items()}
-            elif below.mono is None:
-                for e, c in below.terms.items():
-                    for e2, c2 in self._monomial(e[:p] + (n,) + e[p:]).terms.items():
-                        terms[e2] = terms.get(e2, 0) + c * c2
-            else:
-                if self._zrows is None:
-                    self._zrows = _z_powers(base, rank, self.cherns)
-                expo_sum = base._expo_sum
-                for j, a in self._zrows[n - rank]:
-                    for t, ct in a.terms.items():
-                        for e, c in base._monomial(expo_sum(b, t)).terms.items():
-                            e = e[:p] + (j,) + e[p:]
-                            terms[e] = terms.get(e, 0) + ct * c
+        p, rank, base = self._zpos, self.rank, self.base
+        top = rank + base.dim
+        memo, rule, expo_sum = self._memo, self._rhss[p], self._expo_sum
+        # (monomial, its images, or None before they are computed): a
+        # monomial waits under the images it needs, so it is popped again
+        # only once they are all memoized
+        stack = [(expo, None)]
+        while stack:
+            m, images = stack.pop()
+            if m in memo:  # pushed again before its first copy was resolved
+                continue
+            if images is None:
+                n = m[p]
+                images = ()  # z^N is zero from N = rank + dim B on
+                if n < top:
+                    below = base._monomial(m[:p] + m[p + 1:])
+                    if n < rank:
+                        terms = {e[:p] + (n,) + e[p:]: c for e, c in below.terms.items()}
+                        memo[m] = ChowElement(self, terms, sum(m) if terms else None)
+                        continue
+                    if below.mono is None:
+                        images = [(e[:p] + (n,) + e[p:], c) for e, c in below.terms.items()]
+                    else:
+                        rest = m[:p] + (n - rank,) + m[p + 1:]
+                        images = [(expo_sum(rest, r), c) for r, c in rule]
+                    waiting = [(e, None) for e, _ in images if e not in memo]
+                    if waiting:
+                        stack.append((m, images))
+                        stack += waiting
+                        continue
+            terms = {}
+            for e, c in images:
+                for e2, c2 in memo[e].terms.items():
+                    terms[e2] = terms.get(e2, 0) + c * c2
             if 0 in terms.values():
                 terms = {e: c for e, c in terms.items() if c}
-        nf = self._memo[expo] = ChowElement(self, terms, sum(expo) if terms else None)
-        return nf
+            memo[m] = ChowElement(self, terms, sum(m) if terms else None)
+        return memo[expo]
 
     def _reduce(self, raw: dict) -> dict:
         """Normal form of exponent -> coefficient data, like terms merged."""
@@ -562,26 +577,6 @@ class Ambient:
         if 0 in out.values():
             out = {e: c for e, c in out.items() if c}
         return out
-
-
-def _z_powers(base: Ambient, rank: int, cherns: tuple) -> tuple:
-    """The z-power table of a tower: row k is z^(rank + k) = sum_j a_j z^j
-    as its nonzero (j, a_j), a_j a class on the base, for k < dim B.
-
-    Row 0 is the Grothendieck relation; each next row is z times the one
-    before with its z^rank term rewritten by row 0 (the Segre recursion,
-    Fulton 3.1-3.2).  a_j has degree rank + k - j, so every z^N with N >=
-    rank + dim B is zero and has no row.
-    """
-    zero = base.zero()
-    rule = [zero] * rank
-    for i, ci in enumerate(cherns, start=1):
-        rule[rank - i] = ci if i % 2 == 1 else -ci
-    rows = [rule]
-    while len(rows) < base.dim:
-        top, row = rows[-1][-1], [zero, *rows[-1][:-1]]
-        rows.append([a + top * g for a, g in zip(row, rule)] if top.terms else row)
-    return tuple(tuple((j, a) for j, a in enumerate(row) if a.terms) for row in rows)
 
 
 @cache

@@ -575,6 +575,11 @@ def test_deep_exponents_reduce_without_recursion():
     for expo in [(0, 0, 0, 5000), (0, 5000, 0, 0), (1, 5000, 1, 1)]:
         assert S.from_terms({expo: 1}).is_zero()
     assert (S.zeta**5000).is_zero() and (S.gen("z1") ** 5000).is_zero()
+    # over P^1200, z^1201 on P(O(h) + O) is h^1200 = s_1200 by a chain of
+    # 1200 rewrite steps, met cold
+    P = make_tower(Base("pt"), [0] * 1201)
+    T = make_tower(P, [P.zeta, 0])
+    assert integrate(T.from_terms({(0, 1201): 1})) == 1
 
 
 def h_tower():
