@@ -14,27 +14,38 @@ factor at a time: each D^(k+1), term by term from the engine's D^k, and
 the integral of the last product (not timed).  The brute-force oracle
 takes seconds per monomial on Fl(6), so it stops at Fl(5).
 
-It prints the time to build the stack and integrate D^N, the number of
-entries in the memos of all the stack's levels, and the peak resident
-memory of the process so far (`ru_maxrss`, which never goes down, so
-each line bounds the runs before it too).
+Each Fl(n) up to Fl(7) is built and integrated RUNS times in this
+process, each time as a fresh stack after a garbage collection, and
+Fl(8) once, since one run takes about a minute.  It prints the median
+and the range of the times to build the stack and integrate D^N (one
+run on a shared host varies by a third), the number of entries in the
+memos of all the stack's levels, and the peak resident memory of the
+process so far (`ru_maxrss`, which never goes down, so each line bounds
+the runs before it too).  Only the first run of an Fl(n) builds the
+per-shape tables of unit monomials; the later ones share them, as any
+later tower of a shape met before does.
 
     python3 scripts/deep_towers.py [--max-n 8]
 
 The package is loaded from `src/` and the oracle from `tests/` of the
-checkout this script lives in.  Fl(5) .. Fl(7) take about a second in
-all on a 2-core x86-64 host, and Fl(8) about a minute.
+checkout this script lives in.  Fl(5) .. Fl(7), five runs each, take
+about three seconds in all on a 2-core x86-64 host, and Fl(8) about a
+minute.
 """
 
 import argparse
+import gc
 import resource
 import sys
 import time
 from math import factorial
 from pathlib import Path
+from statistics import median
 
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE_MAX_N = 5
+RUNS = 5  # per Fl(n) for n <= REPEAT_MAX_N, and one run above it
+REPEAT_MAX_N = 7
 
 
 def flag_variety(chow, n: int):
@@ -88,15 +99,19 @@ def main() -> int:
     from substitution_oracle import oracle_integrate, oracle_reduce
 
     for n in range(5, args.max_n + 1):
-        start = time.perf_counter()
-        A, levels = flag_variety(chow, n)
-        D = sum((k * A.gen(g) for k, g in enumerate(A.gen_names, start=1)), A.zero())
-        value = chow.integrate(D**A.dim)
-        ms = 1000 * (time.perf_counter() - start)
+        times = []
+        for _ in range(RUNS if n <= REPEAT_MAX_N else 1):
+            A = levels = D = None  # the last run's stack is collected untimed
+            gc.collect()
+            start = time.perf_counter()
+            A, levels = flag_variety(chow, n)
+            D = sum((k * A.gen(g) for k, g in enumerate(A.gen_names, start=1)), A.zero())
+            value = chow.integrate(D**A.dim)
+            times.append(1000 * (time.perf_counter() - start))
+            if value != (-1) ** ((n - 1) * (n - 2) // 2) * factorial(A.dim):
+                print(f"Fl({n}): integral {value} is not +-{A.dim}!")
+                return 1
         memo = sum(len(L._memo) for L in levels)
-        if value != (-1) ** ((n - 1) * (n - 2) // 2) * factorial(A.dim):
-            print(f"Fl({n}): integral {value} is not +-{A.dim}!")
-            return 1
         check = "closed form"
         if n <= ORACLE_MAX_N:
             if oracle_power(A, D, oracle_reduce, oracle_integrate) != value:
@@ -105,8 +120,9 @@ def main() -> int:
             check += " + oracle"
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
         print(
-            f"Fl({n})  dim {A.dim:2d}  {ms:9.1f} ms  memo {memo:7d}"
-            f"  peak RSS {rss:6.1f} MiB  {check} ok"
+            f"Fl({n})  dim {A.dim:2d}  median {median(times):9.1f} ms"
+            f"  range {min(times):.1f}-{max(times):.1f} ms ({len(times)} runs)"
+            f"  memo {memo:7d}  peak RSS {rss:6.1f} MiB  {check} ok"
         )
     return 0
 

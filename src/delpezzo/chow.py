@@ -31,9 +31,24 @@ is in normal form exactly when each exponent is below its generator's
 cap.  Each ambient memoizes normal forms as elements of its ring, each
 normal monomial as itself from construction on and every other one once
 met, so a memo miss is always a monomial to rewrite.  The unit terms
-{m: 1} and degrees of the normal monomials depend only on the caps, so
-they are built once per shape and process (`_unit_monomials`) and shared
-by every ambient of that shape, each wrapping them in its own elements.
+{m: 1} and degrees of the normal monomials, and the table of their codes
+by exponent tuple, depend only on the caps, so they are built once per
+shape and process (`_unit_monomials`) and shared by every ambient of
+that shape, each wrapping the units in its own elements.
+
+Inside the engine a monomial is one int, its code (packed exponent
+vectors, as in Monagan and Pearce, CASC 2007): the exponent of generator
+i, in printed order, fills bits 16i .. 16i + 15.  A product of monomials
+is the sum of their codes, a memo key hashes as an int, and as 2^16 = 1
+modulo 2^16 - 1, the degree of a monomial is code % 0xFFFF.  Both hold
+while no field carries into the next and the degree stays below 0xFFFF:
+every monomial the engine meets has degree at most 2 dim, that of a
+product of two normal monomials, since a rewrite keeps the degree and a
+given monomial of degree above dim is zero before it is packed.  So a
+ring of dimension above 32767 is refused when it is built.  Exponent
+tuples are only at the edges: `from_terms` takes them, `terms` shows an
+element keyed by them (a read-only view built on each read), and
+`relations()`, `top_monomial` and the printed form use them.
 
 A monomial b z^N is rewritten one level at a time: its base part b by
 the base's own memo, then, for r <= N < r + dim B and b normal, by one
@@ -48,11 +63,11 @@ its memo serves every tower over it.
 The memo is the one source of unit monomials: `gen`, `one`, `point`,
 `zeta`, a one-term `from_terms` with coefficient 1, a pulled-back unit
 monomial and a product of two unit monomials all hand out the memo's
-element itself, which carries its exponent vector as `mono`; `gen` only
-rewrites a generator whose cap is 1, so all four are lookups on every
-supported base.  A product takes one of two paths.  Two such elements
-of one ambient, the common case in pairing tables, cost one exponent
-sum and one lookup.  Anything else costs one pass over its raw terms
+element itself, which carries its code as `mono`; `gen` only rewrites a
+generator whose cap is 1, so all four are lookups on every supported
+base.  A product takes one of two paths.  Two such elements of one
+ambient, the common case in pairing tables, cost one int sum and one
+lookup.  Anything else costs one pass over its raw terms
 and `_reduce`, one memo lookup per raw monomial, which `from_terms`
 also uses for the sum it was given.
 
@@ -80,14 +95,14 @@ apart, so they are two rings and their classes do not mix.
 Values are immutable after construction and all operations are pure
 (the memo only caches), so one element may be handed out many times,
 and one unit terms dict to every ambient of its shape: nothing writes to
-the `terms` of an element once it is built.
+the `_terms` of an element once it is built.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import product
-from operator import add
+from types import MappingProxyType
 from typing import Sequence
 
 # every named base but the point as a tower over an earlier kind: that
@@ -102,19 +117,14 @@ _BASE_TOWERS = {
     "P1xP2": ("P1", ((0,), (0,), (0,)), (("p", "F"), ("h", "z"))),
 }
 
-# exponent-vector sum per number of generators, unrolled up to three:
-# about a third of the cost of tuple(map(add, a, b)) on the product hot
-# path, which only a stack of towers with more generators takes
-_EXPONENT_SUM = {
-    0: lambda a, b: (),
-    1: lambda a, b: (a[0] + b[0],),
-    2: lambda a, b: (a[0] + b[0], a[1] + b[1]),
-    3: lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
-}
+# a monomial is one int, generator i's exponent in bits 16i .. 16i + 15
+# (printed order); as 2^16 = 1 modulo _FIELD, its degree is code % _FIELD
+_FIELD = 0xFFFF
+_MAX_DIM = _FIELD // 2  # so a product's degree, at most 2 dim, is below _FIELD
 
 
-def _exponent_sum(a: tuple, b: tuple) -> tuple:
-    return tuple(map(add, a, b))
+def _pack(expo: Sequence[int]) -> int:
+    return sum(k << 16 * i for i, k in enumerate(expo))
 
 
 def Base(kind: str, e: int = 0) -> Ambient:
@@ -171,22 +181,30 @@ def P1xP2() -> Ambient:
 class ChowElement:
     """A homogeneous class on a fixed ambient, stored in normal form.
 
-    `mono` is the exponent vector of the memo's normal monomial {mono: 1}
-    and None on every other element; it only selects the product's fast
-    path, so an element without it is still computed correctly.
+    `_terms` maps the packed code of each normal monomial to its
+    coefficient; `terms` shows the same data keyed by exponent tuples.
+    `mono` is the code of the memo's normal monomial {mono: 1} and None
+    on every other element; it only selects the product's fast path, so
+    an element without it is still computed correctly.
     """
 
-    __slots__ = ("ambient", "terms", "degree", "mono")
+    __slots__ = ("ambient", "_terms", "degree", "mono")
 
     def __init__(self, ambient: "Ambient", terms: dict, degree, mono=None):
-        # internal constructor; terms must already be normal-form
+        # internal constructor; terms must already be normal-form codes
         self.ambient = ambient
-        self.terms = terms
+        self._terms = terms
         self.degree = degree
         self.mono = mono
 
+    @property
+    def terms(self) -> MappingProxyType:
+        """Exponent tuple -> coefficient: a read-only view built on each read."""
+        unpack = self.ambient._unpack
+        return MappingProxyType({unpack(e): c for e, c in self._terms.items()})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def _check_same_ambient(self, other: "ChowElement"):
         if self.ambient is not other.ambient and self.ambient != other.ambient:
@@ -204,8 +222,8 @@ class ChowElement:
             raise ValueError(
                 f"cannot add classes of degrees {self.degree} and {other.degree}"
             )
-        terms = dict(self.terms)
-        for expo, c in other.terms.items():
+        terms = dict(self._terms)
+        for expo, c in other._terms.items():
             terms[expo] = terms.get(expo, 0) + c
             if terms[expo] == 0:
                 del terms[expo]
@@ -216,7 +234,7 @@ class ChowElement:
 
     def __neg__(self):
         return ChowElement(
-            self.ambient, {e: -c for e, c in self.terms.items()}, self.degree
+            self.ambient, {e: -c for e, c in self._terms.items()}, self.degree
         )
 
     def __rmul__(self, other):
@@ -224,7 +242,7 @@ class ChowElement:
             if other == 0:
                 return ChowElement(self.ambient, {}, None)
             return ChowElement(
-                self.ambient, {e: other * c for e, c in self.terms.items()}, self.degree
+                self.ambient, {e: other * c for e, c in self._terms.items()}, self.degree
             )
         return NotImplemented
 
@@ -239,23 +257,22 @@ class ChowElement:
             # two normal monomials of one memo: their product is the memo's
             # (`Ambient._monomial`, inlined on the hot path)
             A = self.ambient
-            expo = A._expo_sum(e1, other.mono)
-            nf = A._memo.get(expo)
-            return nf if nf is not None else A._normal_form(expo)
+            m = e1 + other.mono
+            nf = A._memo.get(m)
+            return nf if nf is not None else A._normal_form(m)
         if not isinstance(other, ChowElement):
             return other * self if type(other) is int else NotImplemented
         A = self.ambient
         if other.ambient is not A:
             self._check_same_ambient(other)
-        t1, t2 = self.terms, other.terms
+        t1, t2 = self._terms, other._terms
         if not t1 or not t2:
             return ChowElement(A, {}, None)
-        expo_sum = A._expo_sum
         raw: dict = {}
         for e1, c1 in t1.items():
             for e2, c2 in t2.items():
-                expo = expo_sum(e1, e2)
-                raw[expo] = raw.get(expo, 0) + c1 * c2
+                m = e1 + e2
+                raw[m] = raw.get(m, 0) + c1 * c2
         terms = A._reduce(raw)
         return ChowElement(A, terms, self.degree + other.degree if terms else None)
 
@@ -281,19 +298,20 @@ class ChowElement:
         return (
             isinstance(other, ChowElement)
             and (self.ambient is other.ambient or self.ambient == other.ambient)
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     def __hash__(self):
-        return hash((self.ambient, frozenset(self.terms.items())))
+        return hash((self.ambient, frozenset(self._terms.items())))
 
     def __str__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         names = self.ambient.gen_names
         out = ""
-        for expo in sorted(self.terms, reverse=True):
-            coeff = self.terms[expo]
+        for expo in sorted(terms, reverse=True):
+            coeff = terms[expo]
             factors = [name if k == 1 else f"{name}^{k}" for name, k in zip(names, expo) if k]
             mono = "*".join(factors)
             if not mono:
@@ -326,16 +344,19 @@ class Ambient:
     None and e 0.
 
     The shape is fixed at construction: `dim`, `gen_names`, `nvars`, the
-    top monomial that `integrate` reads, and the exponent cap and rule
-    right side of every generator (the base's, with z^rank at the place
-    of z) are computed once in `__init__`, so products, `from_terms`,
-    `gen` and `integrate` read plain attributes.
+    top monomial (`top_monomial`, and its code `_top` that `integrate`
+    reads), the exponent cap and rule right side of every generator (the
+    base's, with z^rank at the place of z) and the codes of the normal
+    monomials (`_codes`) are computed once in `__init__`, so products,
+    `from_terms`, `gen` and `integrate` read plain attributes.  A ring of
+    dimension above 32767 is refused, so that no exponent of a product
+    of two classes overflows its 16-bit field.
     """
 
     __slots__ = (
         "base", "rank", "twists", "cherns", "kind", "e",
         "dim", "gen_names", "nvars", "top_monomial",
-        "_zpos", "_expo_sum", "_caps", "_rhss", "_memo", "_canonical",
+        "_zpos", "_top", "_caps", "_rhss", "_codes", "_memo", "_canonical",
     )
 
     def __init__(self, base: Ambient | None, rank: int, twists, cherns, named=(None, 0, None)):
@@ -346,9 +367,13 @@ class Ambient:
         self.kind, self.e, names = named
         if base is None:  # the point
             self.dim, self._zpos = 0, 0
-            self.gen_names, caps, rhss, self.top_monomial = (), (), (), ()
+            self.gen_names, caps, rhss, self._top = (), (), (), 0
         else:
             self.dim = base.dim + rank - 1
+            if self.dim > _MAX_DIM:
+                raise ValueError(
+                    f"dimension {self.dim} is above {_MAX_DIM}, the largest a ring supports"
+                )
             if names is None:  # z last; each z below is named by its level
                 below = base.gen_names
                 level = 1 + sum(g[:1] == "z" and g[1:].isdigit() for g in below)
@@ -357,25 +382,26 @@ class Ambient:
             else:
                 self.gen_names = tuple(name for name, _ in names)
                 self._zpos = [g for _, g in names].index("z")
-            lift = self._lift
+            lift, liftc = self._lift, self._liftc
             # every generator has one rule, which rewrites its pure power
             # gen^cap: the base's rules, and the Grothendieck relation for z
             rhs = tuple(
-                (lift(bexpo, rank - i), (1 if i % 2 == 1 else -1) * bcoeff)
+                (liftc(bexpo, rank - i), (1 if i % 2 == 1 else -1) * bcoeff)
                 for i, ci in enumerate(cherns, start=1)
-                for bexpo, bcoeff in ci.terms.items()
+                for bexpo, bcoeff in ci._terms.items()
             )
             caps = lift(base._caps, rank)
-            padded = tuple(tuple((lift(e, 0), c) for e, c in r) for r in base._rhss)
+            padded = tuple(tuple((liftc(e, 0), c) for e, c in r) for r in base._rhss)
             rhss = lift(padded, rhs)
-            self.top_monomial = lift(base.top_monomial, rank - 1)
+            self._top = liftc(base._top, rank - 1)
         self.nvars = len(self.gen_names)
-        self._expo_sum = _EXPONENT_SUM.get(self.nvars, _exponent_sum)
+        self.top_monomial = self._unpack(self._top)
         self._caps = caps
         self._rhss = rhss
-        # monomial -> its normal form, an element shared by whoever gets
-        # it: each normal monomial as itself from the start, others once met
-        fill = _unit_monomials(caps)
+        # monomial code -> its normal form, an element shared by whoever
+        # gets it: each normal monomial as itself from the start, others
+        # once met
+        fill, self._codes = _unit_monomials(caps)
         self._memo = {m: ChowElement(self, t, d, m) for m, t, d in fill}
         # K of this ambient, built on first use, so a build runs no class
         # product or sum
@@ -385,6 +411,17 @@ class Ambient:
         """Per-generator data of the base with z's entry put at z's place."""
         p = self._zpos
         return base_entries[:p] + (z_entry,) + base_entries[p:]
+
+    def _liftc(self, b: int, n: int) -> int:
+        """The code of b * z^n, for b the code of a base monomial: the
+        fields from z's place on move up one field."""
+        shift = 16 * self._zpos
+        low = (1 << shift) - 1
+        return (b & low) + ((b & ~low) << 16) + (n << shift)
+
+    def _unpack(self, code: int) -> tuple:
+        """The exponent tuple of a monomial code."""
+        return tuple([(code >> s) & _FIELD for s in range(0, 16 * self.nvars, 16)])
 
     # -- structure ---------------------------------------------------
 
@@ -419,13 +456,13 @@ class Ambient:
         return ChowElement(self, {}, None)
 
     def one(self) -> ChowElement:
-        return self._memo[(0,) * self.nvars]
+        return self._memo[0]
 
     def gen(self, name: str) -> ChowElement:
         names = self.gen_names
         if name not in names:
             raise ValueError(f"no generator {name!r} on {self!r}")
-        return self._monomial(tuple(1 if g == name else 0 for g in names))
+        return self._monomial(1 << 16 * names.index(name))
 
     @property
     def zeta(self) -> ChowElement:
@@ -440,22 +477,25 @@ class Ambient:
         """
         if self.base is None:
             raise ValueError("the point has no base to take a point of")
-        return self._memo[self._lift(self.base.top_monomial, 0)]
+        return self._memo[self._liftc(self.base._top, 0)]
 
     def from_terms(self, terms: dict) -> ChowElement:
         """Build an element from raw exponent->coefficient data (normalized here).
 
         Coefficients and exponent entries must be ints, checked on every
-        term: 1.0 and True equal 1, so they would find the memo key of an
-        int vector.  Length and sign are checked on a memo miss only, since
-        every memo key is a valid exponent vector of this ambient.  A single
-        term with coefficient 1 returns the memo's element itself, after
-        those checks, rewritten only if it is not normal.  Terms with
-        coefficient zero are dropped; the rest must share one degree.
-        `_reduce` then sums the normal forms.
+        term before any lookup: 1.0 and True equal 1, so they would find
+        the code of an int vector.  A normal monomial's code is read from
+        `_codes`, and as a single term with coefficient 1 it returns the
+        memo's element itself.  Length and sign are checked on a miss
+        only, since every key there is a valid exponent vector of this
+        ambient, and any other monomial is packed, or dropped as zero if
+        its degree is above `dim`.  Terms with coefficient zero are
+        dropped from the degree check; the rest must share one degree.
+        `_element` then sums the normal forms.
         """
-        memo = self._memo
+        codes, dim = self._codes, self.dim
         single = len(terms) == 1
+        raw = {}
         degree = None
         for expo, coeff in terms.items():
             for k in expo:
@@ -463,45 +503,61 @@ class Ambient:
                     raise ValueError(f"exponent entry {k!r} of {expo} must be an int")
             if type(coeff) is not int:
                 raise ValueError(f"coefficient {coeff!r} of {expo} must be an int")
-            if expo not in memo and (len(expo) != self.nvars or min(expo) < 0):
-                raise ValueError(f"bad exponent vector {expo} for {self!r}")
-            if single and coeff == 1:
-                return self._monomial(expo)
-            if not coeff:
-                continue
-            d = sum(expo)
-            if d != degree:
+            code = codes.get(expo)
+            if code is None:
+                if len(expo) != self.nvars or min(expo) < 0:
+                    raise ValueError(f"bad exponent vector {expo} for {self!r}")
+                d = sum(expo)
+                if d <= dim:  # above dim every monomial is zero
+                    raw[_pack(expo)] = coeff
+            elif single and coeff == 1:
+                return self._memo[code]
+            else:
+                d = code % _FIELD
+                raw[code] = coeff
+            if coeff and d != degree:
                 if degree is not None:
                     raise ValueError(
                         f"mixed-degree input (degrees {degree} and {d}) rejected"
                     )
                 degree = d
-        out = self._reduce(terms)
-        return ChowElement(self, out, degree if out else None)
+        return self._element(raw, degree)
 
     def pullback(self, x: ChowElement) -> ChowElement:
         """Pull a class of the base back to the tower."""
         if x.ambient is not self.base and x.ambient != self.base:
             raise ValueError("pullback expects a class on this tower's base")
-        return self.from_terms({self._lift(e, 0): c for e, c in x.terms.items()})
+        liftc = self._liftc
+        return self._element({liftc(e, 0): c for e, c in x._terms.items()}, x.degree)
 
     # -- rewriting ---------------------------------------------------
 
     def relations(self) -> list[tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]]:
         """All stored rewrite rules over the full generator tuple, one per
         generator in order: gen^cap -> right side."""
-        n = self.nvars
+        n, unpack = self.nvars, self._unpack
         return [
-            (tuple(cap if j == i else 0 for j in range(n)), list(rhs))
+            (tuple(cap if j == i else 0 for j in range(n)), [(unpack(r), c) for r, c in rhs])
             for i, (cap, rhs) in enumerate(zip(self._caps, self._rhss))
         ]
 
-    def _monomial(self, expo: tuple) -> ChowElement:
-        """The memo's normal form of the monomial with this exponent vector."""
-        nf = self._memo.get(expo)
-        return nf if nf is not None else self._normal_form(expo)
+    def _element(self, raw: dict, degree) -> ChowElement:
+        """The element of code -> coefficient data of this degree: a single
+        term with coefficient 1 is the memo's element itself, rewritten only
+        if it is not normal, and anything else is summed by `_reduce`."""
+        if len(raw) == 1:
+            ((code, coeff),) = raw.items()
+            if coeff == 1:
+                return self._monomial(code)
+        out = self._reduce(raw)
+        return ChowElement(self, out, degree if out else None)
 
-    def _normal_form(self, expo: tuple) -> ChowElement:
+    def _monomial(self, code: int) -> ChowElement:
+        """The memo's normal form of the monomial with this code."""
+        nf = self._memo.get(code)
+        return nf if nf is not None else self._normal_form(code)
+
+    def _normal_form(self, code: int) -> ChowElement:
         """Normal form of a monomial not yet in the memo, as a memoized element.
 
         A monomial b * z^N, b on the base, is rewritten one level at a
@@ -520,35 +576,47 @@ class Ambient:
         long as dim B (z^(n+1) on P(O(1) + O) over P^n walks n steps), so
         it must not recurse: a stack recurses once per level, never once
         per exponent.  This memo gains the monomial asked for and every
-        image met on the way.  The element has degree sum(expo), or None
-        when the form is zero, and is shared by whoever the memo hands it
-        to: values are never mutated.
+        image met on the way.  On codes, N and b are a shift and a mask of
+        the monomial, a lift is two masks and a shift (`_liftc`, inlined),
+        and a rule step is one sum.  The element has the degree of the
+        monomial, or None when the form is zero, and is shared by whoever
+        the memo hands it to: values are never mutated.
         """
         p, rank, base = self._zpos, self.rank, self.base
         top = rank + base.dim
-        memo, rule, expo_sum = self._memo, self._rhss[p], self._expo_sum
+        memo, rule = self._memo, self._rhss[p]
+        shift = 16 * p
+        low = (1 << shift) - 1
+        high = ~low
         # (monomial, its images, or None before they are computed): a
         # monomial waits under the images it needs, so it is popped again
         # only once they are all memoized
-        stack = [(expo, None)]
+        stack = [(code, None)]
         while stack:
             m, images = stack.pop()
             if m in memo:  # pushed again before its first copy was resolved
                 continue
             if images is None:
-                n = m[p]
+                n = (m >> shift) & _FIELD
                 images = ()  # z^N is zero from N = rank + dim B on
                 if n < top:
-                    below = base._monomial(m[:p] + m[p + 1:])
+                    below = base._monomial((m & low) + ((m >> 16) & high))
+                    zn = n << shift
                     if n < rank:
-                        terms = {e[:p] + (n,) + e[p:]: c for e, c in below.terms.items()}
-                        memo[m] = ChowElement(self, terms, sum(m) if terms else None)
+                        terms = {
+                            (e & low) + ((e & high) << 16) + zn: c
+                            for e, c in below._terms.items()
+                        }
+                        memo[m] = ChowElement(self, terms, m % _FIELD if terms else None)
                         continue
                     if below.mono is None:
-                        images = [(e[:p] + (n,) + e[p:], c) for e, c in below.terms.items()]
+                        images = [
+                            ((e & low) + ((e & high) << 16) + zn, c)
+                            for e, c in below._terms.items()
+                        ]
                     else:
-                        rest = m[:p] + (n - rank,) + m[p + 1:]
-                        images = [(expo_sum(rest, r), c) for r, c in rule]
+                        rest = m - (rank << shift)
+                        images = [(rest + r, c) for r, c in rule]
                     waiting = [(e, None) for e, _ in images if e not in memo]
                     if waiting:
                         stack.append((m, images))
@@ -556,22 +624,22 @@ class Ambient:
                         continue
             terms = {}
             for e, c in images:
-                for e2, c2 in memo[e].terms.items():
+                for e2, c2 in memo[e]._terms.items():
                     terms[e2] = terms.get(e2, 0) + c * c2
             if 0 in terms.values():
                 terms = {e: c for e, c in terms.items() if c}
-            memo[m] = ChowElement(self, terms, sum(m) if terms else None)
-        return memo[expo]
+            memo[m] = ChowElement(self, terms, m % _FIELD if terms else None)
+        return memo[code]
 
     def _reduce(self, raw: dict) -> dict:
-        """Normal form of exponent -> coefficient data, like terms merged."""
+        """Normal form of code -> coefficient data, like terms merged."""
         memo = self._memo
         out: dict = {}
-        for expo, coeff in raw.items():
-            nf = memo.get(expo)
+        for m, coeff in raw.items():
+            nf = memo.get(m)
             if nf is None:
-                nf = self._normal_form(expo)
-            for e, c in nf.terms.items():
+                nf = self._normal_form(m)
+            for e, c in nf._terms.items():
                 out[e] = out.get(e, 0) + coeff * c
         # copied only when something cancelled, which most sums do not
         if 0 in out.values():
@@ -581,10 +649,15 @@ class Ambient:
 
 @cache
 def _unit_monomials(caps: tuple) -> tuple:
-    """(m, {m: 1}, sum(m)) for every normal monomial under these caps, in
-    product order: one per shape and process, shared by every ambient of
-    that shape, which wraps each in its own element."""
-    return tuple((m, {m: 1}, sum(m)) for m in product(*map(range, caps)))
+    """(code, {code: 1}, degree) for every normal monomial under these
+    caps, in product order, and the table of their codes by exponent
+    tuple: one per shape and process, shared by every ambient of that
+    shape, which wraps each unit in its own element."""
+    fill, codes = [], {}
+    for m in product(*map(range, caps)):
+        code = codes[m] = _pack(m)
+        fill.append((code, {code: 1}, sum(m)))
+    return tuple(fill), codes
 
 
 def _coerce_twist(B: Ambient, t) -> ChowElement:
@@ -622,16 +695,16 @@ def make_tower(base: Ambient, twists: Sequence) -> Ambient:
     # once per degree at the end (the normal form is a ring map); e_i has
     # degree i, so it vanishes on the base for i > dim(B) and is not stored
     d = min(rank, base.dim)
-    expo_sum = base._expo_sum
-    es = [{(0,) * base.nvars: 1}] + [{} for _ in range(d)]
+    es = [{0: 1}] + [{} for _ in range(d)]
     for j, L in enumerate(coerced, start=1):
         for i in range(min(j, d), 0, -1):
             ei = es[i]
             for m1, c1 in es[i - 1].items():
-                for m2, c2 in L.terms.items():
-                    m = expo_sum(m1, m2)
+                for m2, c2 in L._terms.items():
+                    m = m1 + m2
                     ei[m] = ei.get(m, 0) + c1 * c2
-    return Ambient(base, rank, coerced, tuple(map(base.from_terms, es[1:])))
+    cherns = tuple(base._element(ei, i) for i, ei in enumerate(es[1:], start=1))
+    return Ambient(base, rank, coerced, cherns)
 
 
 def chern_tower(base: Ambient, rank: int, cherns: Sequence[ChowElement]) -> Ambient:
@@ -658,13 +731,13 @@ def chern_tower(base: Ambient, rank: int, cherns: Sequence[ChowElement]) -> Ambi
 def integrate(x: ChowElement) -> int:
     """Degree of a zero-cycle: x must be homogeneous of top degree."""
     A = x.ambient
-    if not x.terms:
+    if not x._terms:
         return 0
     if x.degree != A.dim:
         raise ValueError(
             f"integrate needs degree {A.dim} on {A!r}, got degree {x.degree}"
         )
-    return x.terms.get(A.top_monomial, 0)
+    return x._terms.get(A._top, 0)
 
 
 def canonical_class(A: Ambient) -> ChowElement:
@@ -681,7 +754,7 @@ def canonical_class(A: Ambient) -> ChowElement:
         k = B.zero() if B.base is None else canonical_class(B)
         if A.cherns:  # a tower over the point stores none: c1 = 0
             k = k + A.cherns[0]
-        z = A._memo[A._lift((0,) * B.nvars, 1)]
+        z = A._memo[A._liftc(0, 1)]
         K = A._canonical = (-A.rank) * z + A.pullback(k)
     return K
 

@@ -23,9 +23,10 @@ from delpezzo import (
     make_tower,
     polarized_degree,
 )
+from delpezzo import chow
 from delpezzo.enumeration import model_values
 from substitution_oracle import oracle_reduce
-from test_chow_oracle import random_towers
+from test_chow_oracle import code, random_towers
 
 coeffs = st.integers(min_value=-6, max_value=6)
 
@@ -666,11 +667,11 @@ def test_scaled_monomial_product_leaves_the_memo_entry():
     A = h_tower()
     z = A.zeta
     unit = z * z
-    assert A._memo[(0, 2)] is unit
+    assert A._memo[code((0, 2))] is unit
     scaled = z * (-2 * z)
     assert scaled.terms == {(1, 1): -2} and scaled.degree == 2
     assert A.from_terms({(0, 2): -2}) == scaled
-    assert A._memo[(0, 2)] is unit and unit.terms == {(1, 1): 1}
+    assert A._memo[code((0, 2))] is unit and unit.terms == {(1, 1): 1}
     assert z * z is unit
 
 
@@ -690,12 +691,35 @@ def test_from_terms_rejects_non_int_data(terms):
     A = h_tower()
     with pytest.raises(ValueError, match="must be an int"):
         A.from_terms(terms)
-    # (1.0, 0) hashes as (1, 0): once the ambient has met the int
-    # monomial, the float one must still be refused
+    # (1.0, 0) and (True, 0) hash as (1, 0), a normal monomial whose code
+    # the ambient holds from construction on: the type check runs before
+    # that lookup, and once the ambient has met the int monomial, the
+    # float one must still be refused
     for expo in terms:
         A.from_terms({tuple(map(int, expo)): 1})
     with pytest.raises(ValueError, match="must be an int"):
         A.from_terms(terms)
+
+
+def test_packed_monomials_hold_up_to_dimension_32767():
+    # each exponent is a 16-bit field and the degree is read modulo
+    # 0xFFFF: on the largest ring a product of two classes reaches degree
+    # 2 * 32767 = 0xFFFE, and z^65534 is still zero, not a carried z^0
+    pt = Base("pt")
+    A = make_tower(pt, [0] * 32768)
+    top = A.zeta**32767
+    assert A.dim == 32767 and top.degree == 32767 and integrate(top) == 1
+    assert (top * top).is_zero()
+    # one level more is refused before its normal monomials are built
+    misses = chow._unit_monomials.cache_info().misses
+    with pytest.raises(ValueError, match="dimension 32768 is above 32767"):
+        make_tower(pt, [0] * 32769)
+    assert chow._unit_monomials.cache_info().misses == misses
+    # a monomial of degree above dim is zero before it is packed, so an
+    # exponent past 16 bits never reaches a field
+    T = h_tower()
+    assert T.from_terms({(0, 10**12): 1}).is_zero()
+    assert T.from_terms({(0, 2**16): 3, (2**16, 0): -1}) == T.zero()
 
 
 @pytest.mark.parametrize("scalar", [True, False, 2.0])
@@ -844,7 +868,7 @@ def test_pullback_onto_a_named_base_follows_its_printed_layout():
     # generator their row names F, wherever it is printed (f after C0)
     F = P1().gen("F")
     for S, name, expo in ((P1xP1(), "f1", (1, 0)), (Fe(2), "f", (0, 1)), (P1xP2(), "p", (1, 0))):
-        assert S.pullback(F) is S.gen(name) and S.gen(name).mono == expo
+        assert S.pullback(F) is S.gen(name) and S.gen(name).mono == code(expo)
     # a named base pulls back classes of its own base only
     with pytest.raises(ValueError, match="class on this tower's base"):
         Fe(2).pullback(Fe(2).gen("f"))
@@ -853,7 +877,7 @@ def test_pullback_onto_a_named_base_follows_its_printed_layout():
 def test_pullback_of_a_base_generator_is_the_memo_element():
     T = make_tower(P1(), [1, 0])
     F = T.pullback(P1().gen("F"))
-    assert F is T.gen("F") and F.mono == (1, 0)
+    assert F is T.gen("F") and F.mono == code((1, 0))
 
 
 @given(c=st.integers(min_value=-9, max_value=9))

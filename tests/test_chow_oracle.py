@@ -141,6 +141,16 @@ def normal_monomials(A):
     return list(itertools.product(*(range(c) for c in caps_of(A))))
 
 
+def code(expo):
+    """The engine's key of a monomial: exponent i in bits 16i .. 16i + 15."""
+    return sum(k << 16 * i for i, k in enumerate(expo))
+
+
+def exponents(A, c):
+    """The exponent tuple of the monomial with code c on A."""
+    return tuple((c >> 16 * i) & 0xFFFF for i in range(A.nvars))
+
+
 @pytest.mark.parametrize("idx", range(len(ZOO)), ids=[repr(a) for a in ZOO])
 def test_monomial_products_match_oracle(idx):
     # all pairs of normal monomials: every degree split, and products whose
@@ -217,7 +227,7 @@ def test_unit_monomials_are_the_memo_elements(idx):
     ]
     handed += [(A.from_terms({m: 1}), m) for m in normal_monomials(A)]
     for x, expo in handed:
-        assert x is A._memo[expo] and x.mono == expo
+        assert x is A._memo[code(expo)] and x.mono == code(expo)
     assert A.zeta is A.zeta
 
 
@@ -231,12 +241,12 @@ def test_hinted_monomial_products_match_the_general_path(idx):
     mons = normal_monomials(fast)
     xs = [fast.from_terms({m: 1}) for m in mons]
     ys = [1 * general.from_terms({m: 1}) for m in mons]
-    assert all(x.mono == m for x, m in zip(xs, mons))
+    assert all(x.mono == code(m) for x, m in zip(xs, mons))
     assert all(y.mono is None for y in ys)
     c = -2
-    for x, gx in zip(xs, ys):
-        for y, gy in zip(xs, ys):
-            key = fast._expo_sum(x.mono, y.mono)
+    for m1, x, gx in zip(mons, xs, ys):
+        for m2, y, gy in zip(mons, xs, ys):
+            key = code([a + b for a, b in zip(m1, m2)])
             prod = x * y
             assert prod is fast._memo[key]
             want = gx * gy
@@ -257,10 +267,14 @@ def test_monomials_over_a_zero_rule_are_zero_at_once():
     # its cap, has the nonzero rule C0^2 = -3 C0 f: nothing is rewritten
     B = Fe(3)
     A = make_tower(Fe(3), [B.gen("C0"), 0])
+    # from_terms drops it before any lookup, as its degree 4 is above dim
+    # 3; the product of two normal monomials meets it in the memo
     x = A.from_terms({(2, 2, 0): 1})
     assert x.is_zero() and x.degree is None and x.mono is None
-    normal = set(normal_monomials(A))
-    assert [m for m in A._memo if m not in normal] == [(2, 2, 0)]
+    x = A.from_terms({(1, 1, 0): 1}) * A.from_terms({(1, 1, 0): 1})
+    assert x.is_zero() and x.degree is None and x.mono is None
+    normal = set(map(code, normal_monomials(A)))
+    assert [m for m in A._memo if m not in normal] == [code((2, 2, 0))]
     # every rule of a trivial P2 tower is zero, z^3 = 0 included
     T = make_tower(P2(), [0, 0, 0])
     h, z = T.from_terms({(1, 0): 1}), T.from_terms({(0, 1): 1})
@@ -272,8 +286,8 @@ def test_monomials_over_a_zero_rule_are_zero_at_once():
     pt = F0.from_terms({F0.top_monomial: 1})
     first, second = (chern_tower(Fe(0), 2, [F0.zero(), pt]) for _ in range(2))
     for A, order in ((first, [(0, 0, 4), (2, 2, 0)]), (second, [(2, 2, 0), (0, 0, 4)])):
-        for m in order:
-            A.from_terms({m: 1})
+        for m in order:  # both above dim 3, so past from_terms
+            A._monomial(code(m))
     assert first._memo == second._memo
 
 
@@ -352,7 +366,10 @@ def test_z_powers_match_the_segre_series(idx):
 def test_random_z_powers_match_the_segre_series(data):
     # over P^N a power of z walks up to N steps of the Grothendieck rule
     towers = st.one_of(random_towers(), towers_over_projective_space())
-    assert_z_powers_match_segre(data.draw(towers))
+    A = data.draw(towers)
+    assert_z_powers_match_segre(A)
+    x, y = (A.from_terms(data.draw(raw_classes(A))) for _ in range(2))
+    assert_views_round_trip(A, [x, y, x * y])
 
 
 # -- random towers under hypothesis ------------------------------------------
@@ -424,6 +441,23 @@ def raw_classes(draw, A):
     return terms
 
 
+def assert_views_round_trip(A, classes):
+    """The tuple views at the engine's edges: each class's `terms` has
+    int-tuple keys below the caps and rebuilds the class by `from_terms`,
+    and every rule that `relations()` hands the oracle is over int tuples
+    of A's length."""
+    caps = caps_of(A)
+    for x in classes:
+        for expo in x.terms:
+            assert type(expo) is tuple and len(expo) == A.nvars
+            assert all(type(k) is int and 0 <= k < cap for k, cap in zip(expo, caps))
+        assert A.from_terms(x.terms) == x
+    for lhs, rhs in A.relations():
+        for expo in (lhs, *(e for e, _ in rhs)):
+            assert type(expo) is tuple and len(expo) == A.nvars
+            assert all(type(k) is int and k >= 0 for k in expo)
+
+
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_random_towers_match_oracle(data):
@@ -440,6 +474,7 @@ def test_random_towers_match_oracle(data):
     assert (x * y).terms == oracle_mul(
         A, list(x.terms.items()), list(y.terms.items()), seed=seed + 2
     )
+    assert_views_round_trip(A, [x, y, x * y])
 
 
 @given(data=st.data())
@@ -525,12 +560,14 @@ def test_memo_monomials_carry_their_exponent(data):
             A.from_terms({m1: 1}) * A.from_terms({m2: 1})
     caps = caps_of(A)
     hinted = 0
-    for expo, nf in A._memo.items():
+    for key, nf in A._memo.items():
+        expo = exponents(A, key)
         if all(k < cap for k, cap in zip(expo, caps)):
-            assert nf.mono == expo
+            assert nf.mono == key
         if nf.mono is not None:
             hinted += 1
-            assert nf.terms == {nf.mono: 1} and nf.degree == sum(nf.mono)
+            mono = exponents(A, nf.mono)
+            assert nf.terms == {mono: 1} and nf.degree == sum(mono)
             assert nf.ambient is A
     assert hinted >= A.nvars
 
@@ -544,14 +581,15 @@ def fresh_fill(A):
     Handing out a unit monomial, by `gen`, `one`, `point`, `zeta` or a
     one-term `from_terms` of a normal monomial, adds nothing to it.
     """
-    fill = normal_monomials(A)
+    mons = normal_monomials(A)
+    fill = list(map(code, mons))
     assert list(A._memo) == fill
-    for m, nf in A._memo.items():
-        assert nf.mono == m and nf.terms == {m: 1} and nf.degree == sum(m)
+    for m, (key, nf) in zip(mons, A._memo.items()):
+        assert nf.mono == key and nf.terms == {m: 1} and nf.degree == sum(m)
         assert nf.ambient is A
     handed = [A.gen(g) for g in A.gen_names] + [A.one(), A.point()]
     handed += [A.zeta] if "z" in A.gen_names else []
-    handed += [A.from_terms({m: 1}) for m in fill]
+    handed += [A.from_terms({m: 1}) for m in mons]
     assert len(A._memo) == len(fill)
     assert all(x is A._memo[x.mono] for x in handed)
     return dict(A._memo)
@@ -561,10 +599,10 @@ def assert_fill_kept(A, fill):
     """The filled elements are still A's and unchanged, and every key
     the memo gained since is a monomial at or over some cap."""
     caps = caps_of(A)
-    assert all(A._memo[m] is nf and nf.terms == {m: 1} for m, nf in fill.items())
+    assert all(A._memo[m] is nf and nf._terms == {m: 1} for m, nf in fill.items())
     beyond = [m for m in A._memo if m not in fill]
     for m in beyond:
-        assert not all(k < cap for k, cap in zip(m, caps))
+        assert not all(k < cap for k, cap in zip(exponents(A, m), caps))
         assert A._memo[m].mono is None
     return beyond
 
@@ -616,7 +654,7 @@ def test_one_shape_shares_its_unit_terms_and_nothing_else():
     fill, fill2 = fresh_fill(A), fresh_fill(A2)
     for m, nf in fill.items():
         nf2 = fill2[m]
-        assert nf.terms is nf2.terms and nf is not nf2
+        assert nf._terms is nf2._terms and nf is not nf2
         assert nf.ambient is A and nf2.ambient is A2
     # products on one ring, rewritten or not, leave the other's memo as it was
     x = A.zeta + A.pullback(C0)
@@ -625,12 +663,12 @@ def test_one_shape_shares_its_unit_terms_and_nothing_else():
         A.from_terms({(1, 1, 3): 1}) * A.from_terms({(0, 1, n): -2})
     assert len(A._memo) > len(fill)
     assert A2._memo == fill2 and list(A2._memo) == list(fill2)
-    assert all(A2._memo[m] is nf and nf.terms == {m: 1} for m, nf in fill2.items())
+    assert all(A2._memo[m] is nf and nf._terms == {m: 1} for m, nf in fill2.items())
     # a tower of another rank has other unit terms
     A5 = make_tower(Fe(0), [C0, f, C0 + 2 * f, 0, 0])
     fresh_fill(A5)
-    ours = {id(nf.terms) for nf in fill.values()}
-    assert not ours & {id(nf.terms) for nf in A5._memo.values()}
+    ours = {id(nf._terms) for nf in fill.values()}
+    assert not ours & {id(nf._terms) for nf in A5._memo.values()}
 
 
 @given(data=st.data())
@@ -643,7 +681,7 @@ def test_memo_fill_order_does_not_change_normal_forms(data):
     seed = data.draw(st.integers(0, 999))
     first, second = rebuild(A), rebuild(A)
     assert first == second == A and first._memo == second._memo
-    assert list(first._memo) == list(second._memo) == normal_monomials(A)
+    assert list(first._memo) == list(second._memo) == list(map(code, normal_monomials(A)))
     forward = [first.from_terms({m: 1}).terms for m in mons]
     backward = [second.from_terms({m: 1}).terms for m in reversed(mons)][::-1]
     assert forward == backward

@@ -1,11 +1,11 @@
 """No module of the package imports a name it never uses, none defines
 a private module-level name it never reads, none writes into the
-`terms` of a Chow element (nor does any test, script or benchmark
-file), none sets the `mono` hint of one outside its constructor, none
-passes that hint to the constructor outside the memo's fill in
-`Ambient.__init__`, none builds a `CheckResult` outside `verify`'s
-`_check`, `_skip` and `_window`, and only `catalog.FamilyRecord` is a
-dataclass.
+`terms` of a Chow element or the `_terms` it stores them in (nor does
+any test, script or benchmark file), none sets the `mono` hint of one
+outside its constructor, none passes that hint to the constructor
+outside the memo's fill in `Ambient.__init__`, none builds a
+`CheckResult` outside `verify`'s `_check`, `_skip` and `_window`, and
+only `catalog.FamilyRecord` is a dataclass.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree with `ast`.  Only `__init__.py` is exempt from the import guard:
@@ -100,15 +100,16 @@ _DICT_MUTATORS = {"update", "pop", "popitem", "clear", "setdefault"}
 
 
 def _is_terms(node) -> bool:
-    return isinstance(node, ast.Attribute) and node.attr == "terms"
+    return isinstance(node, ast.Attribute) and node.attr in ("terms", "_terms")
 
 
 def terms_mutations(source: str) -> list[int]:
-    """Lines that change an `.terms` dict in place.
+    """Lines that change an `.terms` or `._terms` dict in place.
 
     The engine's memo hands the same element to every caller, so its
     terms dict is shared: an item assignment, deletion, in-place `|=` or
-    mutating method call on any `.terms` would change other values too.
+    mutating method call on any `._terms`, or on the `.terms` view of
+    it, would change other values too.
     """
     lines = []
     for node in ast.walk(ast.parse(source)):
@@ -140,8 +141,12 @@ def test_terms_mutations_are_detected():
         "    terms.pop((1,))\n"
         "    x.terms = terms\n"
         "    return x.terms.get((1,)), x.terms[(1,)], y.terms.items()\n"
+        "def g(x):\n"
+        "    x._terms[1] = 2\n"
+        "    x._terms.update({})\n"
+        "    return x._terms.get(1), dict(x._terms)\n"
     )
-    assert terms_mutations(source) == [2, 3, 4, 5, 6, 7, 8, 8, 8]
+    assert terms_mutations(source) == [2, 3, 4, 5, 6, 7, 8, 8, 8, 15, 16]
 
 
 # the package by module name, then every script, test and benchmark file
