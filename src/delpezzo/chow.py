@@ -32,33 +32,37 @@ cap.  Each ambient memoizes normal forms as elements of its ring, each
 normal monomial as itself from construction on and every other one once
 met, so a memo miss is always a monomial to rewrite.  The unit terms
 {m: 1} and degrees of the normal monomials, and the table of their codes
-by exponent tuple, depend only on the caps, so they are built once per
-shape and process (`_unit_monomials`) and shared by every ambient of
-that shape, each wrapping the units in its own elements.
+by exponent tuple, depend only on the caps and the layout, so they are
+built once per shape and process (`_unit_monomials`) and shared by every
+ambient of that shape, each wrapping the units in its own elements.
 
 Inside the engine a monomial is one int, its code (packed exponent
-vectors, as in Monagan and Pearce, CASC 2007): the exponent of generator
-i, in printed order, fills bits 16i .. 16i + 15.  A product of monomials
-is the sum of their codes, a memo key hashes as an int, and as 2^16 = 1
-modulo 2^16 - 1, the degree of a monomial is code % 0xFFFF.  Both hold
-while no field carries into the next and the degree stays below 0xFFFF:
-every monomial the engine meets has degree at most 2 dim, that of a
-product of two normal monomials, since a rewrite keeps the degree and a
-given monomial of degree above dim is zero before it is packed.  So a
-ring of dimension above 32767 is refused when it is built.  Exponent
-tuples are only at the edges: `from_terms` takes them, `terms` shows an
-element keyed by them (a read-only view built on each read), and
-`relations()`, `top_monomial` and the printed form use them.
+vectors, as in Monagan and Pearce, CASC 2007), one 16-bit field per
+generator: a tower's z fills the field just above its base's fields, so
+a base monomial's code is the code of its pullback.  A product of
+monomials is the sum of their codes, a memo key hashes as an int, and
+as 2^16 = 1 modulo 2^16 - 1, the degree of a monomial is code % 0xFFFF.
+Both hold while no field carries into the next and the degree stays
+below 0xFFFF: every monomial the engine meets has degree at most 2 dim,
+that of a product of two normal monomials, since a rewrite keeps the
+degree and a given monomial of degree above dim is zero before it is
+packed.  So a ring of dimension above 32767 is refused when it is built.
+Printed order and exponent tuples live only at the edges: each ring
+keeps the bit offset of each printed generator's field, by which
+`from_terms`, `terms` (a view built on each read), `relations()`,
+`top_monomial`, `gen` and the printed form pack and unpack.  Only F_e,
+which prints its z, C0, before P1's F, f, and the towers over it print
+generators out of field order.
 
-A monomial b z^N is rewritten one level at a time: its base part b by
-the base's own memo, then, for r <= N < r + dim B and b normal, by one
-step of the stored Grothendieck rule, b z^(N-r) times its right side;
-z^N is zero from N = r + dim B on.  The monomials a step yields are
-rewritten the same way on an explicit stack, not by recursion, since a
-chain of steps is as long as dim B.  So the memo of a tower holds the
-monomials met with their z-part, and the memo of its base every base
-monomial that a rewrite met; a named base is one ring per process, so
-its memo serves every tower over it.
+A monomial b z^N, b the code's fields below z and N its top field, is
+rewritten one level at a time: b by the base's own memo, then, for
+r <= N < r + dim B and b normal, by one step of the stored Grothendieck
+rule, b z^(N-r) times its right side; z^N is zero from N = r + dim B on.
+The monomials a step yields are rewritten the same way on an explicit
+stack, not by recursion, since a chain of steps is as long as dim B.  So
+the memo of a tower holds the monomials met with their z-part, and the
+memo of its base every base monomial that a rewrite met; a named base is
+one ring per process, so its memo serves every tower over it.
 
 The memo is the one source of unit monomials: `gen`, `one`, `point`,
 `zeta`, a one-term `from_terms` with coefficient 1, a pulled-back unit
@@ -117,14 +121,16 @@ _BASE_TOWERS = {
     "P1xP2": ("P1", ((0,), (0,), (0,)), (("p", "F"), ("h", "z"))),
 }
 
-# a monomial is one int, generator i's exponent in bits 16i .. 16i + 15
-# (printed order); as 2^16 = 1 modulo _FIELD, its degree is code % _FIELD
+# a monomial is one int, one 16-bit field per generator, a tower's z just
+# above its base's fields; as 2^16 = 1 modulo _FIELD, its degree is
+# code % _FIELD
 _FIELD = 0xFFFF
 _MAX_DIM = _FIELD // 2  # so a product's degree, at most 2 dim, is below _FIELD
 
 
-def _pack(expo: Sequence[int]) -> int:
-    return sum(k << 16 * i for i, k in enumerate(expo))
+def _pack(expo: Sequence[int], offsets: tuple) -> int:
+    """The code of an exponent tuple, by the field offset of each generator."""
+    return sum(k << o for k, o in zip(expo, offsets))
 
 
 def Base(kind: str, e: int = 0) -> Ambient:
@@ -336,7 +342,8 @@ class Ambient:
 
     A tower has rank >= 2 and a tautological class: z, the last
     generator, or on a named base the generator its row names z, at its
-    printed place.  The point has no base and no generators, and rank 1.
+    printed place; either way its exponent fills the top field of a code.
+    The point has no base and no generators, and rank 1.
     The Grothendieck relation is stored with the Chern classes of V
     truncated at dim(B): relations() exposes every stored rewrite rule.
     `named` is (kind, e, the row's names) for the point and a named base,
@@ -344,19 +351,20 @@ class Ambient:
     None and e 0.
 
     The shape is fixed at construction: `dim`, `gen_names`, `nvars`, the
-    top monomial (`top_monomial`, and its code `_top` that `integrate`
-    reads), the exponent cap and rule right side of every generator (the
-    base's, with z^rank at the place of z) and the codes of the normal
-    monomials (`_codes`) are computed once in `__init__`, so products,
-    `from_terms`, `gen` and `integrate` read plain attributes.  A ring of
-    dimension above 32767 is refused, so that no exponent of a product
-    of two classes overflows its 16-bit field.
+    field offset of each printed generator (`_offsets`), the top monomial
+    (`top_monomial`, and its code `_top` that `integrate` reads), the
+    exponent cap and rule right side of every generator in field order
+    (the base's, which serve the tower unchanged, then z's) and the codes
+    of the normal monomials (`_codes`) are computed once in `__init__`,
+    so products, `from_terms`, `gen` and `integrate` read plain
+    attributes.  A ring of dimension above 32767 is refused, so that no
+    exponent of a product of two classes overflows its 16-bit field.
     """
 
     __slots__ = (
         "base", "rank", "twists", "cherns", "kind", "e",
         "dim", "gen_names", "nvars", "top_monomial",
-        "_zpos", "_top", "_caps", "_rhss", "_codes", "_memo", "_canonical",
+        "_offsets", "_top", "_caps", "_rhss", "_codes", "_memo", "_canonical",
     )
 
     def __init__(self, base: Ambient | None, rank: int, twists, cherns, named=(None, 0, None)):
@@ -366,62 +374,50 @@ class Ambient:
         self.cherns = cherns
         self.kind, self.e, names = named
         if base is None:  # the point
-            self.dim, self._zpos = 0, 0
-            self.gen_names, caps, rhss, self._top = (), (), (), 0
+            self.dim = 0
+            self.gen_names, self._offsets, self._caps, self._rhss, self._top = (), (), (), (), 0
         else:
             self.dim = base.dim + rank - 1
             if self.dim > _MAX_DIM:
                 raise ValueError(
                     f"dimension {self.dim} is above {_MAX_DIM}, the largest a ring supports"
                 )
+            shift = 16 * base.nvars  # z's field, just above the base's
             if names is None:  # z last; each z below is named by its level
                 below = base.gen_names
                 level = 1 + sum(g[:1] == "z" and g[1:].isdigit() for g in below)
                 self.gen_names = tuple(f"z{level}" if g == "z" else g for g in below) + ("z",)
-                self._zpos = len(below)
+                self._offsets = base._offsets + (shift,)
             else:
                 self.gen_names = tuple(name for name, _ in names)
-                self._zpos = [g for _, g in names].index("z")
-            lift, liftc = self._lift, self._liftc
+                fields = dict(zip(base.gen_names, base._offsets), z=shift)
+                self._offsets = tuple(fields[g] for _, g in names)
             # every generator has one rule, which rewrites its pure power
-            # gen^cap: the base's rules, and the Grothendieck relation for z
-            rhs = tuple(
-                (liftc(bexpo, rank - i), (1 if i % 2 == 1 else -1) * bcoeff)
+            # gen^cap, in field order: the base's rules, whose codes are
+            # those of their pullbacks, and the Grothendieck relation for z
+            rule = tuple(
+                (bexpo + ((rank - i) << shift), (1 if i % 2 == 1 else -1) * bcoeff)
                 for i, ci in enumerate(cherns, start=1)
                 for bexpo, bcoeff in ci._terms.items()
             )
-            caps = lift(base._caps, rank)
-            padded = tuple(tuple((liftc(e, 0), c) for e, c in r) for r in base._rhss)
-            rhss = lift(padded, rhs)
-            self._top = liftc(base._top, rank - 1)
+            self._caps = base._caps + (rank,)
+            self._rhss = base._rhss + (rule,)
+            self._top = base._top + ((rank - 1) << shift)
         self.nvars = len(self.gen_names)
         self.top_monomial = self._unpack(self._top)
-        self._caps = caps
-        self._rhss = rhss
         # monomial code -> its normal form, an element shared by whoever
         # gets it: each normal monomial as itself from the start, others
         # once met
-        fill, self._codes = _unit_monomials(caps)
+        caps = tuple(self._caps[o >> 4] for o in self._offsets)
+        fill, self._codes = _unit_monomials(caps, self._offsets)
         self._memo = {m: ChowElement(self, t, d, m) for m, t, d in fill}
         # K of this ambient, built on first use, so a build runs no class
         # product or sum
         self._canonical = None
 
-    def _lift(self, base_entries: tuple, z_entry) -> tuple:
-        """Per-generator data of the base with z's entry put at z's place."""
-        p = self._zpos
-        return base_entries[:p] + (z_entry,) + base_entries[p:]
-
-    def _liftc(self, b: int, n: int) -> int:
-        """The code of b * z^n, for b the code of a base monomial: the
-        fields from z's place on move up one field."""
-        shift = 16 * self._zpos
-        low = (1 << shift) - 1
-        return (b & low) + ((b & ~low) << 16) + (n << shift)
-
     def _unpack(self, code: int) -> tuple:
-        """The exponent tuple of a monomial code."""
-        return tuple([(code >> s) & _FIELD for s in range(0, 16 * self.nvars, 16)])
+        """The exponent tuple, in printed order, of a monomial code."""
+        return tuple([(code >> o) & _FIELD for o in self._offsets])
 
     # -- structure ---------------------------------------------------
 
@@ -462,7 +458,7 @@ class Ambient:
         names = self.gen_names
         if name not in names:
             raise ValueError(f"no generator {name!r} on {self!r}")
-        return self._monomial(1 << 16 * names.index(name))
+        return self._monomial(1 << self._offsets[names.index(name)])
 
     @property
     def zeta(self) -> ChowElement:
@@ -477,7 +473,7 @@ class Ambient:
         """
         if self.base is None:
             raise ValueError("the point has no base to take a point of")
-        return self._memo[self._liftc(self.base._top, 0)]
+        return self._memo[self.base._top]
 
     def from_terms(self, terms: dict) -> ChowElement:
         """Build an element from raw exponent->coefficient data (normalized here).
@@ -509,7 +505,7 @@ class Ambient:
                     raise ValueError(f"bad exponent vector {expo} for {self!r}")
                 d = sum(expo)
                 if d <= dim:  # above dim every monomial is zero
-                    raw[_pack(expo)] = coeff
+                    raw[_pack(expo, self._offsets)] = coeff
             elif single and coeff == 1:
                 return self._memo[code]
             else:
@@ -527,18 +523,17 @@ class Ambient:
         """Pull a class of the base back to the tower."""
         if x.ambient is not self.base and x.ambient != self.base:
             raise ValueError("pullback expects a class on this tower's base")
-        liftc = self._liftc
-        return self._element({liftc(e, 0): c for e, c in x._terms.items()}, x.degree)
+        return self._element(x._terms, x.degree)
 
     # -- rewriting ---------------------------------------------------
 
     def relations(self) -> list[tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]]:
         """All stored rewrite rules over the full generator tuple, one per
         generator in order: gen^cap -> right side."""
-        n, unpack = self.nvars, self._unpack
+        unpack = self._unpack
         return [
-            (tuple(cap if j == i else 0 for j in range(n)), [(unpack(r), c) for r, c in rhs])
-            for i, (cap, rhs) in enumerate(zip(self._caps, self._rhss))
+            (unpack(self._caps[o >> 4] << o), [(unpack(r), c) for r, c in self._rhss[o >> 4]])
+            for o in self._offsets
         ]
 
     def _element(self, raw: dict, degree) -> ChowElement:
@@ -576,18 +571,16 @@ class Ambient:
         long as dim B (z^(n+1) on P(O(1) + O) over P^n walks n steps), so
         it must not recurse: a stack recurses once per level, never once
         per exponent.  This memo gains the monomial asked for and every
-        image met on the way.  On codes, N and b are a shift and a mask of
-        the monomial, a lift is two masks and a shift (`_liftc`, inlined),
-        and a rule step is one sum.  The element has the degree of the
-        monomial, or None when the form is zero, and is shared by whoever
-        the memo hands it to: values are never mutated.
+        image met on the way.  On codes, N is a shift of the monomial, and
+        taking b off it, a lift by z^N and a rule step are each one sum.
+        The element has the degree of the monomial, or None when the form
+        is zero, and is shared by whoever the memo hands it to: values are
+        never mutated.
         """
-        p, rank, base = self._zpos, self.rank, self.base
+        rank, base = self.rank, self.base
         top = rank + base.dim
-        memo, rule = self._memo, self._rhss[p]
-        shift = 16 * p
-        low = (1 << shift) - 1
-        high = ~low
+        memo, rule = self._memo, self._rhss[-1]
+        shift = 16 * base.nvars
         # (monomial, its images, or None before they are computed): a
         # monomial waits under the images it needs, so it is popped again
         # only once they are all memoized
@@ -597,23 +590,17 @@ class Ambient:
             if m in memo:  # pushed again before its first copy was resolved
                 continue
             if images is None:
-                n = (m >> shift) & _FIELD
+                n = m >> shift
                 images = ()  # z^N is zero from N = rank + dim B on
                 if n < top:
-                    below = base._monomial((m & low) + ((m >> 16) & high))
                     zn = n << shift
+                    below = base._monomial(m - zn)
                     if n < rank:
-                        terms = {
-                            (e & low) + ((e & high) << 16) + zn: c
-                            for e, c in below._terms.items()
-                        }
+                        terms = {e + zn: c for e, c in below._terms.items()}
                         memo[m] = ChowElement(self, terms, m % _FIELD if terms else None)
                         continue
                     if below.mono is None:
-                        images = [
-                            ((e & low) + ((e & high) << 16) + zn, c)
-                            for e, c in below._terms.items()
-                        ]
+                        images = [(e + zn, c) for e, c in below._terms.items()]
                     else:
                         rest = m - (rank << shift)
                         images = [(rest + r, c) for r, c in rule]
@@ -648,14 +635,14 @@ class Ambient:
 
 
 @cache
-def _unit_monomials(caps: tuple) -> tuple:
+def _unit_monomials(caps: tuple, offsets: tuple) -> tuple:
     """(code, {code: 1}, degree) for every normal monomial under these
-    caps, in product order, and the table of their codes by exponent
-    tuple: one per shape and process, shared by every ambient of that
-    shape, which wraps each unit in its own element."""
+    printed caps, in product order, and the table of their codes by exponent
+    tuple: one per shape, layout and process, shared by every ambient of
+    that shape, which wraps each unit in its own element."""
     fill, codes = [], {}
     for m in product(*map(range, caps)):
-        code = codes[m] = _pack(m)
+        code = codes[m] = _pack(m, offsets)
         fill.append((code, {code: 1}, sum(m)))
     return tuple(fill), codes
 
@@ -754,7 +741,7 @@ def canonical_class(A: Ambient) -> ChowElement:
         k = B.zero() if B.base is None else canonical_class(B)
         if A.cherns:  # a tower over the point stores none: c1 = 0
             k = k + A.cherns[0]
-        z = A._memo[A._liftc(0, 1)]
+        z = A._memo[1 << 16 * B.nvars]
         K = A._canonical = (-A.rank) * z + A.pullback(k)
     return K
 

@@ -120,6 +120,17 @@ class EnumerationResult(NamedTuple):
     exclusions: tuple[ExclusionRecord, ...]
 
 
+# Corollary 3.3: a small anticanonical map at Picard number 2 bounds the
+# degree to lo <= d <= hi, every Picard-2 search bound and window reason
+DEGREE_WINDOW = (1, 5)
+
+# Fujita's list (Classification Theories of Polarized Varieties, LMS LN
+# 155): the degrees of the smooth del Pezzo threefolds of Picard number 1,
+# V(2;1) .. V(2;5) and P3 with H = O(2); input to the search, not a claim
+# under test
+FUJITA_RANK1_DEGREES = (1, 2, 3, 4, 5, 8)
+
+
 # ---------------------------------------------------------------------------
 # quadric fibrations over P1
 # ---------------------------------------------------------------------------
@@ -142,9 +153,10 @@ def classify_tuple(a: tuple[int, ...]) -> TupleVerdict:
             "RejectedRange",
             reason=f"h1 of the bundle is {h1_split(a)} > 0; vanishing forces a1 >= -1",
         )
-    if not -1 <= total <= 3:
+    lo, hi = (d - 2 for d in DEGREE_WINDOW)  # the degree is the sum + 2
+    if not lo <= total <= hi:
         return verdict(
-            "RejectedRange", reason=f"sum {total} outside the window [-1; 3]"
+            "RejectedRange", reason=f"sum {total} outside the window [{lo}; {hi}]"
         )
     # inside the window a1 is 0 or -1
     if a == (0, 0, 1, 2):
@@ -170,12 +182,13 @@ def classify_tuple(a: tuple[int, ...]) -> TupleVerdict:
 
 @cache
 def enumerate_quadric_fibrations() -> tuple[TupleVerdict, ...]:
-    """Classify each non-decreasing 4-tuple with a1 >= -1 and sum <= 3,
-    which bound a4 by 6."""
+    """Classify each non-decreasing 4-tuple with a1 >= -1 and a sum at
+    most the window's top, 3, which bound a4 by that top + 3."""
+    top = DEGREE_WINDOW[1] - 2  # the degree is the sum + 2
     table = [
         classify_tuple(a)
-        for a in combinations_with_replacement(range(-1, 7), 4)
-        if sum(a) <= 3
+        for a in combinations_with_replacement(range(-1, top + 4), 4)
+        if sum(a) <= top
     ]
     assert sum(1 for v in table if v.verdict == "Small") == 6
     return tuple(table)
@@ -202,13 +215,14 @@ def enumerate_p2_bundles() -> EnumerationResult:
     chosen = [c1 for c1 in (0, -1) if (3 - c1) % 2 == 0]
     assert chosen == [-1]
     c1 = chosen[0]
+    lo, hi = (d + 2 for d in DEGREE_WINDOW)  # chi of F(2) is d + 2
     candidates, exclusions = [], []
     for c2 in range(-2, 12):
         F = chern_tower(P2(), 2, [c1 * h, c2 * pt])
         twisted = twist_rank2(F, 2 * h)  # c1 = 3h, c2 shifted by 2
         chi = chi_rank2(twisted)
         assert chi == 9 - c2
-        if not 3 <= chi <= 7:
+        if not lo <= chi <= hi:
             continue  # outside the section-count window of the smooth list
         d = integrate(twisted.zeta**3)  # c1^2 - c2 = 7 - c2
         if d < 2:
@@ -217,7 +231,7 @@ def enumerate_p2_bundles() -> EnumerationResult:
                     kind="p1-bundle-p2",
                     data=(c2,),
                     reason=(
-                        f"chi of F(2) is {chi} and passes the window 3..7 yet "
+                        f"chi of F(2) is {chi} and passes the window {lo}..{hi} yet "
                         f"the degree 7 - c2 = {d} fails the requirement d >= 2 "
                         "of the stated list"
                     ),
@@ -243,18 +257,11 @@ def enumerate_p2_bundles() -> EnumerationResult:
 # point blow-ups of del Pezzo threefolds
 # ---------------------------------------------------------------------------
 
-# Fujita's list (Classification Theories of Polarized Varieties, LMS LN
-# 155): the degrees of the smooth del Pezzo threefolds of Picard number 1,
-# V(2;1) .. V(2;5) and P3 with H = O(2); input to the search, not a claim
-# under test
-FUJITA_RANK1_DEGREES = (1, 2, 3, 4, 5, 8)
-
-
 @cache
 def enumerate_point_blowups() -> EnumerationResult:
     """Blow-ups of rank-1 smooth del Pezzo threefolds in a general point."""
     candidates, exclusions = [], []
-    for d in range(1, 6):  # the degree window 1 <= d <= 5 for small maps
+    for d in range(DEGREE_WINDOW[0], DEGREE_WINDOW[1] + 1):
         if d + 1 not in FUJITA_RANK1_DEGREES:
             exclusions.append(
                 ExclusionRecord(

@@ -34,6 +34,7 @@ from .catalog import (
     construction_models,
 )
 from .enumeration import (
+    DEGREE_WINDOW,
     enumerate_p2_bundles,
     enumerate_point_blowups,
     enumerate_quadric_fibrations,
@@ -42,6 +43,10 @@ from .enumeration import (
     model_values,
     scroll,
 )
+
+# the expected texts of the two window checks, built once from the window
+_DEGREE_TEXT = "{} <= degree <= {}".format(*DEGREE_WINDOW)
+_TARGET_TEXT = "target degree in [{}; {}]".format(*DEGREE_WINDOW)
 
 
 class CheckResult(NamedTuple):
@@ -115,8 +120,8 @@ def _skip(name, subject, reason, citation=""):
 
 def _window(name, r, expected, degree):
     """Corollary 3.3: a small anticanonical map at Picard rank 2 bounds the
-    degree, of `r` itself or of its smoothing, to 1 <= d <= 5."""
-    status = "pass" if 1 <= degree <= 5 else "fail"
+    degree, of `r` itself or of its smoothing, to `DEGREE_WINDOW`."""
+    status = "pass" if DEGREE_WINDOW[0] <= degree <= DEGREE_WINDOW[1] else "fail"
     computed = f"degree {degree}"
     return CheckResult(name, r.id, expected, computed, status, "", "Corollary 3.3")
 
@@ -177,7 +182,7 @@ def _family_checks(records, by_id):
                 name = f"{name}:{kind}"
                 yield _check(name, r.id, expected, computed, r.citation, reason)
         if r.anticanonical_map == "Small" and r.picard == 2 and r.dim == 3:
-            yield _window("degree-window", r, "1 <= degree <= 5", r.degree)
+            yield _window("degree-window", r, _DEGREE_TEXT, r.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +262,7 @@ def _smoothing_checks(records, by_id):
         for name, expected, computed, reason in rows:
             yield _check(name, r.id, expected, computed, "Theorem 3.2", reason)
         if r.anticanonical_map == "Small":
-            expected = "target degree in [1; 5]"
-            yield _window("smoothing-window", r, expected, target.degree)
+            yield _window("smoothing-window", r, _TARGET_TEXT, target.degree)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from delpezzo import (
 from delpezzo import chow
 from delpezzo.enumeration import model_values
 from substitution_oracle import oracle_reduce
-from test_chow_oracle import code, random_towers
+from test_chow_oracle import code, normal_monomials, random_towers
 
 coeffs = st.integers(min_value=-6, max_value=6)
 
@@ -667,11 +667,11 @@ def test_scaled_monomial_product_leaves_the_memo_entry():
     A = h_tower()
     z = A.zeta
     unit = z * z
-    assert A._memo[code((0, 2))] is unit
+    assert A._memo[code(A, (0, 2))] is unit
     scaled = z * (-2 * z)
     assert scaled.terms == {(1, 1): -2} and scaled.degree == 2
     assert A.from_terms({(0, 2): -2}) == scaled
-    assert A._memo[code((0, 2))] is unit and unit.terms == {(1, 1): 1}
+    assert A._memo[code(A, (0, 2))] is unit and unit.terms == {(1, 1): 1}
     assert z * z is unit
 
 
@@ -852,15 +852,24 @@ def test_product_commutes_and_associates(x, y, w):
     assert (X * Y) * W == X * (Y * W)
 
 
-@given(x=st.tuples(coeffs, coeffs), y=st.tuples(coeffs, coeffs))
+@given(data=st.data())
 @settings(max_examples=80, deadline=None)
-def test_pullback_is_a_ring_map(x, y):
-    B = P1xP1()
-    A = make_tower(P1xP1(), [B.gen("f1"), 0, 0])
-    bx = x[0] * B.gen("f1") + x[1] * B.gen("f2")
-    by = y[0] * B.gen("f1") + y[1] * B.gen("f2")
+def test_pullback_is_a_ring_map(data):
+    # over every named base and over stacks; over F_e the printed order
+    # (C0, f, z) is not the field order (f, C0, z), and a base code is
+    # still the code of its pullback
+    A = data.draw(random_towers())
+    B = A.base
+    x, y = ([data.draw(coeffs) for _ in B.gen_names] for _ in range(2))
+    bx = sum((c * B.gen(g) for c, g in zip(x, B.gen_names)), B.zero())
+    by = sum((c * B.gen(g) for c, g in zip(y, B.gen_names)), B.zero())
     assert A.pullback(bx * by) == A.pullback(bx) * A.pullback(by)
     assert A.pullback(bx + by) == A.pullback(bx) + A.pullback(by)
+    # the pullback of a unit monomial is the tower memo's element
+    for b in normal_monomials(B):
+        pulled = A.pullback(B.from_terms({b: 1}))
+        assert code(A, b + (0,)) == code(B, b) == pulled.mono
+        assert pulled is A._memo[code(B, b)] and pulled.terms == {b + (0,): 1}
 
 
 def test_pullback_onto_a_named_base_follows_its_printed_layout():
@@ -868,7 +877,7 @@ def test_pullback_onto_a_named_base_follows_its_printed_layout():
     # generator their row names F, wherever it is printed (f after C0)
     F = P1().gen("F")
     for S, name, expo in ((P1xP1(), "f1", (1, 0)), (Fe(2), "f", (0, 1)), (P1xP2(), "p", (1, 0))):
-        assert S.pullback(F) is S.gen(name) and S.gen(name).mono == code(expo)
+        assert S.pullback(F) is S.gen(name) and S.gen(name).mono == code(S, expo)
     # a named base pulls back classes of its own base only
     with pytest.raises(ValueError, match="class on this tower's base"):
         Fe(2).pullback(Fe(2).gen("f"))
@@ -877,7 +886,7 @@ def test_pullback_onto_a_named_base_follows_its_printed_layout():
 def test_pullback_of_a_base_generator_is_the_memo_element():
     T = make_tower(P1(), [1, 0])
     F = T.pullback(P1().gen("F"))
-    assert F is T.gen("F") and F.mono == code((1, 0))
+    assert F is T.gen("F") and F.mono == code(T, (1, 0))
 
 
 @given(c=st.integers(min_value=-9, max_value=9))

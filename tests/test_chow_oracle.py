@@ -141,14 +141,37 @@ def normal_monomials(A):
     return list(itertools.product(*(range(c) for c in caps_of(A))))
 
 
-def code(expo):
-    """The engine's key of a monomial: exponent i in bits 16i .. 16i + 15."""
-    return sum(k << 16 * i for i, k in enumerate(expo))
+# the 16-bit field of each generator of a named kind, in printed order:
+# a named base is a tower over the point or P1, whose z fills the field
+# above P1's F, so F_e's C0 (its z) sits above f, though printed first
+_FIELDS = {
+    "pt": (),
+    "P1": (0,),
+    "P2": (0,),
+    "P1xP1": (0, 1),
+    "Fe": (1, 0),
+    "P1xP2": (0, 1),
+}
+
+
+def fields(A):
+    """The field of each generator of A, in printed order: the table's
+    for a named kind; over any other base, the base's, with z in the
+    field just above them, walking down to a named kind."""
+    if A.kind in _FIELDS:
+        return _FIELDS[A.kind]
+    return fields(A.base) + (A.base.nvars,)
+
+
+def code(A, expo):
+    """The engine's key of a monomial on A: each exponent in the bits
+    16f .. 16f + 15 of its generator's field f."""
+    return sum(k << 16 * f for k, f in zip(expo, fields(A)))
 
 
 def exponents(A, c):
-    """The exponent tuple of the monomial with code c on A."""
-    return tuple((c >> 16 * i) & 0xFFFF for i in range(A.nvars))
+    """The exponent tuple, in printed order, of the monomial with code c on A."""
+    return tuple((c >> 16 * f) & 0xFFFF for f in fields(A))
 
 
 @pytest.mark.parametrize("idx", range(len(ZOO)), ids=[repr(a) for a in ZOO])
@@ -227,7 +250,7 @@ def test_unit_monomials_are_the_memo_elements(idx):
     ]
     handed += [(A.from_terms({m: 1}), m) for m in normal_monomials(A)]
     for x, expo in handed:
-        assert x is A._memo[code(expo)] and x.mono == code(expo)
+        assert x is A._memo[code(A, expo)] and x.mono == code(A, expo)
     assert A.zeta is A.zeta
 
 
@@ -241,12 +264,12 @@ def test_hinted_monomial_products_match_the_general_path(idx):
     mons = normal_monomials(fast)
     xs = [fast.from_terms({m: 1}) for m in mons]
     ys = [1 * general.from_terms({m: 1}) for m in mons]
-    assert all(x.mono == code(m) for x, m in zip(xs, mons))
+    assert all(x.mono == code(fast, m) for x, m in zip(xs, mons))
     assert all(y.mono is None for y in ys)
     c = -2
     for m1, x, gx in zip(mons, xs, ys):
         for m2, y, gy in zip(mons, xs, ys):
-            key = code([a + b for a, b in zip(m1, m2)])
+            key = code(fast, [a + b for a, b in zip(m1, m2)])
             prod = x * y
             assert prod is fast._memo[key]
             want = gx * gy
@@ -273,8 +296,8 @@ def test_monomials_over_a_zero_rule_are_zero_at_once():
     assert x.is_zero() and x.degree is None and x.mono is None
     x = A.from_terms({(1, 1, 0): 1}) * A.from_terms({(1, 1, 0): 1})
     assert x.is_zero() and x.degree is None and x.mono is None
-    normal = set(map(code, normal_monomials(A)))
-    assert [m for m in A._memo if m not in normal] == [code((2, 2, 0))]
+    normal = {code(A, m) for m in normal_monomials(A)}
+    assert [m for m in A._memo if m not in normal] == [code(A, (2, 2, 0))]
     # every rule of a trivial P2 tower is zero, z^3 = 0 included
     T = make_tower(P2(), [0, 0, 0])
     h, z = T.from_terms({(1, 0): 1}), T.from_terms({(0, 1): 1})
@@ -287,7 +310,7 @@ def test_monomials_over_a_zero_rule_are_zero_at_once():
     first, second = (chern_tower(Fe(0), 2, [F0.zero(), pt]) for _ in range(2))
     for A, order in ((first, [(0, 0, 4), (2, 2, 0)]), (second, [(2, 2, 0), (0, 0, 4)])):
         for m in order:  # both above dim 3, so past from_terms
-            A._monomial(code(m))
+            A._monomial(code(A, m))
     assert first._memo == second._memo
 
 
@@ -339,7 +362,7 @@ def assert_z_powers_match_segre(A):
     is that of b s_k on the base, for every normal monomial b of
     complementary degree; and every z^N with N >= r + dim B is zero."""
     B, r = A.base, A.rank
-    z_at = A._zpos
+    z_at = fields(A).index(B.nvars)  # z's field is just above the base's
 
     def z_power(n):
         return A.from_terms({tuple(n if i == z_at else 0 for i in range(A.nvars)): 1})
@@ -582,7 +605,7 @@ def fresh_fill(A):
     one-term `from_terms` of a normal monomial, adds nothing to it.
     """
     mons = normal_monomials(A)
-    fill = list(map(code, mons))
+    fill = [code(A, m) for m in mons]
     assert list(A._memo) == fill
     for m, (key, nf) in zip(mons, A._memo.items()):
         assert nf.mono == key and nf.terms == {m: 1} and nf.degree == sum(m)
@@ -681,7 +704,8 @@ def test_memo_fill_order_does_not_change_normal_forms(data):
     seed = data.draw(st.integers(0, 999))
     first, second = rebuild(A), rebuild(A)
     assert first == second == A and first._memo == second._memo
-    assert list(first._memo) == list(second._memo) == list(map(code, normal_monomials(A)))
+    fill = [code(A, m) for m in normal_monomials(A)]
+    assert list(first._memo) == list(second._memo) == fill
     forward = [first.from_terms({m: 1}).terms for m in mons]
     backward = [second.from_terms({m: 1}).terms for m in reversed(mons)][::-1]
     assert forward == backward

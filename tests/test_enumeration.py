@@ -239,6 +239,40 @@ def test_point_blowups_read_no_catalog(monkeypatch):
     assert enumerate_point_blowups.__wrapped__() == cached
 
 
+PICARD2_SEARCHES = (
+    enumerate_quadric_fibrations,
+    enumerate_p2_bundles,
+    enumerate_point_blowups,
+)
+
+
+@pytest.fixture
+def cleared_searches():
+    for search in PICARD2_SEARCHES:
+        search.cache_clear()
+    yield
+    for search in PICARD2_SEARCHES:
+        search.cache_clear()
+
+
+def test_one_degree_window_moves_the_three_picard2_searches(monkeypatch, cleared_searches):
+    # Corollary 3.3's window is stated once: cut it to 1 <= d <= 4 and
+    # every degree-5 outcome leaves all three searches together
+    assert enumeration.DEGREE_WINDOW == (1, 5)
+    monkeypatch.setattr(enumeration, "DEGREE_WINDOW", (1, 4))
+    v = classify_tuple((0, 1, 1, 1))  # degree 5, Small in the real window
+    assert (v.verdict, v.reason) == ("RejectedRange", "sum 3 outside the window [-1; 2]")
+    # the quadric search checks its six Small verdicts of Theorem 3.4
+    with pytest.raises(AssertionError):
+        enumerate_quadric_fibrations()
+    p2 = enumerate_p2_bundles()
+    assert [c.degree for c in p2.candidates] == [4, 3, 2]
+    assert "passes the window 3..6 yet" in p2.exclusions[0].reason
+    blowups = enumerate_point_blowups()
+    assert [c.data for c in blowups.candidates] == [(f"thm2.1-{d}",) for d in range(2, 6)]
+    assert blowups.exclusions == ()
+
+
 def test_fujita_list_agrees_with_the_rank1_smooth_records():
     rank1 = sorted(
         r.degree

@@ -1,5 +1,6 @@
 """No module of the package imports a name it never uses, none defines
-a private module-level name it never reads, none writes into the
+a private module-level name it never reads or a private method or
+`__slots__` name it never reads as an attribute, none writes into the
 `terms` of a Chow element or the `_terms` it stores them in (nor does
 any test, script or benchmark file), none sets the `mono` hint of one
 outside its constructor, none passes that hint to the constructor
@@ -60,22 +61,59 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
+# the named-tuple protocol: defined for callers outside the module
+_NAMED_TUPLE_PROTOCOL = {"_replace", "_asdict", "_make", "_fields"}
+
+
+def _slot_names(node: ast.ClassDef) -> list[str]:
+    """The string constants of a class's `__slots__` tuple."""
+    names = []
+    for stmt in node.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+        ):
+            names += [
+                n.value for n in ast.walk(stmt.value)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            ]
+    return names
+
+
 def unread_private_names(source: str) -> list[str]:
-    """Module-level `_name` functions, classes and constants never read."""
+    """Module-level `_name` functions, classes and constants never read as
+    a name, and private methods and `__slots__` names of classes never
+    read as an attribute; the named-tuple protocol is exempt."""
     tree = ast.parse(source)
-    defined = []
+    defined, members = [], []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             defined.append(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defined += [t.id for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            members += _slot_names(node)
+            members += [
+                f.name for f in node.body
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
     read = {
         n.id
         for n in ast.walk(tree)
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
     }
-    return sorted(name for name in defined if _is_private(name) and name not in read)
+    read_attrs = {
+        n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unread = [name for name in defined if _is_private(name) and name not in read]
+    unread += [
+        name
+        for name in members
+        if _is_private(name) and name not in read_attrs | _NAMED_TUPLE_PROTOCOL
+    ]
+    return sorted(set(unread))
 
 
 def test_unread_private_names_are_detected():
@@ -89,6 +127,25 @@ def test_unread_private_names_are_detected():
         "def public(): return _helper()\n"
     )
     assert unread_private_names(source) == ["_Gone", "_LEFT", "_orphan"]
+
+
+def test_unread_private_members_are_detected():
+    # a slot or a private method only ever written, or read under another
+    # name, is dead; public members, dunders and the named-tuple protocol
+    # are not checked
+    source = (
+        "class A:\n"
+        "    __slots__ = ('public', '_read', '_written', '_dead')\n"
+        "    def __init__(self):\n"
+        "        self.public = self._read = self._written = 0\n"
+        "    def _orphan(self): return self._read\n"
+        "    def _bare(self): return _orphan\n"
+        "    def _used(self): return self._bare()\n"
+        "    def go(self): return self._used()\n"
+        "    def _replace(self): pass\n"
+        "    def _asdict(self): pass\n"
+    )
+    assert unread_private_names(source) == ["_dead", "_orphan", "_written"]
 
 
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
