@@ -338,7 +338,6 @@ _FAMILIES = (
 )
 _RECORDS = tuple(r for r, _ in _FAMILIES)
 _BY_ID = {r.id: r for r in _RECORDS}
-assert len(_BY_ID) == len(_RECORDS), "duplicate catalog ids"
 _MODELS = {r.id: m for r, m in _FAMILIES if not isinstance(m, str)}
 
 # id -> why the record has no construction model

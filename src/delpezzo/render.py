@@ -62,8 +62,9 @@ def _partner_label(family_id):
 
 
 def _quadric_blocks(table, args):
+    # a Small verdict without a family prints as None; `verify` fails it
     smalls = sorted(
-        (v for v in table if v.verdict == "Small"), key=lambda v: v.family
+        (v for v in table if v.verdict == "Small"), key=lambda v: str(v.family)
     )
     small_rows = [
         [v.family, *v.a, v.alpha, v.degree, _partner_label(v.family)]

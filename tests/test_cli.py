@@ -221,6 +221,24 @@ def test_quadric_json_lists_all_verdicts():
     assert len(smalls) == 6
 
 
+def test_quadric_table_prints_a_small_verdict_without_family(monkeypatch, capsys):
+    # with a label missing, the Small verdict prints as family None and
+    # the command exits 0: reporting the gap is `verify`'s work
+    from delpezzo import enumeration
+
+    labels = {a: f for a, f in enumeration.QUADRIC_FAMILIES.items() if f != "thm3.4-1"}
+    monkeypatch.setattr(enumeration, "QUADRIC_FAMILIES", labels)
+    table = enumeration.enumerate_quadric_fibrations.__wrapped__()
+    monkeypatch.setattr(enumeration, "enumerate_quadric_fibrations", lambda: table)
+    assert cli.run(["enumerate", "--case", "quadric"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    small_table = captured.out.split("\n\n")[2].split("\n")[2:]
+    rows = [line.split() for line in small_table]
+    assert rows[0] == ["None", "0", "0", "0", "0", "2", "2", "-"]
+    assert [row[0] for row in rows[1:]] == [f"thm3.4-{i}" for i in range(2, 7)]
+
+
 def test_rho3_surface_flag(capsys):
     assert cli.run(["enumerate", "--case", "rho3", "--surface", "f2"]) == 0
     f2_out = capsys.readouterr().out
@@ -357,3 +375,34 @@ def test_every_cli_output_is_pinned(tmp_path, monkeypatch, capsys):
     assert len(argvs) == 99
     assert list(tmp_path.iterdir()) == []
     assert digest.hexdigest() == CLI_OUTPUT_SHA256
+
+
+# the same digest from a `python -O` child, which strips every `assert`
+# statement: the package holds none, so its output cannot depend on them
+OPTIMIZED_DIGEST = """\
+import contextlib, hashlib, io, sys
+sys.path.insert(0, {scripts!r})
+from cli_digest import runs
+from delpezzo import cli
+digest = hashlib.sha256()
+for argv in runs():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    digest.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
+print(sys.flags.optimize, digest.hexdigest())
+"""
+
+
+def test_every_cli_output_is_pinned_under_optimize(tmp_path):
+    scripts = str(Path(__file__).parents[1] / "scripts")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_DIGEST.format(scripts=scripts)],
+        capture_output=True,
+        cwd=tmp_path,
+        env=child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().split() == ["1", CLI_OUTPUT_SHA256]
+    assert list(tmp_path.iterdir()) == []

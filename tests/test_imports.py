@@ -5,8 +5,9 @@ a private module-level name it never reads or a private method or
 any test, script or benchmark file), none sets the `mono` hint of one
 outside its constructor, none passes that hint to the constructor
 outside the memo's fill in `Ambient.__init__`, none builds a
-`CheckResult` outside `verify`'s `_check`, `_skip` and `_window`, and
-only `catalog.FamilyRecord` is a dataclass.
+`CheckResult` outside `verify`'s `_check`, `_skip` and `_window`, none
+holds an `assert` statement, and only `catalog.FamilyRecord` is a
+dataclass.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree with `ast`.  Only `__init__.py` is exempt from the import guard:
@@ -403,6 +404,41 @@ def test_check_constructions_are_detected():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_module_builds_a_check_outside_its_builders(path):
     assert check_constructions(path.read_text(encoding="utf-8")) == []
+
+
+def assert_lines(source: str) -> list[int]:
+    """Lines that hold an `assert` statement.
+
+    `python -O` strips them, so a check there is absent in one mode and
+    raises `AssertionError` in the other; a search returns what it finds
+    and `verify` compares it with the catalog in every mode.
+    """
+    return sorted(
+        n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert)
+    )
+
+
+def test_asserts_are_detected():
+    source = (
+        "assert len(IDS) == 3, 'duplicate ids'\n"
+        "def f(table):\n"
+        "    assert (\n"
+        "        sum(table) == 6\n"
+        "    )\n"
+        "    if not table:\n"
+        "        raise AssertionError('empty')\n"
+        "    message = 'assert nothing'  # assert in a comment\n"
+        "    return [x for x in table if x], message\n"
+        "class A:\n"
+        "    def go(self):\n"
+        "        assert self\n"
+    )
+    assert assert_lines(source) == [1, 3, 12]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_module_asserts(path):
+    assert assert_lines(path.read_text(encoding="utf-8")) == []
 
 
 def dataclass_names(source: str) -> list[str]:
