@@ -23,7 +23,9 @@ of its row, in the row's order, so F_e's tautological class C0 comes
 before f.  Over any other ambient the tautological class is z, the last
 generator, and a z below it is renamed z1, z2, ... by level from the
 bottom, so the names of a stack stay unique.  `base_space` is the
-identity: a base is its own ring.
+identity: a base is its own ring.  Each level adds its z to the Picard
+group of its base, so a ring's generators are a basis of its Picard
+group and `nvars` is its Picard number.
 
 The left side of every rewrite rule is a pure power of one generator
 (h^3, C0^2, z^r, ...), so the rules are indexed by generator: a monomial

@@ -71,6 +71,7 @@ class TupleVerdict(NamedTuple):
     family: Optional[str] = None
     reason: Optional[str] = None
     inferred: bool = False
+    data = property(lambda self: self.a)  # the split type, as candidate data
 
 
 class _CandidateFields(NamedTuple):
@@ -242,9 +243,9 @@ def enumerate_p2_bundles() -> EnumerationResult:
         candidates.append(
             FamilyCandidate(
                 kind="p1-bundle-p2",
-                dim=3,
+                dim=twisted.dim,
                 degree=d,
-                picard=2,
+                picard=twisted.nvars,
                 data=(c2,),
                 family=f"thm3.5-{c2 - 1}",
                 notes=(f"chi of F(2) = {chi} = d + 2",),
@@ -350,9 +351,9 @@ def enumerate_rho3(tag: str) -> EnumerationResult:
         candidates.append(
             FamilyCandidate(
                 kind="rho3-bundle",
-                dim=3,
+                dim=A.dim,
                 degree=d,
-                picard=3,
+                picard=A.nvars,
                 data=(tag, c2),
                 family=f"thm4.1-{tag}-c{c2}",
                 notes=tuple(notes),
@@ -414,7 +415,6 @@ def enumerate_highdim(n: int) -> EnumerationResult:
     )
     for source_id, surface_kind, c2 in sources:
         d = model_values("rank2", (surface_kind, c2)).degree
-        picard = len(SURFACES[surface_kind].gen_names) + 1
         notes = [
             f"extension 0 -> O^{n - 3} -> F -> F' -> 0 with F' the rank-2 "
             f"model of {source_id}"
@@ -431,42 +431,38 @@ def enumerate_highdim(n: int) -> EnumerationResult:
                 kind="pn-bundle",
                 dim=n,
                 degree=d,
-                picard=picard,
+                picard=SURFACES[surface_kind].nvars + 1,
                 data=(n, surface_kind, c2, source_id),
                 notes=tuple(notes),
             )
         )
 
-    # (ii) quadric bundles over P1: only (5;5) and (4;4) survive
-    if n == 5:
-        candidates.append(
-            FamilyCandidate(
-                kind="quadric-bundle-highdim",
-                dim=5,
-                degree=5,
-                picard=2,
-                data=(5, 5),
-                family="thm5.8-2",
-                notes=("X' is a singular hyperplane section of G(1 4) in P9",),
+    # (ii) quadric bundles over P1: only (5;5) and (4;4) survive, one row
+    # each.  (5;5) is the Theorem 5.6 scroll over P1 x P2, which gives its
+    # degree; (4;4) keeps the printed erratum degree, the one typed here
+    for dim, degree, family, notes in (
+        (5, lambda: scroll("p1xp2")[1], "thm5.8-2",
+         ("X' is a singular hyperplane section of G(1 4) in P9",)),
+        (4, lambda: 4, "thm5.8-3",
+         ("degree read from the printed H^5 = 4 as H^4 = 4",
+          "hyperplane-section arithmetic of the (5;5) family gives 5 "
+          "instead; kept as printed")),
+    ):
+        if dim == n:
+            d = degree()
+            candidates.append(
+                FamilyCandidate(
+                    kind="quadric-bundle-highdim",
+                    dim=n,
+                    degree=d,
+                    picard=2,
+                    data=(n, d),
+                    family=family,
+                    notes=notes,
+                )
             )
-        )
     cone_computed = ()
     if n == 4:
-        candidates.append(
-            FamilyCandidate(
-                kind="quadric-bundle-highdim",
-                dim=4,
-                degree=4,
-                picard=2,
-                data=(4, 4),
-                family="thm5.8-3",
-                notes=(
-                    "degree read from the printed H^5 = 4 as H^4 = 4",
-                    "hyperplane-section arithmetic of the (5;5) family gives "
-                    "5 instead; kept as printed",
-                ),
-            )
-        )
         for key, d, reason in (
             ("p2", 6, "(4;6) does not occur: the scroll model over P2 has the right "
              "adjunction yet its double-projection geometry is inconsistent"),

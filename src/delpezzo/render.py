@@ -61,6 +61,11 @@ def _partner_label(family_id):
     return "self" if r.flop_partner == family_id else r.flop_partner
 
 
+def _psi_label(family_id):
+    r = lookup(family_id)
+    return "-" if r is None else r.anticanonical_map
+
+
 def _quadric_blocks(table, args):
     # a Small verdict without a family prints as None; `verify` fails it
     smalls = sorted(
@@ -128,7 +133,7 @@ def _rho3_blocks(result, args):
             c.data[1],
             c.degree,
             c.family,
-            lookup(c.family).anticanonical_map,
+            _psi_label(c.family),
             "; ".join(c.notes),
         ]
         for c in result.candidates

@@ -331,10 +331,14 @@ def _match(by_id, name, prefix, search, citation, pair_rows=_degree_and_picard):
         error = f"{type(exc).__name__}: {exc}"
         yield _check(f"{name}-search", name, "a search", error, citation)
         return
-    emitted_by_family = {}
+    # a candidate without a family matches no record: a surplus, by its data
+    emitted_by_family, surplus = {}, []
     for c in emitted:
+        if c.family is None:
+            surplus.append(str(c.data))
+            continue
         if c.family in emitted_by_family:
-            expected, subject = "one candidate per family", c.family or "?"
+            expected, subject = "one candidate per family", c.family
             yield _check(f"{name}-unique", subject, expected, "duplicate", citation)
         emitted_by_family[c.family] = c
     for fid in sorted(i for i in by_id if i.startswith(prefix)):
@@ -345,9 +349,9 @@ def _match(by_id, name, prefix, search, citation, pair_rows=_degree_and_picard):
             continue
         for suffix, expected, computed, reason in pair_rows(by_id[fid], c):
             yield _check(f"{name}-{suffix}", fid, expected, computed, citation, reason)
-    for fid in sorted(emitted_by_family, key=str):
+    for subject in surplus + sorted(emitted_by_family):
         expected, computed = "a catalog record", "candidate without record"
-        yield _check(f"{name}-surplus", str(fid), expected, computed, citation)
+        yield _check(f"{name}-surplus", subject, expected, computed, citation)
 
 
 def _small_quadrics():

@@ -185,6 +185,21 @@ def test_p1_to_the_fourth_as_three_stacked_towers():
     assert integrate(A.from_terms({(1, 1, 1, 1): 1})) == 1
 
 
+def test_generator_count_is_the_picard_number():
+    # a ring's generators are a basis of its Picard group: P1 and P2 have
+    # Picard number 1, the other named bases 2, and each tower level adds
+    # its z; the searches read their candidates' Picard numbers this way
+    for base in (P1(), P2()):
+        assert base.nvars == 1
+    for base in (P1xP1(), *map(Fe, range(4)), P1xP2()):
+        assert base.nvars == 2
+    h = P2().gen("h")
+    A = chern_tower(P2(), 2, [-h, 3 * P2().from_terms({P2().top_monomial: 1})])
+    assert (A.dim, A.nvars) == (3, 2)
+    stacked = make_tower(A, [0, A.zeta])
+    assert (stacked.dim, stacked.nvars) == (4, 3)
+
+
 def test_named_layouts_are_rings_of_their_own():
     # each pair stores the same classes over P1 and differs only in the
     # names and order of its generators: their classes must not mix

@@ -239,6 +239,19 @@ def test_quadric_table_prints_a_small_verdict_without_family(monkeypatch, capsys
     assert [row[0] for row in rows[1:]] == [f"thm3.4-{i}" for i in range(2, 7)]
 
 
+def test_rho3_table_prints_a_candidate_without_record(monkeypatch, capsys):
+    # a candidate whose family has no record prints "-" for psi, as the
+    # partner column does, and the command exits 0
+    from delpezzo import catalog
+
+    monkeypatch.delitem(catalog._BY_ID, "thm4.1-p1p1-c7")
+    assert cli.run(["enumerate", "--case", "rho3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split()[:4] for line in captured.out.split("\n\n")[1].split("\n")]
+    assert rows[-1] == ["7", "1", "thm4.1-p1p1-c7", "-"]
+
+
 def test_rho3_surface_flag(capsys):
     assert cli.run(["enumerate", "--case", "rho3", "--surface", "f2"]) == 0
     f2_out = capsys.readouterr().out

@@ -239,19 +239,23 @@ def test_point_blowups_read_no_catalog(monkeypatch):
     assert enumerate_point_blowups.__wrapped__() == cached
 
 
-PICARD2_SEARCHES = (
+# the memoized functions a planted window or scroll reaches
+PLANTED_CACHES = (
     enumerate_quadric_fibrations,
     enumerate_p2_bundles,
     enumerate_point_blowups,
+    scroll,
+    enumerate_highdim,
+    model_values,
 )
 
 
 @pytest.fixture
 def cleared_searches():
-    for search in PICARD2_SEARCHES:
+    for search in PLANTED_CACHES:
         search.cache_clear()
     yield
-    for search in PICARD2_SEARCHES:
+    for search in PLANTED_CACHES:
         search.cache_clear()
 
 
@@ -277,6 +281,22 @@ def test_one_degree_window_moves_the_three_picard2_searches(monkeypatch, cleared
     assert [(c.name, c.subject) for c in report.checks if c.status == "fail"] == [
         ("quadric-coverage", "thm3.4-4"),
         ("p2bundle-coverage", "thm3.5-1"),
+    ]
+
+
+def test_a_wider_window_reports_each_unlabelled_small_verdict_by_split_type(
+    monkeypatch, cleared_searches
+):
+    # at 1 <= d <= 6 four degree-6 split types turn Small without a
+    # family: each is a surplus named by its data, after the coverage checks
+    monkeypatch.setattr(enumeration, "DEGREE_WINDOW", (1, 6))
+    report = verify.verify_enumeration_matches_catalog()
+    assert [(c.name, c.subject) for c in report.checks if c.status == "fail"] == [
+        ("quadric-surplus", "(0, 0, 1, 3)"),
+        ("quadric-surplus", "(0, 0, 2, 2)"),
+        ("quadric-surplus", "(0, 1, 1, 2)"),
+        ("quadric-surplus", "(1, 1, 1, 1)"),
+        ("p2bundle-surplus", "thm3.5-0"),
     ]
 
 
@@ -380,6 +400,19 @@ def test_highdim_quadric_bundle_survivors(n, family, degree):
     res = enumerate_highdim(n)
     qb = [c for c in res.candidates if c.kind == "quadric-bundle-highdim"]
     assert [(c.family, c.degree) for c in qb] == [(family, degree)]
+
+
+def test_the_55_degree_is_the_scrolls(monkeypatch, cleared_searches):
+    # plant L = p + 2h in the Theorem 5.6 scroll: the (5;5) candidate
+    # reads the planted degree, so the enumeration report fails it
+    base, _ = enumeration.SCROLLS["p1xp2"]
+    monkeypatch.setitem(
+        enumeration.SCROLLS, "p1xp2", (base, lambda p, h: (p + 2 * h, h))
+    )
+    assert scroll("p1xp2") == ("-p - 3*z", 16)
+    report = verify.verify_enumeration_matches_catalog()
+    fails = [(c.name, c.subject, c.computed) for c in report.checks if c.status == "fail"]
+    assert fails == [("highdim-quadric-degree", "thm5.8-2", "16")]
 
 
 def test_highdim_dimension_six_has_no_quadric_bundle():

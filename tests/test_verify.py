@@ -581,7 +581,9 @@ def test_quadric_adjunction_identity_reads_the_record_model(monkeypatch):
 @pytest.mark.parametrize("family", ["thm3.4-1", "thm3.4-5"])
 def test_missing_quadric_label_fails_without_raising(monkeypatch, family):
     # the search emits the Small verdict without a family id, so the
-    # record goes uncovered and the verdict is a surplus
+    # record goes uncovered and the verdict is a surplus, named by its
+    # split type
+    split = {"thm3.4-1": "(0, 0, 0, 0)", "thm3.4-5": "(-1, 0, 0, 1)"}[family]
     labels = {a: f for a, f in enumeration.QUADRIC_FAMILIES.items() if f != family}
     monkeypatch.setattr(enumeration, "QUADRIC_FAMILIES", labels)
     table = enumeration.enumerate_quadric_fibrations.__wrapped__()
@@ -589,7 +591,7 @@ def test_missing_quadric_label_fails_without_raising(monkeypatch, family):
     fails = [c for rep in verify_all() for c in rep.checks if c.status == "fail"]
     assert [(c.name, c.subject) for c in fails] == [
         ("quadric-coverage", family),
-        ("quadric-surplus", "None"),
+        ("quadric-surplus", split),
     ]
 
 
