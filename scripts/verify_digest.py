@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Print the verify digests of this checkout: sha256 over the
-concatenated `Report.to_json()` of every report of `verify_all`.
+concatenated `render.to_json(report)` of every report of `verify_all`,
+each report written as its title and checks.
 
 The first digest covers the built-in catalog.  The second continues the
 same hash over one catalog for each planted single-field error of the
@@ -26,6 +27,7 @@ def main() -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import audit
     from delpezzo.catalog import builtin_catalog, construction_models
+    from delpezzo.render import to_json
     from delpezzo.verify import verify_all
 
     records = builtin_catalog()
@@ -34,7 +36,7 @@ def main() -> int:
     # the pristine catalog (mutation None) first, then each planted error
     for mutation in [None] + space:
         for report in verify_all(audit.mutate(records, mutation)):
-            digest.update(report.to_json().encode())
+            digest.update(to_json(report).encode())
         if mutation is None:
             print(f"pristine  {digest.hexdigest()}")
     print(f"planted   {digest.hexdigest()}  ({len(space)} planted errors)")

@@ -6,7 +6,8 @@ table renderer in `BLOCKS`, which returns the output as blocks (a
 heading line, a table, the excluded section); `cli._cmd_enumerate` joins
 them with one blank line, the only place a blank line is written.  Its
 JSON comes from the one `to_json`, which writes every named tuple of the
-result as the dict of its fields.
+result as the dict of its fields; a `verify.Report` goes through it too,
+as its title and checks.
 """
 
 from __future__ import annotations
@@ -67,12 +68,13 @@ def _psi_label(family_id):
 
 
 def _quadric_blocks(table, args):
-    # a Small verdict without a family prints as None; `verify` fails it
+    # a Small verdict without a family prints "-", as a missing record
+    # does in the partner column; `verify` fails it
     smalls = sorted(
-        (v for v in table if v.verdict == "Small"), key=lambda v: str(v.family)
+        (v for v in table if v.verdict == "Small"), key=lambda v: v.family or "-"
     )
     small_rows = [
-        [v.family, *v.a, v.alpha, v.degree, _partner_label(v.family)]
+        [v.family or "-", *v.a, v.alpha, v.degree, _partner_label(v.family)]
         for v in smalls
     ]
     divisorial_rows = [
@@ -194,8 +196,9 @@ def _plain(value):
 
 
 def to_json(result):
-    """A search result, or the quadric search's tuple of verdicts, as JSON:
-    every named tuple in it becomes the dict of its fields."""
+    """A search result, the quadric search's tuple of verdicts, or a verify
+    report, as JSON: every named tuple in it becomes the dict of its
+    fields."""
     import json
 
     return json.dumps(_plain(result), indent=2)

@@ -85,22 +85,6 @@ class Report(NamedTuple):
     def ok(self) -> bool:
         return self.failed == 0
 
-    def to_dict(self) -> dict:
-        return {
-            "title": self.title,
-            "summary": {
-                "pass": self.passed,
-                "fail": self.failed,
-                "skipped": self.skipped,
-            },
-            "checks": [c._asdict() for c in self.checks],
-        }
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
 
 # the reason on every h0 check whose model equates h0 with chi
 H0_ASSUMED = (
@@ -245,9 +229,9 @@ def _smoothing_checks(records, by_id):
         if target is None:
             yield _unresolved("smoothing", "smoothing", r, r.smoothing, "Theorem 3.2")
             continue
-        target_class = (
-            "smooth-list record" if target.id.startswith("thm2.1-") else target.id
-        )
+        # Theorem 2.1's threefolds are the records with these two fields
+        fano_3fold = (target.contraction, target.dim) == ("Fano", 3)
+        target_class = "smooth-list record" if fano_3fold else target.id
         rows = (
             ("smoothing-target-class", "smooth-list record", target_class, ""),
             ("smoothing-degree", r.degree, target.degree, ""),

@@ -222,8 +222,9 @@ def test_quadric_json_lists_all_verdicts():
 
 
 def test_quadric_table_prints_a_small_verdict_without_family(monkeypatch, capsys):
-    # with a label missing, the Small verdict prints as family None and
-    # the command exits 0: reporting the gap is `verify`'s work
+    # with a label missing, the Small verdict prints "-" for its family,
+    # as the partner column does, and the command exits 0: reporting the
+    # gap is `verify`'s work
     from delpezzo import enumeration
 
     labels = {a: f for a, f in enumeration.QUADRIC_FAMILIES.items() if f != "thm3.4-1"}
@@ -235,7 +236,7 @@ def test_quadric_table_prints_a_small_verdict_without_family(monkeypatch, capsys
     assert captured.err == ""
     small_table = captured.out.split("\n\n")[2].split("\n")[2:]
     rows = [line.split() for line in small_table]
-    assert rows[0] == ["None", "0", "0", "0", "0", "2", "2", "-"]
+    assert rows[0] == ["-", "0", "0", "0", "0", "2", "2", "-"]
     assert [row[0] for row in rows[1:]] == [f"thm3.4-{i}" for i in range(2, 7)]
 
 

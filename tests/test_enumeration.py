@@ -393,6 +393,21 @@ def test_highdim_euler_note_is_dimension_four_only():
     assert not any("Euler" in n for n in pn["thm2.1-6a"].notes)
 
 
+@pytest.mark.parametrize("n", range(4, 13))
+def test_highdim_pn_bundles_are_their_towers(n):
+    # each P^(n-2)-bundle candidate is P(F) over its surface, F of rank
+    # n - 1 with c1 = -K and its c2: that tower has the candidate's
+    # dimension, Picard number and degree, and -K = (n - 1) z on it
+    pn = [c for c in enumerate_highdim(n).candidates if c.kind == "pn-bundle"]
+    assert len(pn) == 24
+    for c in pn:
+        _, surface, c2, source = c.data
+        A = surface_scroll(surface, n - 1, c2)
+        assert (A.dim, A.nvars) == (n, c.picard), source
+        assert integrate(A.zeta**n) == c.degree, source
+        assert (canonical_class(A) + (n - 1) * A.zeta).is_zero(), source
+
+
 @pytest.mark.parametrize(
     "n,family,degree", [(4, "thm5.8-3", 4), (5, "thm5.8-2", 5)]
 )

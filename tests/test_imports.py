@@ -10,8 +10,9 @@ holds an `assert` statement, and only `catalog.FamilyRecord` is a
 dataclass.
 
 There is no linter in the toolchain, so this walks each module's syntax
-tree with `ast`.  Only `__init__.py` is exempt from the import guard:
-its imports are the package's public re-exports.
+tree with `ast`.  The import guard also reads every script, test and
+benchmark file; only `__init__.py` is exempt from it: its imports are
+the package's public re-exports.
 """
 
 import ast
@@ -53,7 +54,17 @@ def test_unused_imports_are_detected():
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+# every script, test and benchmark file by its path from the repository root
+OTHER_FILES = [
+    pytest.param(p, id=p.relative_to(ROOT).as_posix())
+    for d in ("tests", "scripts", "bench")
+    for p in sorted((ROOT / d).glob("*.py"))
+]
+
+
+@pytest.mark.parametrize(
+    "path", [pytest.param(p, id=p.name) for p in MODULES] + OTHER_FILES
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -207,15 +218,10 @@ def test_terms_mutations_are_detected():
     assert terms_mutations(source) == [2, 3, 4, 5, 6, 7, 8, 8, 8, 15, 16]
 
 
-# the package by module name, then every script, test and benchmark file
-# by its path from the repository root: the memo shares each unit terms
-# dict with every ambient of its shape, so a write anywhere in the process
-# would corrupt them all
-TERMS_READERS = [pytest.param(p, id=p.name) for p in ALL_MODULES] + [
-    pytest.param(p, id=p.relative_to(ROOT).as_posix())
-    for d in ("tests", "scripts", "bench")
-    for p in sorted((ROOT / d).glob("*.py"))
-]
+# the package by module name, then every script, test and benchmark file:
+# the memo shares each unit terms dict with every ambient of its shape, so
+# a write anywhere in the process would corrupt them all
+TERMS_READERS = [pytest.param(p, id=p.name) for p in ALL_MODULES] + OTHER_FILES
 
 
 @pytest.mark.parametrize("path", TERMS_READERS)
