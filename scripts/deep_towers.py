@@ -27,6 +27,9 @@ later tower of a shape met before does.
 
     python3 scripts/deep_towers.py [--max-n 8]
 
+A --max-n below 5 would time and check nothing, so it is refused with
+exit status 2 and one error line on stderr.
+
 The package is loaded from `src/` and the oracle from `tests/` of the
 checkout this script lives in.  Fl(5) .. Fl(7), five runs each, take
 about three seconds in all on a 2-core x86-64 host, and Fl(8) about a
@@ -43,6 +46,7 @@ from pathlib import Path
 from statistics import median
 
 ROOT = Path(__file__).resolve().parent.parent
+MIN_N = 5  # the first Fl(n) timed
 ORACLE_MAX_N = 5
 RUNS = 5  # per Fl(n) for n <= REPEAT_MAX_N, and one run above it
 REPEAT_MAX_N = 7
@@ -94,11 +98,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=8)
     args = parser.parse_args()
+    if args.max_n < MIN_N:
+        error = f"--max-n must be at least {MIN_N}, got {args.max_n}"
+        print(f"deep_towers: error: {error}", file=sys.stderr)
+        return 2
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from delpezzo import chow
     from substitution_oracle import oracle_integrate, oracle_reduce
 
-    for n in range(5, args.max_n + 1):
+    for n in range(MIN_N, args.max_n + 1):
         times = []
         for _ in range(RUNS if n <= REPEAT_MAX_N else 1):
             A = levels = D = None  # the last run's stack is collected untimed

@@ -61,10 +61,12 @@ rewritten one level at a time: b by the base's own memo, then, for
 r <= N < r + dim B and b normal, by one step of the stored Grothendieck
 rule, b z^(N-r) times its right side; z^N is zero from N = r + dim B on.
 The monomials a step yields are rewritten the same way on an explicit
-stack, not by recursion, since a chain of steps is as long as dim B.  So
-the memo of a tower holds the monomials met with their z-part, and the
-memo of its base every base monomial that a rewrite met; a named base is
-one ring per process, so its memo serves every tower over it.
+stack, not by recursion, since a chain of steps is as long as dim B.  A
+lift, N < r, is b's form times z^N and needs no step, so a lift asked
+for is built before any stack.  So the memo of a tower holds the
+monomials met with their z-part, and the memo of its base every base
+monomial that a rewrite met; a named base is one ring per process, so
+its memo serves every tower over it.
 
 The memo is the one source of unit monomials: `gen`, `one`, `point`,
 `zeta`, a one-term `from_terms` with coefficient 1, a pulled-back unit
@@ -73,9 +75,19 @@ element itself, which carries its code as `mono`; `gen` only rewrites a
 generator whose cap is 1, so all four are lookups on every supported
 base.  A product takes one of two paths.  Two such elements of one
 ambient, the common case in pairing tables, cost one int sum and one
-lookup.  Anything else costs one pass over its raw terms
-and `_reduce`, one memo lookup per raw monomial, which `from_terms`
-also uses for the sum it was given.
+lookup.  Anything else costs one pass over its raw terms and `_reduce`,
+one memo lookup per raw monomial, where a normal monomial adds its
+coefficient with no loop over its terms.
+
+Only what is not normal is rewritten.  `from_terms` of normal monomials
+and every `pullback` build their element straight from the data
+(`_element`), with no `_reduce`: zero coefficients are dropped, and a
+base class's terms are already the tower's normal form, since z is on
+top and the base generators keep their caps, so its pullback shares
+them.  `from_terms` sends data with any monomial that is not normal
+through `_reduce`.  Each ring has one zero element, and every zero
+class an operation returns is that object: `zero()`, a sum that
+cancels, an empty product and each zero form the memo keeps.
 
 The memo lives and dies with its ambient, as does its canonical class
 (computed on the first `canonical_class` call); its elements point back
@@ -100,8 +112,9 @@ apart, so they are two rings and their classes do not mix.
 
 Values are immutable after construction and all operations are pure
 (the memo only caches), so one element may be handed out many times,
-and one unit terms dict to every ambient of its shape: nothing writes to
-the `_terms` of an element once it is built.
+one unit terms dict to every ambient of its shape, and one terms dict
+to a class and its pullback: nothing writes to the `_terms` of an
+element once it is built.
 """
 
 from __future__ import annotations
@@ -235,24 +248,19 @@ class ChowElement:
             terms[expo] = terms.get(expo, 0) + c
             if terms[expo] == 0:
                 del terms[expo]
-        return ChowElement(self.ambient, terms, self.degree if terms else None)
+        return ChowElement(self.ambient, terms, self.degree) if terms else self.ambient._zero
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ChowElement(
-            self.ambient, {e: -c for e, c in self._terms.items()}, self.degree
-        )
+        return self.ambient._element({e: -c for e, c in self._terms.items()}, self.degree)
 
     def __rmul__(self, other):
-        if type(other) is int:
-            if other == 0:
-                return ChowElement(self.ambient, {}, None)
-            return ChowElement(
-                self.ambient, {e: other * c for e, c in self._terms.items()}, self.degree
-            )
-        return NotImplemented
+        if type(other) is not int:
+            return NotImplemented
+        terms = {e: other * c for e, c in self._terms.items()} if other else {}
+        return ChowElement(self.ambient, terms, self.degree) if terms else self.ambient._zero
 
     def __mul__(self, other):
         e1 = self.mono
@@ -275,14 +283,13 @@ class ChowElement:
             self._check_same_ambient(other)
         t1, t2 = self._terms, other._terms
         if not t1 or not t2:
-            return ChowElement(A, {}, None)
+            return A._zero
         raw: dict = {}
         for e1, c1 in t1.items():
             for e2, c2 in t2.items():
                 m = e1 + e2
                 raw[m] = raw.get(m, 0) + c1 * c2
-        terms = A._reduce(raw)
-        return ChowElement(A, terms, self.degree + other.degree if terms else None)
+        return A._reduce(raw, self.degree + other.degree)
 
     def __pow__(self, n: int):
         if type(n) is not int or n < 0:
@@ -366,7 +373,7 @@ class Ambient:
     __slots__ = (
         "base", "rank", "twists", "cherns", "kind", "e",
         "dim", "gen_names", "nvars", "top_monomial",
-        "_offsets", "_top", "_caps", "_rhss", "_codes", "_memo", "_canonical",
+        "_offsets", "_top", "_caps", "_rhss", "_codes", "_memo", "_zero", "_canonical",
     )
 
     def __init__(self, base: Ambient | None, rank: int, twists, cherns, named=(None, 0, None)):
@@ -413,6 +420,7 @@ class Ambient:
         caps = tuple(self._caps[o >> 4] for o in self._offsets)
         fill, self._codes = _unit_monomials(caps, self._offsets)
         self._memo = {m: ChowElement(self, t, d, m) for m, t, d in fill}
+        self._zero = ChowElement(self, {}, None)  # every zero form of this ring
         # K of this ambient, built on first use, so a build runs no class
         # product or sum
         self._canonical = None
@@ -451,7 +459,7 @@ class Ambient:
     # -- element construction ----------------------------------------
 
     def zero(self) -> ChowElement:
-        return ChowElement(self, {}, None)
+        return self._zero
 
     def one(self) -> ChowElement:
         return self._memo[0]
@@ -483,18 +491,20 @@ class Ambient:
         Coefficients and exponent entries must be ints, checked on every
         term before any lookup: 1.0 and True equal 1, so they would find
         the code of an int vector.  A normal monomial's code is read from
-        `_codes`, and as a single term with coefficient 1 it returns the
-        memo's element itself.  Length and sign are checked on a miss
-        only, since every key there is a valid exponent vector of this
-        ambient, and any other monomial is packed, or dropped as zero if
-        its degree is above `dim`.  Terms with coefficient zero are
-        dropped from the degree check; the rest must share one degree.
-        `_element` then sums the normal forms.
+        `_codes`, and as a single term with coefficient 1, the common
+        case, it returns the memo's element itself.  Length and sign are
+        checked on a miss only, since every key there is a valid exponent
+        vector of this ambient, and any other monomial is packed, or
+        dropped as zero if its degree is above `dim`.  Terms with
+        coefficient zero are dropped from the degree check; the rest must
+        share one degree.  Data of normal monomials alone is already the
+        normal form, so `_element` builds it, without its zero
+        coefficients, and `_reduce` sums anything else.
         """
         codes, dim = self._codes, self.dim
         single = len(terms) == 1
         raw = {}
-        degree = None
+        degree, normal = None, True
         for expo, coeff in terms.items():
             for k in expo:
                 if type(k) is not int:
@@ -508,21 +518,29 @@ class Ambient:
                 d = sum(expo)
                 if d <= dim:  # above dim every monomial is zero
                     raw[_pack(expo, self._offsets)] = coeff
+                    normal = False
             elif single and coeff == 1:
                 return self._memo[code]
             else:
                 d = code % _FIELD
-                raw[code] = coeff
+                if coeff:
+                    raw[code] = coeff
             if coeff and d != degree:
                 if degree is not None:
                     raise ValueError(
                         f"mixed-degree input (degrees {degree} and {d}) rejected"
                     )
                 degree = d
-        return self._element(raw, degree)
+        return self._element(raw, degree) if normal else self._reduce(raw, degree)
 
     def pullback(self, x: ChowElement) -> ChowElement:
-        """Pull a class of the base back to the tower."""
+        """Pull a class of the base back to the tower.
+
+        A normal code of the base is the tower's normal code of the
+        pulled-back monomial, so the element wraps `x`'s own terms, with
+        no rewriting; a single term with coefficient 1 is the memo's
+        element, whether or not `x` carries `mono`.
+        """
         if x.ambient is not self.base and x.ambient != self.base:
             raise ValueError("pullback expects a class on this tower's base")
         return self._element(x._terms, x.degree)
@@ -538,16 +556,14 @@ class Ambient:
             for o in self._offsets
         ]
 
-    def _element(self, raw: dict, degree) -> ChowElement:
-        """The element of code -> coefficient data of this degree: a single
-        term with coefficient 1 is the memo's element itself, rewritten only
-        if it is not normal, and anything else is summed by `_reduce`."""
-        if len(raw) == 1:
-            ((code, coeff),) = raw.items()
-            if coeff == 1:
-                return self._monomial(code)
-        out = self._reduce(raw)
-        return ChowElement(self, out, degree if out else None)
+    def _element(self, terms: dict, degree) -> ChowElement:
+        """The element of normal-form data of this degree, with no
+        coefficient zero: a single term with coefficient 1 is the memo's
+        element, no term the ring's zero, and anything else wraps `terms`
+        as it is, so the caller must not write to it afterwards."""
+        if len(terms) == 1 and 1 in terms.values():
+            return self._memo[next(iter(terms))]
+        return ChowElement(self, terms, degree) if terms else self._zero
 
     def _monomial(self, code: int) -> ChowElement:
         """The memo's normal form of the monomial with this code."""
@@ -561,7 +577,10 @@ class Ambient:
         time: the base's own `_monomial` gives the normal form of b, so a
         named base, one ring per process, answers every base rewrite
         after the first from its memo.
-          * N < rank: that form, lifted with z^N.
+          * N < rank: that form, lifted with z^N.  A lift asked for is
+            built at once, with no stack; one met as an image has b not
+            normal (a normal monomial is in the memo from the start), so
+            it is the next case, whose images are all normal.
           * N >= rank + dim B: zero, since z^N is.
           * b not normal: the images are e * z^N, one per term e of its
             form.
@@ -575,14 +594,19 @@ class Ambient:
         per exponent.  This memo gains the monomial asked for and every
         image met on the way.  On codes, N is a shift of the monomial, and
         taking b off it, a lift by z^N and a rule step are each one sum.
-        The element has the degree of the monomial, or None when the form
-        is zero, and is shared by whoever the memo hands it to: values are
-        never mutated.
+        The element has the degree of the monomial, or is the ring's zero
+        when the form is zero, and is shared by whoever the memo hands it
+        to: values are never mutated.
         """
         rank, base = self.rank, self.base
-        top = rank + base.dim
-        memo, rule = self._memo, self._rhss[-1]
-        shift = 16 * base.nvars
+        memo, shift = self._memo, 16 * base.nvars
+        n = code >> shift
+        if n < rank:  # a lift, taken before any stack is built
+            zn = n << shift
+            terms = {e + zn: c for e, c in base._monomial(code - zn)._terms.items()}
+            nf = memo[code] = ChowElement(self, terms, code % _FIELD) if terms else self._zero
+            return nf
+        top, rule = rank + base.dim, self._rhss[-1]
         # (monomial, its images, or None before they are computed): a
         # monomial waits under the images it needs, so it is popped again
         # only once they are all memoized
@@ -597,10 +621,6 @@ class Ambient:
                 if n < top:
                     zn = n << shift
                     below = base._monomial(m - zn)
-                    if n < rank:
-                        terms = {e + zn: c for e, c in below._terms.items()}
-                        memo[m] = ChowElement(self, terms, m % _FIELD if terms else None)
-                        continue
                     if below.mono is None:
                         images = [(e + zn, c) for e, c in below._terms.items()]
                     else:
@@ -617,23 +637,30 @@ class Ambient:
                     terms[e2] = terms.get(e2, 0) + c * c2
             if 0 in terms.values():
                 terms = {e: c for e, c in terms.items() if c}
-            memo[m] = ChowElement(self, terms, m % _FIELD if terms else None)
+            memo[m] = ChowElement(self, terms, m % _FIELD) if terms else self._zero
         return memo[code]
 
-    def _reduce(self, raw: dict) -> dict:
-        """Normal form of code -> coefficient data, like terms merged."""
+    def _reduce(self, raw: dict, degree) -> ChowElement:
+        """The element of code -> coefficient data of this degree: a single
+        term with coefficient 1 is the memo's element itself, rewritten only
+        if it is not normal, and anything else sums the normal forms."""
+        if len(raw) == 1 and 1 in raw.values():
+            return self._monomial(next(iter(raw)))
         memo = self._memo
         out: dict = {}
         for m, coeff in raw.items():
             nf = memo.get(m)
             if nf is None:
                 nf = self._normal_form(m)
-            for e, c in nf._terms.items():
-                out[e] = out.get(e, 0) + coeff * c
+            if nf.mono is None:
+                for e, c in nf._terms.items():
+                    out[e] = out.get(e, 0) + coeff * c
+            else:  # m is normal, its own one term with coefficient 1
+                out[m] = out.get(m, 0) + coeff
         # copied only when something cancelled, which most sums do not
         if 0 in out.values():
             out = {e: c for e, c in out.items() if c}
-        return out
+        return self._element(out, degree)
 
 
 @cache
@@ -692,7 +719,7 @@ def make_tower(base: Ambient, twists: Sequence) -> Ambient:
                 for m2, c2 in L._terms.items():
                     m = m1 + m2
                     ei[m] = ei.get(m, 0) + c1 * c2
-    cherns = tuple(base._element(ei, i) for i, ei in enumerate(es[1:], start=1))
+    cherns = tuple(base._reduce(ei, i) for i, ei in enumerate(es[1:], start=1))
     return Ambient(base, rank, coerced, cherns)
 
 

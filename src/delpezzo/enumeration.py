@@ -587,8 +587,16 @@ MODEL_KINDS = {
 
 @cache
 def model_values(kind: str, data: tuple) -> ModelValues:
-    """The values of a model of `kind` on `data`; they depend on these alone."""
+    """The values of a model of `kind` on `data`; they depend on these alone.
+
+    Data of the wrong length is refused with `ValueError`, before the
+    derivation runs, so a `TypeError` out of a derivation stays an
+    engine fault and is never taken for broken data.
+    """
     derive = MODEL_KINDS.get(kind)
     if derive is None:
         raise ValueError(f"unknown model kind {kind!r}")
+    wanted = derive.__code__.co_argcount
+    if len(data) != wanted:
+        raise ValueError(f"a {kind!r} model takes {wanted} data entries, got {len(data)}")
     return derive(*data)

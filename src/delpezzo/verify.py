@@ -11,7 +11,10 @@ which memoizes them by kind and data; this module only compares them
 with the record.  A model that cannot be derived from its data fails a
 `model-derivation` check, and a search that raises a `{name}-search`
 check, so broken data ends in a report; on broken data a search raises
-`ValueError` or `ArithmeticError`, the two errors caught.  A blow-up
+`ValueError` or `ArithmeticError`, the two errors caught, and
+`model_values` refuses data of the wrong length with `ValueError`.  A
+Theorem 3.4 record without exactly one quadric model fails its
+`quadric-adjunction-identity` check.  A blow-up
 model's data is its target's degree, read from the catalog under test
 on every call, so a planted error in the target always shows.
 
@@ -286,14 +289,20 @@ def _degree_and_picard(r, c):
 
 def _quadric_pair(r, v):
     # the identity is checked on the record's own model: the search sets
-    # alpha = 2 - sum(a) on every verdict, so there it always holds
-    ((a, alpha),) = (d for kind, d in construction_models(r.id) if kind == "quadric")
+    # alpha = 2 - sum(a) on every verdict, so there it always holds; a
+    # record without exactly one quadric model fails it instead
+    models = [d for kind, d in construction_models(r.id) if kind == "quadric"]
+    if len(models) == 1:
+        ((a, alpha),) = models
+        expected, computed = 0, sum(a) - 2 + alpha
+    else:
+        expected, computed = "one quadric model", f"{len(models)} quadric models"
     return (
         ("degree", r.degree, v.degree, ""),
         (
             "adjunction-identity",
-            0,
-            sum(a) - 2 + alpha,
+            expected,
+            computed,
             "sum(a) - 2 + alpha = 0 ties alpha to the split type",
         ),
         (

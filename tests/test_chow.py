@@ -904,6 +904,45 @@ def test_pullback_of_a_base_generator_is_the_memo_element():
     assert F is T.gen("F") and F.mono == code(T, (1, 0))
 
 
+def test_pullback_shares_the_base_terms_without_rewriting():
+    # a normal code of the base is the tower's normal code, so the pulled
+    # back class wraps the base class's own terms dict, of the same degree
+    B = P1xP2()
+    T = make_tower(P1xP2(), [B.gen("p"), 0, 0])
+    p, h = B.gen("p"), B.gen("h")
+    for x in (3 * p * h - 2 * h * h, -p, 5 * h):
+        y = T.pullback(x)
+        assert y._terms is x._terms and y.degree == x.degree and y.ambient is T
+        assert y.mono is None
+    # a single term with coefficient 1 is the memo's element, also when the
+    # base class carries no `mono` (1 * h drops it), and zero is the zero
+    one_h = 1 * h
+    assert one_h.mono is None and one_h == h
+    assert T.pullback(one_h) is T.gen("h") is T.pullback(h)
+    assert T.pullback(p * h * h) is T.point()
+    assert T.pullback(B.zero()) is T.zero()
+
+
+def test_every_zero_form_is_the_ring_zero():
+    # zero(), empty sums and products, scaling by 0, negation and every
+    # zero form the memo keeps hand out one element per ring
+    A = h_tower()
+    zero = A.zero()
+    assert zero is A.zero() and zero.is_zero() and zero.degree is None
+    h, z = A.gen("h"), A.gen("z")
+    # h^3 is zero on P2: h^3 and h^3 z are lifts whose base part is zero
+    forms = [h * h * h, (h * h) * (h * z), z * z * z * z, A.from_terms({(0, 4): 2})]
+    forms += [
+        h * zero, zero * h, h - h, 0 * h, 3 * zero, -zero, zero + zero,
+        A.from_terms({}), A.from_terms({(1, 0): 0}), A.pullback(P2().zero()),
+        (2 * h) * (h * h), A.from_terms({(0, 3): 1, (1, 2): -1}),
+    ]
+    assert all(x is zero for x in forms)
+    kept = [nf for nf in A._memo.values() if not nf._terms]
+    assert len(kept) >= 3 and all(nf is zero for nf in kept)
+    assert all(nf is P2().zero() for nf in P2()._memo.values() if not nf._terms)
+
+
 @given(c=st.integers(min_value=-9, max_value=9))
 @settings(max_examples=40, deadline=None)
 def test_projection_formula_for_points(c):

@@ -501,6 +501,37 @@ def test_random_towers_match_oracle(data):
 
 
 @given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_normal_data_and_pullbacks_match_the_oracle(data):
+    # from_terms of normal monomials and every pullback skip the rewrite:
+    # each must still be the sum of its unit monomials and the oracle's form
+    A = data.draw(random_towers())
+    seed = data.draw(st.integers(0, 999))
+    degree = data.draw(st.integers(0, A.dim))
+    pool = [m for m in normal_monomials(A) if sum(m) == degree]
+    chosen = data.draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+    terms = {m: data.draw(st.integers(-3, 3)) for m in chosen}  # zeros included
+    x = A.from_terms(terms)
+    units = sum((c * A.from_terms({m: 1}) for m, c in terms.items()), A.zero())
+    assert x == units and x.terms == oracle_reduce(A, list(terms.items()), seed=seed)
+    assert 0 not in x.terms.values() and x.degree == (degree if x.terms else None)
+    # a raw class of the base, up to one degree past its top; the tower
+    # prints its base's generators, then z
+    B = A.base
+    degree = data.draw(st.integers(0, B.dim + 1))
+    raw = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        mono = _monomial(data.draw, B.nvars, degree)
+        raw[mono] = raw.get(mono, 0) + data.draw(st.integers(-9, 9))
+    y = B.from_terms(raw)
+    pulled = A.pullback(y)
+    units = sum((c * A.from_terms({m + (0,): 1}) for m, c in y.terms.items()), A.zero())
+    assert pulled == units and pulled.degree == y.degree
+    want = oracle_reduce(A, [(m + (0,), c) for m, c in raw.items()], seed=seed + 1)
+    assert pulled.terms == want
+
+
+@given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_shared_monomial_products_match_oracle(data):
     # unit monomial products and one-term from_terms calls hand out the

@@ -4,13 +4,14 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from delpezzo import cli, render
+from delpezzo import chow, cli, render
 from delpezzo.catalog import export
 from delpezzo.verify import REPORTS, CheckResult, Report
 
@@ -365,6 +366,30 @@ def test_reproduce_tables_unwritable_out_exits_two(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"reproduce_tables: error: cannot write {out}: ")
+
+
+# ---------------------------------------------------------------------------
+# scripts/deep_towers.py
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_full_flag_varieties_integrate_by_the_weyl_formula(n):
+    # Fl(n) as the script stacks it, n - 1 Chern-data towers over the
+    # point: D = sum k z_k has D^N = (-1)^((n-1)(n-2)/2) N!, N = dim Fl(n)
+    A, levels = _script("deep_towers").flag_variety(chow, n)
+    N = n * (n - 1) // 2
+    assert A.dim == N and [L.rank for L in levels] == list(range(n, 1, -1))
+    D = sum((k * A.gen(g) for k, g in enumerate(A.gen_names, start=1)), A.zero())
+    assert chow.integrate(D**N) == (-1) ** ((n - 1) * (n - 2) // 2) * math.factorial(N)
+
+
+def test_deep_towers_refuses_a_max_n_that_checks_nothing(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["deep_towers.py", "--max-n", "4"])
+    assert _script("deep_towers").main() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "deep_towers: error: --max-n must be at least 5, got 4\n"
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import ast
 import dataclasses
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -591,6 +592,36 @@ def test_quadric_adjunction_identity_reads_the_record_model(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("planted", [0, 2])
+def test_record_without_one_quadric_model_fails_one_check(monkeypatch, planted):
+    # the identity reads the record's one quadric model; none or two fail
+    # that row, and every other row of the pair still runs
+    model = ("quadric", ((0, 0, 0, 1), 1))
+
+    def models(rid):
+        return (model,) * planted if rid == "thm3.4-2" else construction_models(rid)
+
+    monkeypatch.setattr(verify, "construction_models", models)
+    fails = [c for rep in verify_all() for c in rep.checks if c.status == "fail"]
+    assert fails == [
+        CheckResult(
+            "quadric-adjunction-identity",
+            "thm3.4-2",
+            "one quadric model",
+            f"{planted} quadric models",
+            "fail",
+            "sum(a) - 2 + alpha = 0 ties alpha to the split type",
+            "Theorem 3.4",
+        )
+    ]
+    rows = [
+        c.name
+        for c in verify_enumeration_matches_catalog().checks
+        if c.subject == "thm3.4-2"
+    ]
+    assert rows == ["quadric-degree", "quadric-adjunction-identity", "quadric-model-degree"]
+
+
 @pytest.mark.parametrize("family", ["thm3.4-1", "thm3.4-5"])
 def test_missing_quadric_label_fails_without_raising(monkeypatch, family):
     # the search emits the Small verdict without a family id, so the
@@ -686,6 +717,29 @@ def test_every_underivable_model_edit_fails_a_check(monkeypatch):
     # a weight edited to 0 is refused; every other edit leaves a degree
     # the product of the weights does not divide
     assert sorted(errors) == ["ArithmeticError"] * 23 + ["ValueError"] * 16
+
+
+def test_model_data_of_the_wrong_length_fails_one_check(monkeypatch):
+    # a grass model derives from (k, n): one entry is refused before the
+    # derivation runs, so it fails its check instead of raising TypeError
+    def models(rid):
+        return (("grass", (2,)),) if rid == "thm2.1-5" else construction_models(rid)
+
+    monkeypatch.setattr(verify, "construction_models", models)
+    fails = [c for rep in verify_all() for c in rep.checks if c.status == "fail"]
+    assert [(c.name, c.subject) for c in fails] == [("model-derivation:grass", "thm2.1-5")]
+    assert fails[0].expected == "a derivable model"
+    assert fails[0].computed == "ValueError: a 'grass' model takes 2 data entries, got 1"
+
+
+@pytest.mark.parametrize(
+    "kind, data, wanted",
+    [("grass", (2, 5, 1), 2), ("towerP13", (1,), 0), ("quadric", (), 2), ("blowup", (), 1)],
+)
+def test_model_values_refuses_data_of_the_wrong_length(kind, data, wanted):
+    message = f"a {kind!r} model takes {wanted} data entries, got {len(data)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        enumeration.model_values(kind, data)
 
 
 # ---------------------------------------------------------------------------
