@@ -13,13 +13,13 @@ nothing the CLI prints has moved.
     python3 scripts/cli_digest.py
 
 Each run is a fresh interpreter that loads the package from `src/` of
-the checkout this script lives in, with an empty temporary directory as
+the checkout this script lives in (the child environment of
+`tests/checkout.py`), with an empty temporary directory as
 its working directory, so the relative `--out` names a missing directory
 and nothing is written.  The runs take about 15 s one after another.
 """
 
 import hashlib
-import os
 import subprocess
 import sys
 import tempfile
@@ -51,10 +51,10 @@ def runs() -> list[list[str]]:
 
 
 def main() -> int:
-    sys.path.insert(0, str(ROOT / "src"))
-    rest = os.environ.get("PYTHONPATH")
-    src = str(ROOT / "src") + (os.pathsep + rest if rest else "")
-    env = {**os.environ, "PYTHONPATH": src}
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from checkout import child_env
+
+    env = child_env()
     argvs = runs()
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as cwd:

@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
-"""Regenerate every classification table, the verification report, and
-the catalog exports into one directory.
+"""Write the golden set: every command output the test suite pins, each
+under the name of its file in `tests/golden/`.
 
-The files this writes are exactly the command outputs, so a diff against
-a previous run shows any change in the computed classification.  Exit
-code 1 means verification reported failures; 2 means the output could
-not be written.
+`SECTIONS` is the one list of those outputs: the classification tables,
+`show` of one family, the verification reports and the catalog exports.
+The files are exactly the command outputs, so
+
+    python3 scripts/reproduce_tables.py --out tests/golden
+
+regenerates the golden set of this checkout, and `git diff tests/golden`
+shows any change in the computed classification.  The package is loaded
+from `src/` of the checkout this script lives in.  Exit code 1 means
+verification reported failures; 2 means the output could not be
+written.
 """
 
 import argparse
@@ -14,23 +21,32 @@ import io
 import pathlib
 import sys
 
-from delpezzo.catalog import RHO3_SURFACES
-from delpezzo.cli import run
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
+from delpezzo.catalog import RHO3_SURFACES  # noqa: E402
+from delpezzo.cli import run  # noqa: E402
+
+# golden file name -> the argv whose output it pins; a new output goes
+# at the end, so each earlier one keeps its place and its test id
 SECTIONS = [
     ("quadric_table.txt", ["enumerate", "--case", "quadric"]),
-    ("p2_bundles.txt", ["enumerate", "--case", "p2bundle"]),
-    ("point_blowups.txt", ["enumerate", "--case", "blowup"]),
+    ("show_thm3.5-1.txt", ["show", "thm3.5-1"]),
+    ("export.json", ["export", "--format", "json"]),
+    ("p2bundle_table.txt", ["enumerate", "--case", "p2bundle"]),
+    ("blowup_table.txt", ["enumerate", "--case", "blowup"]),
     *(
-        (f"rho3_{tag}.txt", ["enumerate", "--case", "rho3", "--surface", tag])
+        (f"rho3_{tag}_table.txt", ["enumerate", "--case", "rho3", "--surface", tag])
         for tag in RHO3_SURFACES
     ),
-    ("highdim_4.txt", ["enumerate", "--case", "highdim", "--dim", "4"]),
-    ("highdim_5.txt", ["enumerate", "--case", "highdim", "--dim", "5"]),
-    ("highdim_6.txt", ["enumerate", "--case", "highdim", "--dim", "6"]),
+    *(
+        (f"highdim_{n}_table.txt", ["enumerate", "--case", "highdim", "--dim", str(n)])
+        for n in (4, 5)
+    ),
+    ("verify_families.txt", ["verify", "--only", "families"]),
+    ("highdim_6_table.txt", ["enumerate", "--case", "highdim", "--dim", "6"]),
     ("verify.txt", ["verify"]),
-    ("catalog.json", ["export", "--format", "json"]),
-    ("catalog.csv", ["export", "--format", "csv"]),
+    ("export.csv", ["export", "--format", "csv"]),
 ]
 
 

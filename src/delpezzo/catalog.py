@@ -58,13 +58,15 @@ class FamilyRecord:
             raise ValueError(f"{self.id}: unknown contraction {self.contraction!r}")
         if self.anticanonical_map not in MAP_TYPES:
             raise ValueError(f"{self.id}: unknown map type {self.anticanonical_map!r}")
-        for fname in _FIELDS:
+        for fname in FIELDS:
             value = getattr(self, fname)
             if isinstance(value, str) and ("," in value or "\n" in value):
                 raise ValueError(f"{self.id}: field {fname} may not contain commas")
 
 
-_FIELDS = tuple(f.name for f in fields(FamilyRecord))
+# the field order of a record, which `show`, the exports and the comma
+# check above read
+FIELDS = tuple(f.name for f in fields(FamilyRecord))
 
 
 # A row that states a family ends in its notes and then either its
@@ -370,7 +372,7 @@ def construction_models(id: str) -> tuple[tuple[str, tuple], ...]:
 
 
 def _record_dict(r: FamilyRecord) -> dict:
-    values = ((k, getattr(r, k)) for k in _FIELDS)
+    values = ((k, getattr(r, k)) for k in FIELDS)
     return {k: v for k, v in values if v is not None}
 
 
@@ -383,9 +385,9 @@ def export(format: str) -> bytes:
         text = json.dumps([_record_dict(r) for r in records], indent=2)
         return (text + "\n").encode("utf-8")
     if format == "csv":
-        lines = [",".join(_FIELDS)]
+        lines = [",".join(FIELDS)]
         for r in records:
-            values = (getattr(r, k) for k in _FIELDS)
+            values = (getattr(r, k) for k in FIELDS)
             cells = ("" if v is None else str(v) for v in values)
             lines.append(",".join(cells))
         return ("\n".join(lines) + "\n").encode("utf-8")

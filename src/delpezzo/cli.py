@@ -20,10 +20,9 @@ so `chow` comes only with `enumeration`.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
-from .catalog import RHO3_SURFACES, construction_models, export, lookup
+from .catalog import FIELDS, RHO3_SURFACES, construction_models, export, lookup
 
 # --case -> its search on the `enumeration` module; `render.BLOCKS` holds
 # the table renderers of the same cases
@@ -93,10 +92,8 @@ def _cmd_show(args):
     r = lookup(args.id)
     if r is None:
         return _usage_error(f"no family with id {args.id!r}")
-    fields = [
-        (k.replace("_", " "), "-" if v is None else v)
-        for k, v in dataclasses.asdict(r).items()
-    ]
+    values = ((k, getattr(r, k)) for k in FIELDS)
+    fields = [(k.replace("_", " "), "-" if v is None else v) for k, v in values]
     models = construction_models(r.id)
     fields.append(("models", " + ".join(_model_label(*m) for m in models) or "-"))
     width = max(len(k) for k, _ in fields) + 1

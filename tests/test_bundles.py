@@ -21,6 +21,7 @@ from delpezzo import (
     integrate,
     make_tower,
 )
+from delpezzo import bundles
 from delpezzo.bundles import (
     blowup_chain,
     blowup_degree,
@@ -77,6 +78,15 @@ def test_chi_rank2_frozen_values():
         assert chi_rank2(rank2(P2(), 3 * h, k + 2)) == 9 - k
     # the degree-5 case: chi = h^0 = d + 2 = 7
     assert chi_rank2(rank2(P2(), 3 * h, 4)) == 7
+
+
+def test_chi_rank2_refuses_an_odd_riemann_roch_numerator(monkeypatch):
+    # c1^2 - c1.K is even on a surface; with K planted off by h on P2 it
+    # is 9 + 6 = 15 for c1 = 3h, and chi is refused rather than rounded
+    real = bundles.canonical_class
+    monkeypatch.setattr(bundles, "canonical_class", lambda S: real(S) + S.gen("h"))
+    with pytest.raises(ArithmeticError, match=r"c1\^2 - c1\.K = 15 is odd"):
+        chi_rank2(rank2(P2(), 3 * P2().gen("h"), 4))
 
 
 def test_rank2_degree_is_c1sq_minus_c2():

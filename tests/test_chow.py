@@ -437,6 +437,10 @@ def test_tower_repr_shows_what_fixes_the_ring():
     assert repr(p1_tower(-1, 2)) == "P(-F, 2*F) over P1"
 
 
+def test_element_repr_names_its_ring():
+    assert repr(P2().gen("h")) == "<h on P2>"
+
+
 def test_one_base_ring_per_base():
     B = Fe(3)
     assert Fe(3) is B and Fe(4) is not B

@@ -6,6 +6,7 @@ the relation tables.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -743,3 +744,31 @@ def test_memo_fill_order_does_not_change_normal_forms(data):
     assert first._memo == second._memo
     for m, terms in zip(mons, forward):
         assert terms == oracle_reduce(A, [(m, 1)], seed=seed)
+
+
+class WriteOnce(dict):
+    """A memo that refuses to write a key it already holds."""
+
+    def __setitem__(self, key, value):
+        if key in self:
+            raise AssertionError(f"memo key {key} written twice")
+        super().__setitem__(key, value)
+
+
+def test_a_monomial_pushed_twice_is_rewritten_once():
+    # rewriting D^6 on this three-level stack pushes one monomial a second
+    # time before its first copy is resolved; the later copy is skipped,
+    # so no memo key is written twice
+    A0 = make_tower(Base("pt"), [0, 0, 0])
+    z = A0.gen("z")
+    A1 = make_tower(A0, [-2 * z, -z, z])
+    z1, z = A1.gen("z1"), A1.gen("z")
+    A2 = make_tower(A1, [2 * z1 - z, z1 - z, z])
+    assert A2.gen_names == ("z1", "z2", "z")
+    for A in (A0, A1, A2):
+        A._memo = WriteOnce(A._memo)
+    D = -2 * A2.gen("z") - A2.gen("z2")
+    assert integrate(D**6) == 1340
+    # D^6 = sum C(6, k) (-2z)^k (-z2)^(6 - k), term by term for the oracle
+    raw = [((0, 6 - k, k), math.comb(6, k) * (-2) ** k * (-1) ** (6 - k)) for k in range(7)]
+    assert oracle_integrate(A2, raw) == 1340

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -29,25 +30,26 @@ def run_cli(*args):
     )
 
 
+def _script(name):
+    """The module of `scripts/<name>.py`, loaded from this checkout."""
+    script = Path(__file__).parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # ---------------------------------------------------------------------------
 # golden outputs
 # ---------------------------------------------------------------------------
 
 
+# `SECTIONS` of the script names each golden file and the argv it pins
+REPRODUCE_TABLES = _script("reproduce_tables")
+
+
 @pytest.mark.parametrize(
-    "args,golden",
-    [
-        (("enumerate", "--case", "quadric"), "quadric_table.txt"),
-        (("show", "thm3.5-1"), "show_thm3.5-1.txt"),
-        (("export", "--format", "json"), "export.json"),
-        (("enumerate", "--case", "p2bundle"), "p2bundle_table.txt"),
-        (("enumerate", "--case", "blowup"), "blowup_table.txt"),
-        (("enumerate", "--case", "rho3", "--surface", "p1p1"), "rho3_p1p1_table.txt"),
-        (("enumerate", "--case", "rho3", "--surface", "f2"), "rho3_f2_table.txt"),
-        (("enumerate", "--case", "highdim", "--dim", "4"), "highdim_4_table.txt"),
-        (("enumerate", "--case", "highdim", "--dim", "5"), "highdim_5_table.txt"),
-        (("verify", "--only", "families"), "verify_families.txt"),
-    ],
+    "args,golden", [(argv, name) for name, argv in REPRODUCE_TABLES.SECTIONS]
 )
 def test_golden_bytes(args, golden):
     proc = run_cli(*args)
@@ -241,6 +243,23 @@ def test_quadric_table_prints_a_small_verdict_without_family(monkeypatch, capsys
     assert [row[0] for row in rows[1:]] == [f"thm3.4-{i}" for i in range(2, 7)]
 
 
+def test_blowup_table_without_exclusions_has_no_excluded_block(monkeypatch, capsys):
+    # with degree 6 planted in Fujita's list every degree of the window is
+    # a candidate, and the table ends after its five rows
+    from delpezzo import enumeration
+
+    monkeypatch.setattr(enumeration, "FUJITA_RANK1_DEGREES", (2, 3, 4, 5, 6, 8))
+    enumeration.enumerate_point_blowups.cache_clear()
+    try:
+        assert cli.run(["enumerate", "--case", "blowup"]) == 0
+    finally:
+        enumeration.enumerate_point_blowups.cache_clear()
+    out = capsys.readouterr().out
+    assert "excluded:" not in out
+    rows = out.rstrip("\n").split("\n")[4:]
+    assert [row.split()[0] for row in rows] == [str(d) for d in range(1, 6)]
+
+
 def test_rho3_table_prints_a_candidate_without_record(monkeypatch, capsys):
     # a candidate whose family has no record prints "-" for psi, as the
     # partner column does, and the command exits 0
@@ -322,46 +341,40 @@ def test_export_to_file(tmp_path, capsys):
 # scripts/reproduce_tables.py
 # ---------------------------------------------------------------------------
 
-REPRODUCED_GOLDEN = {
-    "quadric_table.txt": "quadric_table.txt",
-    "p2_bundles.txt": "p2bundle_table.txt",
-    "point_blowups.txt": "blowup_table.txt",
-    "rho3_p1p1.txt": "rho3_p1p1_table.txt",
-    "rho3_f2.txt": "rho3_f2_table.txt",
-    "highdim_4.txt": "highdim_4_table.txt",
-    "highdim_5.txt": "highdim_5_table.txt",
-    "catalog.json": "export.json",
-}
 
-
-def _script(name):
-    """The module of `scripts/<name>.py`, loaded from this checkout."""
-    script = Path(__file__).parents[1] / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _reproduce_tables():
-    return _script("reproduce_tables")
+def assert_golden_set(out):
+    """`out` holds exactly the files of `tests/golden/`, each byte-equal."""
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted(p.name for p in GOLDEN.iterdir())
+    for name in written:
+        assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_reproduce_tables_writes_the_golden_outputs(tmp_path):
-    module = _reproduce_tables()
-    assert module.main(["--out", str(tmp_path)]) == 0
-    written = sorted(p.name for p in tmp_path.iterdir())
-    assert written == sorted(name for name, _ in module.SECTIONS)
-    assert len(written) == 11
-    for name, golden in REPRODUCED_GOLDEN.items():
-        assert (tmp_path / name).read_bytes() == (GOLDEN / golden).read_bytes(), name
+    assert REPRODUCE_TABLES.main(["--out", str(tmp_path)]) == 0
+    assert_golden_set(tmp_path)
+
+
+def test_reproduce_tables_runs_from_a_bare_checkout(tmp_path):
+    # no PYTHONPATH and a working directory outside the checkout: the
+    # script finds the package in its own checkout's `src/`
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, REPRODUCE_TABLES.__file__, "--out", "tables"],
+        capture_output=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert_golden_set(tmp_path / "tables")
 
 
 def test_reproduce_tables_unwritable_out_exits_two(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = blocker / "tables"
-    assert _reproduce_tables().main(["--out", str(out)]) == 2
+    assert REPRODUCE_TABLES.main(["--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
